@@ -21,6 +21,7 @@ from pathlib import Path
 from .changepoint import BcpConfig, score_resource
 from .errors import AlignmentError, EmptyIntersection, FluNowcastError
 from .evaluation import (
+    MODEL_KINDS,
     ModelSpec,
     ablate,
     backtest,
@@ -227,8 +228,7 @@ def cmd_backtest(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         return _fail(EXIT_IO, str(exc))
 
-    kinds = (["lasso", "huber", "svr", "forest", "arima"]
-             if config["model"] == "all" else [config["model"]])
+    kinds = MODEL_KINDS if config["model"] == "all" else [config["model"]]
     results = []
     failures = []
     for kind in kinds:
@@ -388,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_back = sub.add_parser("backtest", help="rolling-origin model evaluation")
     p_back.add_argument("--config", required=True)
-    p_back.add_argument("--model",
-                        choices=["lasso", "huber", "svr", "forest", "arima", "all"])
+    p_back.add_argument("--model", choices=[*MODEL_KINDS, "all"])
     p_back.add_argument("--seed", type=int)
     p_back.add_argument("--out")
     p_back.set_defaults(func=cmd_backtest)

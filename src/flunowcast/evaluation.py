@@ -15,11 +15,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllActualsZero, DegenerateActuals
+from .errors import AllActualsZero, DegenerateActuals, InsufficientHistory
 from .features import (
     DEFAULT_SIGNAL_LAG,
     LagSpec,
@@ -29,7 +29,7 @@ from .features import (
     build_dataset,
     expanding_splits,
 )
-from .models import (
+from .models import (  # fits are dispatched by name through MODELS
     fit_arima,
     fit_forest,
     fit_huber,
@@ -44,11 +44,10 @@ from .series import (
     WeekIndex,
     standardize_apply,
     standardize_fit,
+    week_range,
 )
 
 PAST_LAGS = "past"  # ablation label for the flu-history block
-
-MODEL_KINDS = ("lasso", "huber", "svr", "forest", "arima")
 
 
 @dataclass
@@ -124,72 +123,97 @@ def compute_metrics(predicted, actual) -> MetricReport:
                         skipped_zero_actuals=skipped)
 
 
+class ModelEntry(NamedTuple):
+    fit: str                 # name of the fit function in this module
+    options: dict[str, str]  # run-config option -> the fit keyword it sets
+    seeded: bool = False     # the fit takes a per-split ``seed``
+
+
+# The model kinds, in report order. Option defaults live in the fit
+# signatures. Fits are looked up by name when they run, so a function
+# swapped into this module's namespace takes effect.
+MODELS = {
+    "lasso": ModelEntry("fit_lasso", {"lambda": "lam", "intercept": "include_intercept"}),
+    "huber": ModelEntry("fit_huber", {"delta": "delta", "sigma": "sigma",
+                                      "intercept": "include_intercept"}),
+    "svr": ModelEntry("fit_svr_linear", {"c": "c_penalty", "epsilon": "epsilon"}),
+    "forest": ModelEntry("fit_forest", {"n_trees": "n_trees", "max_depth": "max_depth",
+                                        "min_leaf": "min_leaf", "bootstrap": "bootstrap",
+                                        "max_features": "max_features"},
+                         seeded=True),
+    "arima": ModelEntry("fit_arima", {"order": "order"}),
+}
+
+MODEL_KINDS = tuple(MODELS)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which predictor to run, plus hyperparameter overrides.
+    """Which predictor to run, plus option overrides.
 
-    Defaults: lasso lambda 1.0; huber delta 1.0; svr C 1.0, epsilon 0.1;
-    forest 100 trees, unlimited depth, min_leaf 2, bootstrap, ceil(p/3)
-    features per split; arima order (3,1,2).
+    The accepted ``options`` keys per kind, and the fit keyword each one
+    sets, are listed in ``MODELS``; the defaults are those of the fit
+    functions. An unlisted key is an error.
     """
 
     kind: str
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        accepted = MODELS[self.kind].options
+        unknown = sorted(set(self.options) - set(accepted))
+        if unknown:
+            raise ValueError(f"unknown {self.kind} option(s) {unknown}; "
+                             f"accepted: {sorted(accepted)}")
+
+    def fit(self, *data, seed: int = 0):
+        """Fit this kind's model on ``data``: (X, y), or for ARIMA the
+        flu history."""
+        entry = MODELS[self.kind]
+        kwargs = {entry.options[name]: value for name, value in self.options.items()}
+        if entry.seeded:
+            kwargs["seed"] = seed
+        return globals()[entry.fit](*data, **kwargs)
 
 
-def _fit_predict_row(spec: ModelSpec, x_train: np.ndarray, y_train: np.ndarray,
-                     x_test: np.ndarray, seed: int) -> float:
-    opts = spec.options
-    if spec.kind == "lasso":
-        model = fit_lasso(x_train, y_train, lam=opts.get("lambda", 1.0),
-                          include_intercept=opts.get("intercept", True))
-    elif spec.kind == "huber":
-        model = fit_huber(x_train, y_train, delta=opts.get("delta", 1.0),
-                          sigma=opts.get("sigma"),
-                          include_intercept=opts.get("intercept", True))
-    elif spec.kind == "svr":
-        model = fit_svr_linear(x_train, y_train, c_penalty=opts.get("c", 1.0),
-                               epsilon=opts.get("epsilon", 0.1))
-    elif spec.kind == "forest":
-        model = fit_forest(x_train, y_train,
-                           n_trees=opts.get("n_trees", 100),
-                           max_depth=opts.get("max_depth"),
-                           min_leaf=opts.get("min_leaf", 2),
-                           bootstrap=opts.get("bootstrap", True),
-                           max_features=opts.get("max_features"),
-                           seed=seed)
-    else:
-        raise ValueError(f"unsupported per-row model {spec.kind!r}")
-    return float(model.predict(x_test))
+Row = tuple[WeekIndex, float, float]  # (week, actual, predicted)
 
 
-def _arima_backtest(panel: SignalPanel, plan: SplitPlan, spec: ModelSpec,
-                    horizon: int, history_depth: int) -> list[BacktestResult]:
+def _feature_rows(dataset: SupervisedDataset, spec: ModelSpec, plan: SplitPlan,
+                  seed: int) -> Iterator[Row]:
+    """Expanding-window fits on the features, standardized on each split's
+    training rows."""
+    for split_no, split in enumerate(expanding_splits(dataset, plan)):
+        x_train = dataset.X[split.train_idx]
+        params = standardize_fit(x_train)
+        x_train_std = standardize_apply(x_train, params)
+        x_test_std = standardize_apply(dataset.X[split.test_idx][None, :], params)[0]
+        model = spec.fit(x_train_std, dataset.y[split.train_idx],
+                         seed=derive_seed(seed, split_no))
+        yield (split.test_week, float(dataset.y[split.test_idx]),
+               float(model.predict(x_test_std)))
+
+
+def _arima_rows(panel: SignalPanel, spec: ModelSpec, plan: SplitPlan,
+                lag_spec: LagSpec) -> Iterator[Row]:
     """Past-only baseline: refit on the flu series up to (test week -
-    horizon) and forecast ``horizon`` steps ahead."""
+    min_lag) and forecast ``min_lag`` steps ahead."""
     flu = panel.flu()
-    order = tuple(spec.options.get("order", (3, 1, 2)))
-    results = []
+    horizon = lag_spec.min_lag
+    history_start = max(flu.start, plan.train_start - lag_spec.max_lag)
     for win_start, win_end in plan.eval_windows:
-        preds: list[tuple[WeekIndex, float, float]] = []
-        t = win_start
-        while t <= win_end:
+        for t in week_range(win_start, win_end):
             cutoff = t - horizon
-            history = flu.slice(max(flu.start, plan.train_start - history_depth), cutoff)
-            model = fit_arima(history, order=order)
+            if not flu.covers(t):
+                raise InsufficientHistory(f"target week {t} outside the panel")
+            if not flu.covers(cutoff):
+                raise InsufficientHistory(f"history cutoff {cutoff} outside the panel")
+            history = flu.slice(history_start, cutoff)
+            model = spec.fit(history)
             forecast = forecast_arima(model, history, horizon)
-            preds.append((t, flu.value_at(t), float(forecast[-1])))
-            t = t + 1
-        actual = [a for _, a, _ in preds]
-        predicted = [p for _, _, p in preds]
-        results.append(BacktestResult(window=(win_start, win_end),
-                                      model_kind="arima", predictions=preds,
-                                      metrics=compute_metrics(predicted, actual)))
-    return results
+            yield t, flu.value_at(t), float(forecast[-1])
 
 
 def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
@@ -203,30 +227,15 @@ def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
     information horizon as the lag-feature models.
     """
     if spec.kind == "arima":
-        return _arima_backtest(panel, plan, spec, horizon=lag_spec.min_lag,
-                               history_depth=lag_spec.max_lag)
-
-    if dataset is None:
-        dataset = build_dataset(panel, selected, lag_spec, signal_lag,
-                                start=plan.train_start, end=plan.last_week)
-    window_preds: dict[tuple[WeekIndex, WeekIndex], list] = {
-        win: [] for win in plan.eval_windows}
-    for split_no, split in enumerate(expanding_splits(dataset, plan)):
-        x_train = dataset.X[split.train_idx]
-        y_train = dataset.y[split.train_idx]
-        params = standardize_fit(x_train)
-        x_train_std = standardize_apply(x_train, params)
-        x_test_std = standardize_apply(dataset.X[split.test_idx][None, :], params)[0]
-        pred = _fit_predict_row(spec, x_train_std, y_train, x_test_std,
-                                seed=derive_seed(seed, split_no))
-        for win in plan.eval_windows:
-            if win[0] <= split.test_week <= win[1]:
-                window_preds[win].append(
-                    (split.test_week, float(dataset.y[split.test_idx]), pred))
-                break
+        rows = list(_arima_rows(panel, spec, plan, lag_spec))
+    else:
+        if dataset is None:
+            dataset = build_dataset(panel, selected, lag_spec, signal_lag,
+                                    start=plan.train_start, end=plan.last_week)
+        rows = list(_feature_rows(dataset, spec, plan, seed))
     results = []
     for win in plan.eval_windows:
-        preds = window_preds[win]
+        preds = [row for row in rows if win[0] <= row[0] <= win[1]]
         actual = [a for _, a, _ in preds]
         predicted = [p for _, _, p in preds]
         results.append(BacktestResult(window=win, model_kind=spec.kind,

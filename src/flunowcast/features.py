@@ -20,7 +20,6 @@ from .errors import EmptyTrain, InsufficientHistory
 from .series import (
     ResourceKind,
     SignalPanel,
-    StandardizationParams,
     UGC_RESOURCES,
     WeekIndex,
     WeeklySeries,
@@ -87,15 +86,13 @@ class SupervisedDataset:
     """Design matrix with named, timestamped rows.
 
     ``X[i]`` holds the features for predicting ``y[i]`` = flu count at
-    ``weeks[i]``. ``standardization`` is populated only on standardized
-    copies produced by :func:`standardized_view`.
+    ``weeks[i]``.
     """
 
     weeks: list[WeekIndex]
     X: np.ndarray
     y: np.ndarray
     feature_names: list[str]
-    standardization: StandardizationParams | None = None
 
     def __post_init__(self):
         if self.X.shape != (len(self.weeks), len(self.feature_names)):

@@ -7,7 +7,9 @@ every coefficient bitwise (Python's shortest-round-trip decimal floats).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 
@@ -29,75 +31,55 @@ __all__ = [
     "huber_loss", "huber_loss_gradient",
     "lasso_objective", "lasso_stationarity_violation",
     "dual_objective", "primal_objective",
-    "predict", "model_to_json", "model_from_json",
+    "MODEL_CLASSES", "model_to_json", "model_from_json",
 ]
 
 
-def predict(model, x):
-    """Model-agnostic prediction for any fitted regression model."""
-    return model.predict(x)
+# kind -> fitted-model class; the JSON codec and the "kind" tag come from here
+MODEL_CLASSES = {
+    "lasso": LassoModel,
+    "huber": HuberModel,
+    "svr": SvrModel,
+    "forest": ForestModel,
+    "arima": ArimaModel,
+}
+
+_JSON_KEYS = {"lam": "lambda"}  # field -> JSON key, where the two differ
 
 
 def _floats(arr) -> list[float]:
     return [float(v) for v in np.asarray(arr, dtype=float)]
 
 
+# field type -> (to JSON, from JSON); fields of other types pass through
+_CODECS = {
+    np.ndarray: (_floats, np.array),
+    tuple[int, int, int]: (list, tuple),
+    list[TreeNode]: (lambda trees: [t.to_dict() for t in trees],
+                     lambda trees: [TreeNode.from_dict(t) for t in trees]),
+}
+_PLAIN = (lambda value: value,) * 2
+
+# kind -> [(field name, JSON key, (encode, decode))]
+_FIELDS = {kind: [(f.name, _JSON_KEYS.get(f.name, f.name),
+                   _CODECS.get(typing.get_type_hints(cls)[f.name], _PLAIN))
+                  for f in dataclasses.fields(cls)]
+           for kind, cls in MODEL_CLASSES.items()}
+
+
 def model_to_json(model) -> str:
-    if isinstance(model, LassoModel):
-        payload = {"kind": "lasso", "beta": _floats(model.beta),
-                   "intercept": model.intercept, "lambda": model.lam}
-    elif isinstance(model, HuberModel):
-        payload = {"kind": "huber", "beta": _floats(model.beta),
-                   "intercept": model.intercept, "sigma": model.sigma,
-                   "delta": model.delta}
-    elif isinstance(model, SvrModel):
-        payload = {"kind": "svr", "weights": _floats(model.weights),
-                   "bias": model.bias, "c_penalty": model.c_penalty,
-                   "epsilon": model.epsilon, "alphas": _floats(model.alphas),
-                   "alpha_stars": _floats(model.alpha_stars)}
-    elif isinstance(model, ForestModel):
-        payload = {"kind": "forest", "trees": [t.to_dict() for t in model.trees],
-                   "n_trees": model.n_trees, "max_depth": model.max_depth,
-                   "min_leaf": model.min_leaf, "max_features": model.max_features,
-                   "bootstrap": model.bootstrap, "seed": model.seed,
-                   "n_features": model.n_features,
-                   "train_y_min": model.train_y_min,
-                   "train_y_max": model.train_y_max}
-    elif isinstance(model, ArimaModel):
-        payload = {"kind": "arima", "order": list(model.order),
-                   "ar": _floats(model.ar), "ma": _floats(model.ma),
-                   "intercept": model.intercept,
-                   "noise_variance": model.noise_variance}
-    else:
+    kind = next((k for k, cls in MODEL_CLASSES.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"not a serializable model: {type(model).__name__}")
-    return json.dumps(payload, sort_keys=True)
+    payload = {key: encode(getattr(model, name))
+               for name, key, (encode, _) in _FIELDS[kind]}
+    return json.dumps({"kind": kind, **payload}, sort_keys=True)
 
 
 def model_from_json(text: str):
     data = json.loads(text)
     kind = data["kind"]
-    if kind == "lasso":
-        return LassoModel(beta=np.array(data["beta"]), intercept=data["intercept"],
-                          lam=data["lambda"])
-    if kind == "huber":
-        return HuberModel(beta=np.array(data["beta"]), intercept=data["intercept"],
-                          sigma=data["sigma"], delta=data["delta"])
-    if kind == "svr":
-        return SvrModel(weights=np.array(data["weights"]), bias=data["bias"],
-                        c_penalty=data["c_penalty"], epsilon=data["epsilon"],
-                        alphas=np.array(data["alphas"]),
-                        alpha_stars=np.array(data["alpha_stars"]))
-    if kind == "forest":
-        return ForestModel(trees=[TreeNode.from_dict(t) for t in data["trees"]],
-                           n_trees=data["n_trees"], max_depth=data["max_depth"],
-                           min_leaf=data["min_leaf"],
-                           max_features=data["max_features"],
-                           bootstrap=data["bootstrap"], seed=data["seed"],
-                           n_features=data["n_features"],
-                           train_y_min=data["train_y_min"],
-                           train_y_max=data["train_y_max"])
-    if kind == "arima":
-        return ArimaModel(order=tuple(data["order"]), ar=np.array(data["ar"]),
-                          ma=np.array(data["ma"]), intercept=data["intercept"],
-                          noise_variance=data["noise_variance"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in MODEL_CLASSES:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return MODEL_CLASSES[kind](**{name: decode(data[key])
+                                  for name, key, (_, decode) in _FIELDS[kind]})

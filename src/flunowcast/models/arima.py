@@ -112,13 +112,17 @@ def css_gradient(z: np.ndarray, params: np.ndarray, p: int, q: int,
 
 def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER,
               tol: float = 1e-8) -> ArimaModel:
-    """Minimize the conditional sum of squares with Nelder-Mead.
+    """Minimize the conditional sum of squares by BFGS with the analytic
+    CSS gradient.
 
     Starting values come from an ordinary least-squares AR regression on
-    the differenced series (MA terms start at zero); a second simplex pass
-    polishes the solution so the objective is settled well below ``tol``.
+    the differenced series (MA terms start at zero). Only if BFGS ends above
+    the starting objective does Nelder-Mead restart from those values, with
+    a function tolerance of ``tol`` times the starting objective, and BFGS
+    then polishes its result.
     """
     y = _values(series)
+    order = tuple(order)  # a run config supplies a JSON list
     p, d, q = order
     if p < 0 or d < 0 or q < 0:
         raise ValueError("order components must be non-negative")

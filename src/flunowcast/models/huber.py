@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoData, NonConvergence, ShapeMismatch
+from ..errors import NoData, NonConvergence
+from .linear import linear_predict
 
 # MAD of a standard normal is 1/1.4826...; this factor makes the estimate
 # consistent for Gaussian residuals.
@@ -33,15 +34,8 @@ class HuberModel:
     sigma: float
     delta: float = 1.0
 
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        one_row = X.ndim == 1
-        if one_row:
-            X = X[None, :]
-        if X.shape[1] != self.beta.size:
-            raise ShapeMismatch(f"model has {self.beta.size} features, X has {X.shape[1]}")
-        out = X @ self.beta + self.intercept
-        return float(out[0]) if one_row else out
+    def predict(self, X):
+        return linear_predict(X, self.beta, self.intercept)
 
 
 def loss(residuals, sigma: float, delta: float = 1.0,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoData, NonConvergence, ShapeMismatch
+from ..errors import NoData, NonConvergence
+from .linear import linear_predict
 
 
 def _sweep(gram, grad, beta, col_sq, half_lam):
@@ -85,15 +86,8 @@ class LassoModel:
     intercept: float
     lam: float
 
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        one_row = X.ndim == 1
-        if one_row:
-            X = X[None, :]
-        if X.shape[1] != self.beta.size:
-            raise ShapeMismatch(f"model has {self.beta.size} features, X has {X.shape[1]}")
-        out = X @ self.beta + self.intercept
-        return float(out[0]) if one_row else out
+    def predict(self, X):
+        return linear_predict(X, self.beta, self.intercept)
 
 
 def objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray,

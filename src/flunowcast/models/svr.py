@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoData, NonConvergence, ShapeMismatch
+from ..errors import NoData, NonConvergence
+from .linear import linear_predict
 
 
 @dataclass
@@ -30,15 +31,8 @@ class SvrModel:
     alphas: np.ndarray
     alpha_stars: np.ndarray
 
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        one_row = X.ndim == 1
-        if one_row:
-            X = X[None, :]
-        if X.shape[1] != self.weights.size:
-            raise ShapeMismatch(f"model has {self.weights.size} features, X has {X.shape[1]}")
-        out = X @ self.weights + self.bias
-        return float(out[0]) if one_row else out
+    def predict(self, X):
+        return linear_predict(X, self.weights, self.bias)
 
 
 def primal_objective(model: SvrModel, X, y) -> float:

@@ -168,6 +168,28 @@ class TestBacktest:
         report = json.loads((out / "backtest.json").read_text())
         assert [r["model"] for r in report] == ["lasso", "huber", "svr", "forest"]
 
+    def test_arima_window_past_panel_exits_4(self, synth_dir, tmp_path):
+        # the panel ends 2018-09-17, so the window's last week has no actual
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir, model="arima",
+            windows=[{"start": "2018-09-10", "end": "2018-09-24"}])
+        out = tmp_path / "results"
+        assert run(["backtest", "--config", config, "--out", out]) == 4
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["model"] for f in failures] == ["arima"]
+        assert "outside the panel" in failures[0]["error"]
+
+    def test_mistyped_model_option_exits_4(self, synth_dir, tmp_path):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir, model="lasso",
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
+            model_options={"lasso": {"lam": 1e9}})
+        out = tmp_path / "results"
+        assert run(["backtest", "--config", config, "--out", out]) == 4
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["model"] for f in failures] == ["lasso"]
+        assert "'lam'" in failures[0]["error"] and "'lambda'" in failures[0]["error"]
+
     def test_inputs_never_mutated(self, synth_dir, tmp_path):
         before = {p.name: p.read_bytes() for p in sorted(synth_dir.iterdir())}
         config = write_run_config(

@@ -1,11 +1,14 @@
 import datetime as dt
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from flunowcast.errors import AllActualsZero, DegenerateActuals, InsufficientHistory
+from flunowcast import evaluation
 from flunowcast.evaluation import (
+    MODELS,
     ModelSpec,
     ablate,
     backtest,
@@ -18,7 +21,6 @@ from flunowcast.evaluation import (
     write_report_json,
 )
 from flunowcast.features import LagSpec, SplitPlan, build_dataset, expanding_splits
-from flunowcast.evaluation import _fit_predict_row
 from flunowcast.rng import derive_seed
 from flunowcast.series import (
     ResourceKind,
@@ -97,6 +99,37 @@ class TestMetrics:
         assert mape(actual, actual)[0] == 0.0
 
 
+class TestModelSpec:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            ModelSpec("ridge")
+
+    @pytest.mark.parametrize("kind, options", [("lasso", {"lam": 1e9}),
+                                               ("svr", {"C": 5.0})])
+    def test_mistyped_option_rejected(self, kind, options):
+        with pytest.raises(ValueError) as err:
+            ModelSpec(kind, options)
+        message = str(err.value)
+        assert kind in message and repr(next(iter(options))) in message
+        assert all(repr(key) in message for key in MODELS[kind].options)
+
+    def test_table_names_real_fit_keywords(self):
+        for entry in MODELS.values():
+            params = inspect.signature(getattr(evaluation, entry.fit)).parameters
+            assert set(entry.options.values()) <= set(params)
+            assert ("seed" in params) == entry.seeded
+
+    def test_options_reach_the_fit(self):
+        X = np.arange(24.0).reshape(12, 2) % 5.0
+        y = X @ np.array([1.0, -2.0])
+        assert ModelSpec("lasso", {"lambda": 0.5}).fit(X, y).lam == 0.5
+        assert ModelSpec("svr", {"c": 3.0}).fit(X, y).c_penalty == 3.0
+        forest = ModelSpec("forest", {"n_trees": 2}).fit(X, y, seed=7)
+        assert (forest.n_trees, forest.seed) == (2, 7)
+        series = np.sin(np.arange(40.0))
+        assert ModelSpec("arima", {"order": [1, 0, 0]}).fit(series).order == (1, 0, 0)
+
+
 def informative_panel(seed=101, lead=2):
     flu = gen_flu(SynthConfig(years=5, seed=seed))
     members = [flu]
@@ -156,15 +189,23 @@ class TestBacktest:
             split = splits[orig_pos]
             x_train = dataset.X[split.train_idx]
             params = standardize_fit(x_train)
-            pred = _fit_predict_row(
-                ModelSpec("huber"),
-                standardize_apply(x_train, params),
-                dataset.y[split.train_idx],
-                standardize_apply(dataset.X[split.test_idx][None, :], params)[0],
-                seed=derive_seed(3, orig_pos))
-            out[split.test_week] = pred
+            model = ModelSpec("huber").fit(standardize_apply(x_train, params),
+                                           dataset.y[split.train_idx],
+                                           seed=derive_seed(3, orig_pos))
+            x_test = standardize_apply(dataset.X[split.test_idx][None, :], params)[0]
+            out[split.test_week] = float(model.predict(x_test))
         reassembled = [out[w] for w, _, _ in sequential.predictions]
         assert reassembled == [p for _, _, p in sequential.predictions]
+
+    def test_arima_window_outside_panel_fails(self):
+        panel, _ = informative_panel()
+        past_end = SplitPlan.of(panel.start + 53, [(panel.end, panel.end + 1)])
+        with pytest.raises(InsufficientHistory, match="target week .* outside the panel"):
+            backtest(panel, {}, ModelSpec("arima"), past_end, seed=0)
+        # a 2-week horizon from the panel's second week reaches before its start
+        early = SplitPlan.of(panel.start, [(panel.start + 1, panel.start + 2)])
+        with pytest.raises(InsufficientHistory, match="history cutoff .* outside the panel"):
+            backtest(panel, {}, ModelSpec("arima"), early, seed=0)
 
     def test_arima_ignores_exogenous_features(self):
         panel, selected = informative_panel()

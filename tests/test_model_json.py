@@ -1,0 +1,84 @@
+"""Golden bytes of the model JSON codec.
+
+The digests pin ``model_to_json`` for fixed-seed fits of every model kind,
+so a change to the codec or to a model's fields that alters a single byte
+fails here. Inputs come from the package's own Xorshift64* stream, which
+does not depend on the numpy version; the fits themselves run on this
+numpy/LAPACK build.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from flunowcast.models import (
+    fit_arima,
+    fit_forest,
+    fit_huber,
+    fit_lasso,
+    fit_svr_linear,
+    model_from_json,
+    model_to_json,
+)
+from flunowcast.rng import Xorshift64Star
+
+
+def regression_problem(seed=11, n=40, p=4):
+    rng = Xorshift64Star(seed)
+    X = np.array(rng.normals(n * p)).reshape(n, p)
+    y = X @ np.array([1.5, -2.0, 0.0, 0.5]) + np.array(rng.normals(n, sd=0.3))
+    return X, y
+
+
+def ar_series(n=120, seed=5):
+    rng = Xorshift64Star(seed)
+    z = [0.0]
+    for _ in range(n - 1):
+        z.append(0.6 * z[-1] + rng.normal())
+    return np.array(z) + 10.0
+
+
+def fitted(kind):
+    X, y = regression_problem()
+    if kind == "lasso":
+        return fit_lasso(X, y, lam=0.7)
+    if kind == "huber":
+        return fit_huber(X, y)
+    if kind == "svr":
+        return fit_svr_linear(X, y, c_penalty=2.0, epsilon=0.1)
+    if kind == "forest":
+        return fit_forest(X, y, n_trees=3, seed=4)
+    if kind == "arima_211":
+        return fit_arima(np.cumsum(ar_series()), order=(2, 1, 1))
+    if kind == "arima_100":
+        return fit_arima(ar_series(), order=(1, 0, 0))
+    raise ValueError(kind)
+
+
+GOLDEN = {
+    "lasso":
+        "6732ec9b30f39cde90ea29272392a0d0b0f0c4eb0d13c0d7184745655bf16816",
+    "huber":
+        "4094ca1a1c5e6e8bb9dc004fce4c60d19e48c6569489fd0bae4ce3cccd183083",
+    "svr":
+        "bf8afa5eb252a0ec0c905e0840d7031dc62f8f1584498927194a50c861cd239c",
+    "forest":
+        "88d6c3155fb54dcd56fe69ed0473f7b802e147384d16fca3199be2152e5d1c3a",
+    "arima_211":
+        "7f81c0aaf540908f15a77efd15ea4c07dda4af19b1eae445dd43b885995cad1a",
+    "arima_100":
+        "264e2451b60258357b4594995e0d749b1a32214299d80739d23756048fb17ad0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_model_json_bytes_are_pinned(kind):
+    text = model_to_json(fitted(kind))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_json_round_trip_reproduces_text(kind):
+    text = model_to_json(fitted(kind))
+    assert model_to_json(model_from_json(text)) == text
