@@ -281,22 +281,29 @@ def cmd_ablate(args) -> int:
         return _fail(EXIT_IO, str(exc))
 
     rows = []
-    try:
-        spec = ModelSpec(kind=config["model"],
-                         options=config.get("model_options", {}).get(config["model"], {}))
-        for label in labels:
+    failures = []
+    for label in labels:
+        try:
+            spec = ModelSpec(kind=config["model"],
+                             options=config.get("model_options", {}).get(config["model"], {}))
             result = ablate(panel, selected, spec, plan, drop=label,
                             lag_spec=lag_spec, signal_lag=config["signal_lag"],
                             seed=config["seed"])
-            rows.append({"dropped": result.dropped,
-                         "windows": [result_to_dict(r) for r in result.results]})
-    except (FluNowcastError, ValueError) as exc:
-        return _fail(EXIT_MODEL, str(exc))
+        except (FluNowcastError, ValueError) as exc:
+            failures.append({"dropped": label, "error": str(exc)})
+            continue
+        rows.append({"dropped": result.dropped,
+                     "windows": [result_to_dict(r) for r in result.results]})
     try:
         out.mkdir(parents=True, exist_ok=True)
         _dump_json(rows, out / "ablation.json")
+        if failures:
+            _dump_json(failures, out / "failures.json")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
+    if failures:
+        return _fail(EXIT_MODEL, f"{len(failures)} ablation row(s) failed; "
+                                 f"partial results in {out}")
     print(f"wrote {len(rows)} ablation row(s) to {out}")
     return EXIT_OK
 

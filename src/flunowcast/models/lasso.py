@@ -1,4 +1,4 @@
-"""L1-penalized least squares by cyclic coordinate descent.
+"""L1-penalized least squares by an exact active-set (feature-sign) search.
 
 Objective (intercept unpenalized when present):
 
@@ -6,16 +6,21 @@ Objective (intercept unpenalized when present):
 
 The unpenalized intercept is handled by centering: at any optimum
 c = mean(y - X beta), so the solver works on mean-centered X and y and
-recovers the intercept afterwards. Updates use the Gram matrix
-("covariance" form): the full gradient X'(y - X beta) is maintained
-exactly, which makes every coordinate step O(p) and the stationarity
-certificate free.
+recovers the intercept afterwards.
 
-Stopping: the subgradient stationarity conditions within ``tol`` of the
-problem scale (the certified exit), or -- on ill-conditioned designs where
-coordinate descent creeps along a flat valley -- a stall of the maximum
-coordinate update below 1e-12 of the coefficient scale, the conventional
-CD fallback. ``stationarity_violation`` reports the certificate either way.
+The search (Lee, Battle, Raina & Ng, NIPS 2007; Osborne, Presnell &
+Turlach, IMA J. Numer. Anal. 2000) keeps the nonzero coefficients A and
+their signs s. Once A meets its optimality conditions, the zero coefficient
+with the largest gradient joins A with that gradient's sign. Each step
+solves G_AA b = X_A'y - (lambda/2) s by least squares, so a singular G_AA
+(n < p, duplicated columns) still gives a step, and moves to the point of
+lowest true objective among the full step and the zero crossings on the
+way; coefficients that reach zero leave A. When the right side lies
+outside the range of G_AA, the residual of that solve is a null direction
+along which the objective falls, and its zero crossings are candidates too.
+
+The only exit is the certificate: every subgradient optimality condition
+holds within ``tol`` of the problem scale.
 """
 
 from __future__ import annotations
@@ -26,58 +31,6 @@ import numpy as np
 
 from ..errors import NoData, NonConvergence
 from .linear import linear_predict
-
-
-def _sweep(gram, grad, beta, col_sq, half_lam):
-    """One cyclic pass; returns (max coordinate step, stationarity violation).
-
-    grad is X_c'(y_c - X_c beta), updated exactly via the Gram column after
-    each coordinate move, so the violation comes for free.
-    """
-    p = beta.shape[0]
-    max_step = 0.0
-    for j in range(p):
-        aj = col_sq[j]
-        if aj == 0.0:
-            continue
-        old = beta[j]
-        zj = grad[j] + aj * old
-        if zj > half_lam:
-            new = (zj - half_lam) / aj
-        elif zj < -half_lam:
-            new = (zj + half_lam) / aj
-        else:
-            new = 0.0
-        if new != old:
-            diff = new - old
-            for k in range(p):
-                grad[k] -= diff * gram[k, j]
-            beta[j] = new
-            if abs(diff) > max_step:
-                max_step = abs(diff)
-    viol = 0.0
-    lam = 2.0 * half_lam
-    for j in range(p):
-        gj = 2.0 * grad[j]
-        if beta[j] > 0.0:
-            v = abs(gj - lam)
-        elif beta[j] < 0.0:
-            v = abs(gj + lam)
-        else:
-            v = abs(gj) - lam
-            if v < 0.0:
-                v = 0.0
-        if v > viol:
-            viol = v
-    return max_step, viol
-
-
-try:  # hot loop; identical arithmetic with or without the JIT
-    from numba import njit
-
-    _sweep = njit(cache=True)(_sweep)
-except ImportError:  # pragma: no cover
-    pass
 
 
 @dataclass
@@ -106,22 +59,47 @@ def stationarity_violation(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
     for the intercept: 2 * sum(r) must vanish.
     """
     r = y - X @ beta - intercept
-    g = 2.0 * (X.T @ r)
-    nonzero = beta != 0.0
-    viol_nz = np.abs(g[nonzero] - lam * np.sign(beta[nonzero]))
-    viol_z = np.maximum(0.0, np.abs(g[~nonzero]) - lam)
-    viol = 0.0
-    if viol_nz.size:
-        viol = max(viol, float(viol_nz.max()))
-    if viol_z.size:
-        viol = max(viol, float(viol_z.max()))
+    viol = float(_violations(2.0 * (X.T @ r), beta, lam).max(initial=0.0))
     if include_intercept:
         viol = max(viol, abs(2.0 * r.sum()))
     return viol
 
 
+def _violations(g, beta, lam):
+    """Per-coefficient violation of the optimality conditions, g = 2 X'r."""
+    return np.where(beta != 0.0, np.abs(g - lam * np.sign(beta)),
+                    np.maximum(0.0, np.abs(g) - lam))
+
+
+def _line_search(gram, g, b, d, t_max, lam):
+    """Lowest objective on b + t d over the zero crossings in 0 < t < t_max
+    and t_max itself when finite; returns (objective change, point).
+
+    g is X'r at b, so the squared loss changes by t^2 d'Gd - 2t g'd.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = -b / d
+    t = cross[(cross > 0.0) & (cross < t_max)]
+    if t_max < np.inf:
+        t = np.append(t, t_max)
+    if t.size == 0:
+        return np.inf, b
+    points = b + t[:, None] * d
+    points[cross == t[:, None]] = 0.0  # crossing coefficients leave exactly
+    change = (t * t * (d @ gram @ d) - 2.0 * t * (g @ d)
+              + lam * (np.abs(points).sum(axis=1) - np.abs(b).sum()))
+    k = int(np.argmin(change))
+    return change[k], points[k]
+
+
 def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True,
               tol: float = 1e-8, max_iter: int = 100_000) -> LassoModel:
+    """Exact LASSO fit; ``max_iter`` counts active-set steps.
+
+    Returns once the stationarity violation on the centered problem is at
+    most ``tol * max(1, 2 max|X_c'y_c|)``; raises ``NonConvergence`` when
+    ``max_iter`` steps do not get there.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
@@ -146,22 +124,26 @@ def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True,
                           lam=lam)
 
     gram = Xc.T @ Xc
-    xty = Xc.T @ yc
-    col_sq = np.diag(gram).copy()
-    grad = xty.copy()  # X_c' (y_c - X_c beta), kept exact by covariance updates
-
-    scale = max(1.0, float(np.abs(2.0 * xty).max()))
-    threshold = tol * scale
-    half_lam = lam / 2.0
+    threshold = tol * max(1.0, float(np.abs(2.0 * (Xc.T @ yc)).max()))
 
     for _ in range(max_iter):
-        max_step, viol = _sweep(gram, grad, beta, col_sq, half_lam)
-        if viol <= threshold:
+        g = Xc.T @ (yc - Xc @ beta)
+        viol = _violations(2.0 * g, beta, lam)
+        if viol.max() <= threshold:
             break
-        if max_step <= 1e-12 * max(1.0, float(np.abs(beta).max())):
-            break  # flat-valley stall: optimum in objective to working precision
+        signs = np.sign(beta)
+        if viol[beta != 0.0].max(initial=0.0) <= threshold:  # grow the active set
+            j = int(np.argmax(np.where(beta == 0.0, np.abs(g), -1.0)))
+            signs[j] = np.sign(g[j])
+        active = np.flatnonzero(signs)
+        gram_a = gram[np.ix_(active, active)]
+        rhs = g[active] - 0.5 * lam * signs[active]
+        step = np.linalg.lstsq(gram_a, rhs, rcond=None)[0]
+        moves = [_line_search(gram_a, g[active], beta[active], d, t_max, lam)
+                 for d, t_max in ((step, 1.0), (rhs - gram_a @ step, np.inf))]
+        beta[active] = min(moves, key=lambda move: move[0])[1]
     else:
-        raise NonConvergence(f"coordinate descent did not settle in {max_iter} sweeps")
+        raise NonConvergence(f"active-set search did not certify in {max_iter} steps")
 
     intercept = y_mean - float(x_mean @ beta) if include_intercept else 0.0
     return LassoModel(beta=beta, intercept=intercept, lam=lam)

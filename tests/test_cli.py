@@ -240,6 +240,20 @@ class TestAblate:
         abl = json.loads((abl_out / "ablation.json").read_text())
         assert abl[0]["windows"] == back
 
+    def test_model_failure_writes_partial_results_and_exits_4(self, synth_dir,
+                                                              tmp_path):
+        # the panel ends 2018-09-17, so no row of the window can be built
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2018-09-03", "end": "2018-10-01"}])
+        out = tmp_path / "results"
+        assert run(["ablate", "--config", config, "--drop", "all",
+                    "--out", out]) == 4
+        assert json.loads((out / "ablation.json").read_text()) == []
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["dropped"] for f in failures] == \
+            ["none", "search", "social", "shopping", "qa", "past"]
+
     def test_unknown_drop_exits_5(self, synth_dir, tmp_path, capsys):
         config = write_run_config(tmp_path / "run.json", synth_dir)
         code = run(["ablate", "--config", config, "--drop", "weather",

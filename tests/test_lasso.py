@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flunowcast.errors import NoData, ShapeMismatch
+from flunowcast.features import LagSpec, SplitPlan, build_dataset, expanding_splits
 from flunowcast.models import (
     LassoModel,
     fit_lasso,
@@ -10,6 +11,15 @@ from flunowcast.models import (
     model_from_json,
     model_to_json,
 )
+from flunowcast.rng import derive_seed
+from flunowcast.series import (
+    UGC_RESOURCES,
+    WeekIndex,
+    align,
+    standardize_apply,
+    standardize_fit,
+)
+from flunowcast.synth import ProxyConfig, SynthConfig, gen_flu, gen_proxy
 
 from oracles import lasso_grid_search_1d, ols_fit
 
@@ -68,6 +78,68 @@ class TestStationarity:
                 bumped = model.beta.copy()
                 bumped[j] += delta
                 assert lasso_objective(X, y, bumped, model.intercept, 2.0) >= base - 1e-9
+
+
+def certificate_scale(X, y, include_intercept=True):
+    """The solver's own scale, max(1, 2 max|Xc'yc|) on the centered data."""
+    if include_intercept:
+        X, y = X - X.mean(axis=0), y - y.mean()
+    return max(1.0, float(np.abs(2.0 * (X.T @ y)).max()))
+
+
+def degenerate_problems(count=48, seed=77):
+    """Seeded designs that defeat a naive solver: fewer rows than columns,
+    a duplicated column, a zero column."""
+    rs = np.random.RandomState(seed)
+    for case in range(count):
+        n = int(rs.randint(2, 25))
+        p = int(rs.randint(2, 20))
+        if case % 3 == 0:
+            n = min(n, p - 1) if p > 2 else 2  # n < p
+        X = rs.normal(size=(n, p)) * rs.choice([1.0, 100.0])
+        X[:, rs.randint(p)] = X[:, rs.randint(p)]
+        if case % 2 == 0:
+            X[:, rs.randint(p)] = 0.0
+        y = rs.normal(size=n) * rs.choice([1.0, 1000.0])
+        lam = [0.0, 1e-3, 1.0, 1e3][case % 4]
+        yield case, X, y, lam, case % 5 < 3
+
+
+class TestDegenerateDesigns:
+    def test_every_fit_meets_the_certificate_and_reruns_bitwise(self):
+        for case, X, y, lam, intercept in degenerate_problems():
+            model = fit_lasso(X, y, lam=lam, include_intercept=intercept)
+            viol = lasso_stationarity_violation(X, y, model.beta, model.intercept,
+                                                lam, include_intercept=intercept)
+            scale = certificate_scale(X, y, intercept)
+            assert viol <= 1e-8 * scale, f"case {case}: violation {viol / scale}"
+            again = fit_lasso(X, y, lam=lam, include_intercept=intercept)
+            assert model_to_json(again) == model_to_json(model), f"case {case}"
+
+
+class TestRealBacktestFit:
+    def test_first_split_of_cli_panel_meets_certificate_to_rounding(self):
+        # the CLI tests' panel: `synth --years 5 --proxies 4 --seed 42`, lags
+        # 2..53, every proxy kept; lambda=1 on raw counts is nearly OLS on 52
+        # collinear lag columns, the regime that stalled coordinate descent
+        flu = gen_flu(SynthConfig(years=5, seed=42))
+        proxies = [gen_proxy(flu, ProxyConfig(name=f"proxy_{i + 1:02d}", resource=kind,
+                                              lead_weeks=2, gain=0.05, noise_sd=150.0,
+                                              seed=derive_seed(42, i + 1)))
+                   for i, kind in enumerate(UGC_RESOURCES)]
+        panel = align([flu, *proxies])
+        selected = {p.resource: [p.name] for p in proxies}
+        week = WeekIndex.parse("2017-10-30")
+        plan = SplitPlan.of(WeekIndex.parse("2014-10-06"), [(week, week + 1)])
+        dataset = build_dataset(panel, selected, LagSpec(min_lag=2, max_lag=53), 2,
+                                start=plan.train_start, end=plan.last_week)
+        split = next(expanding_splits(dataset, plan))
+        x_train = dataset.X[split.train_idx]
+        X = standardize_apply(x_train, standardize_fit(x_train))
+        y = dataset.y[split.train_idx]
+        model = fit_lasso(X, y)
+        viol = lasso_stationarity_violation(X, y, model.beta, model.intercept, 1.0)
+        assert viol <= 1e-12 * certificate_scale(X, y)
 
 
 class TestPredictAndSerialize:

@@ -58,7 +58,7 @@ def fitted(kind):
 
 GOLDEN = {
     "lasso":
-        "6732ec9b30f39cde90ea29272392a0d0b0f0c4eb0d13c0d7184745655bf16816",
+        "99d07e839e2fc7badcbb8aca98b9dfb245e02a6e0fad2c50856aeb996d49a68d",
     "huber":
         "4094ca1a1c5e6e8bb9dc004fce4c60d19e48c6569489fd0bae4ce3cccd183083",
     "svr":
