@@ -14,7 +14,7 @@ import typing
 import numpy as np
 
 from .arima import ArimaModel, fit_arima, forecast_arima, css_innovations
-from .forest import ForestModel, TreeNode, fit_forest
+from .forest import ForestModel, fit_forest
 from .huber import HuberModel, fit_huber
 from .huber import loss as huber_loss
 from .huber import loss_gradient as huber_loss_gradient
@@ -25,7 +25,6 @@ from .svr import SvrModel, dual_objective, fit_svr_linear, primal_objective
 
 __all__ = [
     "ArimaModel", "ForestModel", "HuberModel", "LassoModel", "SvrModel",
-    "TreeNode",
     "fit_arima", "fit_forest", "fit_huber", "fit_lasso", "fit_svr_linear",
     "forecast_arima", "css_innovations",
     "huber_loss", "huber_loss_gradient",
@@ -55,8 +54,6 @@ def _floats(arr) -> list[float]:
 _CODECS = {
     np.ndarray: (_floats, np.array),
     tuple[int, int, int]: (list, tuple),
-    list[TreeNode]: (lambda trees: [t.to_dict() for t in trees],
-                     lambda trees: [TreeNode.from_dict(t) for t in trees]),
 }
 _PLAIN = (lambda value: value,) * 2
 

@@ -6,6 +6,12 @@ average of training-target means and stays inside the training range.
 Determinism is total: per-tree streams come from the package RNG seeded by
 ``derive_seed(seed, tree_index)``, and split-gain ties (within 1e-12)
 resolve to the lowest feature index, then the lowest threshold.
+
+A tree is the nested dict its JSON is: a leaf is ``{"value": v}`` and an
+internal node is ``{"feature": f, "threshold": t, "left": ..., "right":
+...}``, where rows with ``x[f] <= t`` go left. Each node's split search
+sorts its candidate columns in one block and scores every split of every
+column at once from cumulative sums along the sorted rows.
 """
 
 from __future__ import annotations
@@ -21,43 +27,15 @@ from ..rng import Xorshift64Star, derive_seed
 _TIE_EPS = 1e-12
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (value)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def predict_one(self, x: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TreeNode":
-        if "value" in data:
-            return cls(value=float(data["value"]))
-        return cls(feature=int(data["feature"]), threshold=float(data["threshold"]),
-                   left=cls.from_dict(data["left"]), right=cls.from_dict(data["right"]))
+def _leaf_value(tree: dict, x: np.ndarray) -> float:
+    while "value" not in tree:
+        tree = tree["left"] if x[tree["feature"]] <= tree["threshold"] else tree["right"]
+    return tree["value"]
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[dict]
     n_trees: int
     max_depth: int | None
     min_leaf: int
@@ -77,7 +55,7 @@ class ForestModel:
             raise ShapeMismatch(f"model has {self.n_features} features, X has {X.shape[1]}")
         out = np.empty(X.shape[0])
         for i in range(X.shape[0]):
-            out[i] = sum(t.predict_one(X[i]) for t in self.trees) / len(self.trees)
+            out[i] = sum(_leaf_value(t, X[i]) for t in self.trees) / len(self.trees)
         return float(out[0]) if one_row else out
 
 
@@ -85,76 +63,83 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 features: list[int], min_leaf: int):
     """Lowest-SSE split over the candidate features, or None.
 
-    Returns (feature, threshold, left_idx, right_idx). Features are scanned
-    in ascending index order so the tie rule (lowest feature, then lowest
-    threshold) falls out of strict improvement comparisons.
+    Returns (feature, threshold, left_idx, right_idx). Each column's pick is
+    its first split within the tie band of its lowest SSE; the picks are then
+    taken in ascending feature order and a later one wins only by strict
+    improvement, which gives the tie rule (lowest feature, then lowest
+    threshold).
     """
     y_node = y[idx]
     m = y_node.size
-    total = y_node.sum()
+    # rows on the left of each split; never empty, as m >= 2 * min_leaf here
+    ks = np.arange(min_leaf, m - min_leaf + 1)
+    block = X[np.ix_(idx, features)]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    ys = y_node[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    left_sum = csum[ks - 1]
+    left_sq = csq[ks - 1]
+    right_sum = y_node.sum() - left_sum
+    right_sq = csq[-1] - left_sq
+    k_col = ks[:, None]
+    sse = (left_sq - left_sum * left_sum / k_col) + \
+          (right_sq - right_sum * right_sum / (m - k_col))
+    # a threshold must separate distinct values
+    sse[~(xs[ks - 1] < xs[ks])] = np.inf
+    picks = np.argmax(sse <= sse.min(axis=0) + _TIE_EPS, axis=0)
     best = None
     best_sse = np.inf
-    for f in features:
-        col = X[idx, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y_node[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        # split after position k (1-based count on the left)
-        ks = np.arange(min_leaf, m - min_leaf + 1)
-        if ks.size == 0:
-            continue
-        valid = xs[ks - 1] < xs[ks]  # threshold must separate distinct values
-        ks = ks[valid]
-        if ks.size == 0:
-            continue
-        left_sum = csum[ks - 1]
-        left_sq = csq[ks - 1]
-        right_sum = total - left_sum
-        right_sq = csq[-1] - left_sq
-        sse = (left_sq - left_sum * left_sum / ks) + \
-              (right_sq - right_sum * right_sum / (m - ks))
-        # first candidate within the tie band == lowest threshold
-        pick = int(np.argmax(sse <= sse.min() + _TIE_EPS))
-        if sse[pick] < best_sse - _TIE_EPS:
-            best_sse = float(sse[pick])
-            k = int(ks[pick])
-            threshold = 0.5 * (xs[k - 1] + xs[k])
-            left_idx = idx[order[:k]]
-            right_idx = idx[order[k:]]
-            best = (f, threshold, left_idx, right_idx)
-    return best
+    for j, pick in enumerate(picks):
+        if sse[pick, j] < best_sse - _TIE_EPS:
+            best_sse = sse[pick, j]
+            best = j
+    if best is None:
+        return None
+    k = int(ks[picks[best]])
+    threshold = 0.5 * (xs[k - 1, best] + xs[k, best])
+    return (features[best], float(threshold),
+            idx[order[:k, best]], idx[order[k:, best]])
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 depth: int, max_depth: int | None, min_leaf: int,
-                max_features: int, rng: Xorshift64Star) -> TreeNode:
+                max_features: int, rng: Xorshift64Star) -> dict:
     y_node = y[idx]
     if (idx.size < 2 * min_leaf
             or (max_depth is not None and depth >= max_depth)
             or np.all(y_node == y_node[0])):
-        return TreeNode(value=float(y_node.mean()))
+        return {"value": float(y_node.mean())}
     p = X.shape[1]
     features = sorted(rng.sample_without_replacement(p, min(max_features, p)))
     split = _best_split(X, y, idx, features, min_leaf)
     if split is None:
-        return TreeNode(value=float(y_node.mean()))
+        return {"value": float(y_node.mean())}
     f, threshold, left_idx, right_idx = split
-    return TreeNode(
-        feature=f, threshold=threshold,
-        left=_build_tree(X, y, left_idx, depth + 1, max_depth, min_leaf,
-                         max_features, rng),
-        right=_build_tree(X, y, right_idx, depth + 1, max_depth, min_leaf,
-                          max_features, rng),
-    )
+    return {
+        "feature": f, "threshold": threshold,
+        "left": _build_tree(X, y, left_idx, depth + 1, max_depth, min_leaf,
+                            max_features, rng),
+        "right": _build_tree(X, y, right_idx, depth + 1, max_depth, min_leaf,
+                             max_features, rng),
+    }
 
 
 def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
                min_leaf: int = 2, bootstrap: bool = True,
                max_features: int | None = None, seed: int = 0) -> ForestModel:
     """Grow ``n_trees`` deterministic CART trees; default feature subsample
-    per split is ceil(p / 3)."""
+    per split is ceil(p / 3).
+
+    Needs ``n_trees >= 1``, ``min_leaf >= 1``, and ``max_features >= 1`` and
+    ``max_depth >= 0`` where given; otherwise ``ValueError``.
+    """
+    for name, value, low in (("n_trees", n_trees, 1), ("min_leaf", min_leaf, 1),
+                             ("max_features", max_features, 1),
+                             ("max_depth", max_depth, 0)):
+        if value is not None and value < low:
+            raise ValueError(f"fit_forest needs {name} >= {low}, got {value}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -298,7 +299,7 @@ def read_series_csv(path, name: str | None = None,
     """Load one weekly series from its CSV file.
 
     The file must have the exact header ``date,value``, ISO-8601 Monday
-    dates sorted ascending with no missing weeks, and decimal values.
+    dates sorted ascending with no missing weeks, and finite decimal values.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -312,7 +313,10 @@ def read_series_csv(path, name: str | None = None,
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
             weeks.append(WeekIndex.parse(row[0]))
-            values.append(float(row[1]))
+            value = float(row[1])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: value must be finite")
+            values.append(value)
     if not weeks:
         raise ValueError(f"{path}: no data rows")
     for prev, cur in zip(weeks, weeks[1:]):

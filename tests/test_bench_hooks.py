@@ -1,0 +1,81 @@
+"""The benchmark's per-layer hooks still fit the program.
+
+``bench/tracing.py`` wraps public functions at the names their callers look
+up, and its certificate recorders read the arguments of the fits they wrap.
+A rename or a signature change there only fails the traced benchmark run,
+with ``HookError`` or a binding error; these cases run the same tracer on
+two small CLI commands so the suite fails first. The tracer is imported
+from its file and used as it is.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from flunowcast.cli import main
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)  # leaves nothing behind under bench/
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("hooks") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--years", "5", "--proxies", "4", "--seed", "42",
+                     "--out", str(out)]) == 0
+    return out
+
+
+def traced(tracing, argv):
+    with tracing.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, tracer
+
+
+def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
+    config = {
+        "flu": str(data_dir / "flu.csv"),
+        "resources": {kind: [str(data_dir / f"proxy_{i + 1:02d}.csv")]
+                      for i, kind in enumerate(["search", "social", "shopping", "qa"])},
+        "train_start": "2014-10-06",
+        "windows": [{"start": "2017-10-30", "end": "2017-11-06"}],
+        "model_options": {"forest": {"n_trees": 3}},
+        "seed": 0,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, tracer = traced(tracing, ["backtest", "--config", path, "--model", "all",
+                                    "--out", tmp_path / "out"])
+    assert code == 0
+    tracer.check_required("backtest")
+    metrics, _ = tracer.metrics()
+    assert metrics["forest.nodes"] > 0
+    assert metrics["lasso.fits"] == metrics["huber.fits"] == metrics["svr.fits"] == 2
+
+
+def test_changepoint_calls_every_required_hook(tracing, data_dir, tmp_path):
+    code, tracer = traced(tracing, [
+        "changepoint", "--flu", data_dir / "flu.csv",
+        "--queries", data_dir / "proxy_01.csv", data_dir / "proxy_02.csv",
+        "--iterations", "20", "--burn-in", "2", "--out", tmp_path / "cp"])
+    assert code == 0
+    tracer.replay_counts()
+    tracer.check_required("changepoint")

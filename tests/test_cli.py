@@ -190,6 +190,21 @@ class TestBacktest:
         assert [f["model"] for f in failures] == ["lasso"]
         assert "'lam'" in failures[0]["error"] and "'lambda'" in failures[0]["error"]
 
+    def test_bad_forest_option_keeps_other_models_and_exits_4(self, synth_dir,
+                                                              tmp_path):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
+            model_options={"forest": {"n_trees": 0}})
+        out = tmp_path / "results"
+        assert run(["backtest", "--config", config, "--model", "all",
+                    "--out", out]) == 4
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["model"] for f in failures] == ["forest"]
+        assert "n_trees" in failures[0]["error"]
+        report = json.loads((out / "backtest.json").read_text())
+        assert [r["model"] for r in report] == ["lasso", "huber", "svr", "arima"]
+
     def test_inputs_never_mutated(self, synth_dir, tmp_path):
         before = {p.name: p.read_bytes() for p in sorted(synth_dir.iterdir())}
         config = write_run_config(
@@ -302,6 +317,16 @@ class TestChangepoint:
         payload = json.loads((out / "changepoint.json").read_text())
         assert set(payload) == {"probabilities", "detected", "queries", "matches"}
         assert {"tp", "fp", "fn", "sensitivity", "ppv"} == set(payload["matches"])
+
+    def test_non_finite_query_value_exits_2(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "proxy_01.csv").read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",nan"
+        query = tmp_path / "q.csv"
+        query.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["changepoint", "--flu", synth_dir / "flu.csv",
+                    "--queries", query, "--iterations", "20", "--burn-in", "2",
+                    "--out", tmp_path / "cp"]) == 2
+        assert "q.csv:11: value must be finite" in capsys.readouterr().err
 
     def test_degenerate_flu_exits_6(self, tmp_path):
         flu = tmp_path / "flat.csv"

@@ -72,9 +72,9 @@ class TestInvariants:
         model = fit_forest(X, y, n_trees=3, min_leaf=5, bootstrap=False, seed=0)
 
         def count_leaves(node):
-            if node.is_leaf:
+            if "value" in node:
                 return 1
-            return count_leaves(node.left) + count_leaves(node.right)
+            return count_leaves(node["left"]) + count_leaves(node["right"])
 
         assert all(count_leaves(t) <= 6 for t in model.trees)
 
@@ -89,6 +89,21 @@ class TestEdges:
         model = fit_forest(X, y, n_trees=2, seed=0)
         with pytest.raises(ShapeMismatch):
             model.predict(np.ones((2, 9)))
+
+    @pytest.mark.parametrize("option", [
+        {"n_trees": 0}, {"n_trees": -3}, {"min_leaf": 0},
+        {"max_features": 0}, {"max_depth": -1}])
+    def test_bad_option_rejected(self, option):
+        X, y = seeded_dataset(5)
+        name = next(iter(option))
+        with pytest.raises(ValueError, match=name):
+            fit_forest(X, y, seed=0, **option)
+
+    def test_none_options_and_depth_zero_accepted(self):
+        X, y = seeded_dataset(5)
+        model = fit_forest(X, y, n_trees=2, max_depth=0, bootstrap=False,
+                           max_features=None, seed=0)
+        assert model.trees == [{"value": float(y.mean())}] * 2
 
     def test_single_row(self):
         model = fit_forest(np.array([[1.0, 2.0]]), np.array([5.0]),

@@ -31,6 +31,16 @@ def regression_problem(seed=11, n=40, p=4):
     return X, y
 
 
+def tie_problem(seed=13, n=30):
+    """Integer X with a duplicated column and integer y: SSE ties across
+    features and across thresholds."""
+    rng = Xorshift64Star(seed)
+    X = np.array([rng.randint(4) for _ in range(n * 3)], dtype=float).reshape(n, 3)
+    X = np.column_stack([X, X[:, 1]])
+    y = np.array([rng.randint(3) for _ in range(n)], dtype=float)
+    return X, y
+
+
 def ar_series(n=120, seed=5):
     rng = Xorshift64Star(seed)
     z = [0.0]
@@ -49,6 +59,13 @@ def fitted(kind):
         return fit_svr_linear(X, y, c_penalty=2.0, epsilon=0.1)
     if kind == "forest":
         return fit_forest(X, y, n_trees=3, seed=4)
+    if kind == "forest_ties":
+        X, y = tie_problem()
+        return fit_forest(X, y, n_trees=3, min_leaf=1, bootstrap=False,
+                          max_features=X.shape[1], seed=6)
+    if kind == "forest_shallow":
+        return fit_forest(X, y, n_trees=3, max_depth=2, max_features=1,
+                          min_leaf=5, seed=8)
     if kind == "arima_211":
         return fit_arima(np.cumsum(ar_series()), order=(2, 1, 1))
     if kind == "arima_100":
@@ -65,6 +82,10 @@ GOLDEN = {
         "bf8afa5eb252a0ec0c905e0840d7031dc62f8f1584498927194a50c861cd239c",
     "forest":
         "88d6c3155fb54dcd56fe69ed0473f7b802e147384d16fca3199be2152e5d1c3a",
+    "forest_ties":
+        "fe407fc3974d6d7982e473a72b10a1ddf991e68f8eb9f8a7862feb1d83708541",
+    "forest_shallow":
+        "f1e31e3252a6f64861550594ce610f09b35c91bdf7449ad71572daca710c760f",
     "arima_211":
         "7f81c0aaf540908f15a77efd15ea4c07dda4af19b1eae445dd43b885995cad1a",
     "arima_100":

@@ -181,6 +181,14 @@ class TestCsvInterchange:
         with pytest.raises(ValueError, match="header"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"date,value\n2015-01-05,1\n2015-01-12,{text}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: value must be finite"):
+            read_series_csv(path)
+
 
 class TestWeeklySeries:
     def test_immutability(self):
