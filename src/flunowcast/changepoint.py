@@ -15,6 +15,20 @@ where b counts the blocks with u[i] = 0, and W/B are the within- and
 between-block sums of squares under each choice of u[i]. Posterior change
 probabilities are the post-burn-in frequencies of u[i] = 1.
 
+A sweep keeps only W and the block count as running values:
+- W + B is the series' total sum of squares for every partition, so B
+  follows from W.
+- A boundary at i splits its merged block [lo, hi] into n_l and n_r
+  observations and lowers W by n_l n_r / (n_l + n_r) (mean_l - mean_r)^2,
+  read from the prefix sums of the series.
+- Positions right of i are redrawn only after i, so hi is the first
+  boundary past i as the sweep began; lo is a running index that moves to
+  i + 1 whenever a boundary is drawn at i.
+- A W at or below 1e-12 times the total sum of squares counts as exactly
+  zero. A partition into noiseless blocks has W = 0, but the running sums
+  land near 1e-16 instead, and the W = 0 branches of the integral must not
+  be decided by rounding.
+
 The two one-dimensional integrals reduce to incomplete-beta closed forms
 (evaluated in log space); a log-scaled adaptive quadrature covers the
 parameter corners where the regularized incomplete beta under- or
@@ -24,10 +38,9 @@ raw integrands.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -159,115 +172,8 @@ def log_w_integral(d: float, w_within: float, b_between: float,
 
 
 # ---------------------------------------------------------------------------
-# Partition state with incremental block sums
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Candidate:
-    position: int
-    b0: int          # number of blocks when u[i] = 0
-    w0_sum: float    # within-block SS when u[i] = 0
-    b0_sum: float    # between-block SS when u[i] = 0
-    w1_sum: float
-    b1_sum: float
-
-
-class PartitionState:
-    """Boundary indicators over a fixed data vector, with W (within-block)
-    and B (between-block) sums of squares maintained incrementally.
-
-    ``recompute()`` rebuilds the sums from scratch; tests assert the
-    incremental values track it within 1e-8 after arbitrary flip sequences.
-    """
-
-    def __init__(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if x.size < 2:
-            raise ValueError("need at least 2 observations")
-        self.x = x
-        self.n = x.size
-        self._s1 = np.concatenate([[0.0], np.cumsum(x)])
-        self._s2 = np.concatenate([[0.0], np.cumsum(x * x)])
-        self.grand_mean = float(self._s1[-1]) / self.n
-        self.u = np.zeros(self.n - 1, dtype=bool)
-        self.boundaries: list[int] = []
-        self.w_within = self._block_ss(0, self.n - 1)
-        self.b_between = self._block_bc(0, self.n - 1) - self.n * self.grand_mean ** 2
-
-    @property
-    def n_blocks(self) -> int:
-        return 1 + len(self.boundaries)
-
-    def _block_ss(self, lo: int, hi: int) -> float:
-        cnt = hi - lo + 1
-        s = self._s1[hi + 1] - self._s1[lo]
-        return float(self._s2[hi + 1] - self._s2[lo] - s * s / cnt)
-
-    def _block_bc(self, lo: int, hi: int) -> float:
-        cnt = hi - lo + 1
-        s = self._s1[hi + 1] - self._s1[lo]
-        return float(s * s / cnt)
-
-    def _span(self, i: int) -> tuple[int, int]:
-        """Observation span of the merged block around boundary i."""
-        k = bisect.bisect_left(self.boundaries, i)
-        lo = self.boundaries[k - 1] + 1 if k > 0 else 0
-        k2 = bisect.bisect_right(self.boundaries, i)
-        hi = self.boundaries[k2] if k2 < len(self.boundaries) else self.n - 1
-        return lo, hi
-
-    def candidate(self, i: int) -> _Candidate:
-        lo, hi = self._span(i)
-        merged_ss = self._block_ss(lo, hi)
-        merged_bc = self._block_bc(lo, hi)
-        split_ss = self._block_ss(lo, i) + self._block_ss(i + 1, hi)
-        split_bc = self._block_bc(lo, i) + self._block_bc(i + 1, hi)
-        if self.u[i]:
-            w1, b1 = self.w_within, self.b_between
-            w0 = w1 - split_ss + merged_ss
-            b0 = b1 - split_bc + merged_bc
-            blocks0 = self.n_blocks - 1
-        else:
-            w0, b0 = self.w_within, self.b_between
-            w1 = w0 - merged_ss + split_ss
-            b1 = b0 - merged_bc + split_bc
-            blocks0 = self.n_blocks
-        return _Candidate(position=i, b0=blocks0, w0_sum=w0, b0_sum=b0,
-                          w1_sum=w1, b1_sum=b1)
-
-    def apply(self, cand: _Candidate, value: bool) -> None:
-        i = cand.position
-        if value == bool(self.u[i]):
-            return
-        if value:
-            bisect.insort(self.boundaries, i)
-            self.w_within, self.b_between = cand.w1_sum, cand.b1_sum
-        else:
-            self.boundaries.remove(i)
-            self.w_within, self.b_between = cand.w0_sum, cand.b0_sum
-        self.u[i] = value
-
-    def recompute(self) -> tuple[float, float]:
-        """From-scratch (W, B) for the current partition."""
-        edges = [-1, *self.boundaries, self.n - 1]
-        w_sum = 0.0
-        b_sum = 0.0
-        for a, b in zip(edges, edges[1:]):
-            w_sum += self._block_ss(a + 1, b)
-            b_sum += self._block_bc(a + 1, b)
-        return w_sum, b_sum - self.n * self.grand_mean ** 2
-
-
-# ---------------------------------------------------------------------------
 # The Gibbs sampler
 # ---------------------------------------------------------------------------
-
-def _standardize(x: np.ndarray) -> np.ndarray | None:
-    sd = float(x.std())
-    if sd == 0.0:
-        return None
-    return (x - x.mean()) / sd
-
 
 def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     """Posterior change probabilities at every interior position.
@@ -282,32 +188,45 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         raise ValueError(f"need at least 3 observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series must be finite")
-    std = _standardize(x)
-    if std is None:
+    sd = float(x.std())
+    if sd == 0.0:
         return PosteriorResult(probabilities=np.zeros(n - 1))
+    std = (x - x.mean()) / sd
 
-    state = PartitionState(std)
+    s1 = [0.0, *np.cumsum(std).tolist()]  # prefix sums of the series
+    total = float(std @ std)              # W + B for every partition
+    zero_w = 1e-12 * total
+    u = [False] * (n - 1)
+    w_within = total                      # W of the current partition
+    blocks = 1
     rng = Xorshift64Star(config.seed)
     counts = np.zeros(n - 1)
-    kept = config.iterations - config.burn_in
 
-    log_p_ratio_cache: dict[int, float] = {}
-    m_half = (n - 1) / 2.0
-
+    @functools.cache
     def log_p_ratio(b: int) -> float:
-        got = log_p_ratio_cache.get(b)
-        if got is None:
-            got = (log_inc_beta(b + 1.0, float(n - b), config.p0)
-                   - log_inc_beta(float(b), float(n - b + 1), config.p0))
-            log_p_ratio_cache[b] = got
-        return got
+        return (log_inc_beta(b + 1.0, float(n - b), config.p0)
+                - log_inc_beta(float(b), float(n - b + 1), config.p0))
 
     for sweep in range(config.iterations):
+        cuts = np.flatnonzero(u)
+        # right edge of the merged block around each position
+        right = np.append(cuts, n - 1)[
+            np.searchsorted(cuts, np.arange(n - 1), side="right")].tolist()
+        lo = 0  # left edge of the merged block
         for i in range(n - 1):
-            cand = state.candidate(i)
-            b = cand.b0
-            num = log_w_integral(b / 2.0, cand.w1_sum, cand.b1_sum, config.w0, n)
-            den = log_w_integral((b - 1) / 2.0, cand.w0_sum, cand.b0_sum, config.w0, n)
+            hi = right[i]
+            n_l = i + 1 - lo
+            n_r = hi - i
+            diff = (s1[i + 1] - s1[lo]) / n_l - (s1[hi + 1] - s1[i + 1]) / n_r
+            gain = n_l * n_r / (n_l + n_r) * diff * diff
+            if u[i]:
+                w_0, w_1, b = w_within + gain, w_within, blocks - 1
+            else:
+                w_0, w_1, b = w_within, w_within - gain, blocks
+            # noiseless blocks: W is zero up to the rounding of the sums
+            w_0, w_1 = (0.0 if w <= zero_w else w for w in (w_0, w_1))
+            num = log_w_integral(b / 2.0, w_1, total - w_1, config.w0, n)
+            den = log_w_integral((b - 1) / 2.0, w_0, total - w_0, config.w0, n)
             if num == math.inf and den == math.inf:
                 # W1 = W0 = 0: an extra boundary inside an already-constant
                 # block; the numerator diverges strictly slower, odds -> 0.
@@ -323,10 +242,13 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 else:
                     odds = math.exp(log_odds)
                     prob = odds / (1.0 + odds)
-            state.apply(cand, rng.random() < prob)
+            u[i] = cut = rng.random() < prob
+            w_within, blocks = (w_1, b + 1) if cut else (w_0, b)
+            if cut:
+                lo = i + 1
         if sweep >= config.burn_in:
-            counts += state.u
-    return PosteriorResult(probabilities=counts / kept)
+            counts += u
+    return PosteriorResult(probabilities=counts / (config.iterations - config.burn_in))
 
 
 def detect(probabilities, threshold: float = 0.5) -> list[int]:
@@ -335,10 +257,11 @@ def detect(probabilities, threshold: float = 0.5) -> list[int]:
     return [int(i) for i in np.nonzero(probs > threshold)[0]]
 
 
-def _rate(numerator: int, denominator: int) -> float | None:
-    if denominator == 0:
-        return None
-    return 100.0 * numerator / denominator
+def _report(tp: int, fp: int, fn: int) -> MatchReport:
+    def rate(denominator: int) -> float | None:
+        return None if denominator == 0 else 100.0 * tp / denominator
+    return MatchReport(true_positive=tp, false_positive=fp, false_negative=fn,
+                       sensitivity=rate(tp + fn), ppv=rate(tp + fp))
 
 
 def match(flu_cps, resource_cps, window: int = 1) -> MatchReport:
@@ -365,10 +288,7 @@ def match(flu_cps, resource_cps, window: int = 1) -> MatchReport:
         used_f.add(f)
         used_r.add(r)
         tp += 1
-    fn = len(flu) - tp
-    fp = len(res) - tp
-    return MatchReport(true_positive=tp, false_positive=fp, false_negative=fn,
-                       sensitivity=_rate(tp, tp + fn), ppv=_rate(tp, tp + fp))
+    return _report(tp, len(res) - tp, len(flu) - tp)
 
 
 @dataclass
@@ -394,8 +314,11 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
     most correlated with the target.
 
     Each series gets its own sampler stream derived from (config.seed,
-    series index); pooled TP/FP/FN counts form the aggregate rates.
+    series index); pooled TP/FP/FN counts form the aggregate rates. Needs
+    ``top_k >= 0`` and ``window >= 0``; otherwise ``ValueError``.
     """
+    if top_k < 0 or window < 0:
+        raise ValueError(f"need top_k >= 0 and window >= 0, got {top_k} and {window}")
     queries = list(resource_queries)
     for q in queries:
         if q.start != flu.start or q.end != flu.end:
@@ -413,28 +336,17 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
     ranked.sort(key=lambda item: (-item[0], item[1]))
     chosen = ranked[:top_k]
 
-    flu_conf = BcpConfig(iterations=config.iterations, burn_in=config.burn_in,
-                         p0=config.p0, w0=config.w0,
-                         seed=derive_seed(config.seed, 0))
-    flu_probs = bcp_posterior(flu, flu_conf).probabilities
+    flu_probs, *query_probs = [
+        bcp_posterior(s, replace(config, seed=derive_seed(config.seed, idx))).probabilities
+        for idx, s in enumerate([flu, *(q for _, _, q in chosen)])]
     flu_cps = detect(flu_probs, threshold)
-
     scores: list[QueryScore] = []
-    tp = fp = fn = 0
-    for idx, (r, name, q) in enumerate(chosen, start=1):
-        q_conf = BcpConfig(iterations=config.iterations, burn_in=config.burn_in,
-                           p0=config.p0, w0=config.w0,
-                           seed=derive_seed(config.seed, idx))
-        cps = detect(bcp_posterior(q, q_conf).probabilities, threshold)
-        report = match(flu_cps, cps, window)
+    for (r, name, _), probs in zip(chosen, query_probs):
+        cps = detect(probs, threshold)
         scores.append(QueryScore(term=name, correlation=r, detected=cps,
-                                 report=report))
-        tp += report.true_positive
-        fp += report.false_positive
-        fn += report.false_negative
-    aggregate = MatchReport(true_positive=tp, false_positive=fp,
-                            false_negative=fn,
-                            sensitivity=_rate(tp, tp + fn),
-                            ppv=_rate(tp, tp + fp))
+                                 report=match(flu_cps, cps, window)))
+    aggregate = _report(sum(s.report.true_positive for s in scores),
+                        sum(s.report.false_positive for s in scores),
+                        sum(s.report.false_negative for s in scores))
     return ResourceScore(flu_probabilities=flu_probs, flu_detected=flu_cps,
                          queries=scores, aggregate=aggregate)

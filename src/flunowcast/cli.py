@@ -6,9 +6,9 @@ produce byte-identical output files (no timestamps, sorted JSON keys,
 shortest-round-trip floats). Config files are JSON; command-line flags win
 over file values.
 
-Exit codes: 0 success; 2 I/O failure; 3 alignment failure; 4 model
-failure (partial results are still written); 5 unknown ablation label;
-6 degenerate change-point input.
+Exit codes: 0 success; 2 I/O failure or an invalid flag; 3 alignment
+failure; 4 model failure (partial results are still written); 5 unknown
+ablation label; 6 degenerate change-point input.
 """
 
 from __future__ import annotations
@@ -326,12 +326,15 @@ def cmd_changepoint(args) -> int:
     if float(flu_aligned.values.std()) == 0.0:
         return _fail(EXIT_DEGENERATE, "flu series has zero variance")
 
-    config = BcpConfig(iterations=args.iterations, burn_in=args.burn_in,
-                       p0=args.p0, w0=args.w0, seed=args.seed)
     aligned_queries = [panel[q.name] for q in queries]
-    score = score_resource(flu_aligned, aligned_queries, flu_aligned, config,
-                           top_k=args.top_k, threshold=args.threshold,
-                           window=args.window)
+    try:
+        config = BcpConfig(iterations=args.iterations, burn_in=args.burn_in,
+                           p0=args.p0, w0=args.w0, seed=args.seed)
+        score = score_resource(flu_aligned, aligned_queries, flu_aligned, config,
+                               top_k=args.top_k, threshold=args.threshold,
+                               window=args.window)
+    except ValueError as exc:
+        return _fail(EXIT_IO, str(exc))
 
     def report_dict(report):
         return {"tp": report.true_positive, "fp": report.false_positive,

@@ -12,13 +12,17 @@ the sequential one.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
+import numbers
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import models
 from .errors import AllActualsZero, DegenerateActuals, InsufficientHistory
 from .features import (
     DEFAULT_SIGNAL_LAG,
@@ -147,13 +151,29 @@ MODELS = {
 MODEL_KINDS = tuple(MODELS)
 
 
+def _admits(hint, value) -> bool:
+    """Whether a run-config value fits a fit keyword's type hint: any real
+    number for a float, a JSON list for a tuple, never a bool for a number."""
+    if isinstance(hint, types.UnionType):
+        return any(_admits(member, value) for member in get_args(hint))
+    if get_origin(hint) is tuple:
+        members = get_args(hint)
+        return (isinstance(value, (list, tuple)) and len(value) == len(members)
+                and all(map(_admits, members, value)))
+    if hint is bool:
+        return isinstance(value, bool)
+    kind = {float: numbers.Real, int: numbers.Integral}.get(hint, hint)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which predictor to run, plus option overrides.
 
     The accepted ``options`` keys per kind, and the fit keyword each one
     sets, are listed in ``MODELS``; the defaults are those of the fit
-    functions. An unlisted key is an error.
+    functions. An unlisted key, or a value that does not fit the type hint
+    of its fit keyword, is an error.
     """
 
     kind: str
@@ -167,6 +187,13 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"unknown {self.kind} option(s) {unknown}; "
                              f"accepted: {sorted(accepted)}")
+        # the hints of the package's own fit, not of a wrapper put in its place
+        hints = get_type_hints(getattr(models, MODELS[self.kind].fit))
+        for name, value in self.options.items():
+            hint = hints[accepted[name]]
+            if not _admits(hint, value):
+                raise ValueError(f"{self.kind} option {name!r} must be "
+                                 f"{inspect.formatannotation(hint)}, got {value!r}")
 
     def fit(self, *data, seed: int = 0):
         """Fit this kind's model on ``data``: (X, y), or for ARIMA the

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from flunowcast.changepoint import (
     BcpConfig,
-    PartitionState,
     bcp_posterior,
     detect,
     log_inc_beta,
@@ -17,12 +16,12 @@ from flunowcast.changepoint import (
 )
 from flunowcast.rng import Xorshift64Star, derive_seed
 from flunowcast.series import ResourceKind, WeekIndex, WeeklySeries
+from flunowcast.synth import SynthConfig, gen_flu
 
 from oracles import (
     quad_log_p_integral,
     quad_log_w_integral,
     reference_bcp_posterior,
-    scratch_block_sums,
 )
 
 import datetime as dt
@@ -81,45 +80,6 @@ class TestIntegrals:
         assert val == pytest.approx(quad_log_w_integral(1.0, 5.0, 1e-300, 0.1, 10), abs=1e-6)
 
 
-class TestPartitionState:
-    def test_incremental_matches_scratch_after_random_flips(self):
-        rs = np.random.RandomState(1)
-        for trial in range(10):
-            x = rs.normal(0, 1, 50)
-            x = (x - x.mean()) / x.std()
-            state = PartitionState(x)
-            for _ in range(200):
-                i = int(rs.randint(0, 49))
-                cand = state.candidate(i)
-                state.apply(cand, bool(rs.randint(0, 2)))
-                w_ref, b_ref = state.recompute()
-                assert state.w_within == pytest.approx(w_ref, abs=1e-8)
-                assert state.b_between == pytest.approx(b_ref, abs=1e-8)
-            w_s, b_s, blocks = scratch_block_sums(x, state.u)
-            assert state.w_within == pytest.approx(w_s, abs=1e-8)
-            assert state.b_between == pytest.approx(b_s, abs=1e-8)
-            assert state.n_blocks == blocks
-
-    def test_candidate_sums_against_scratch(self):
-        rs = np.random.RandomState(2)
-        x = rs.normal(0, 1, 30)
-        state = PartitionState(x)
-        for i in [4, 11, 22]:
-            state.apply(state.candidate(i), True)
-        for i in range(29):
-            cand = state.candidate(i)
-            u = state.u.copy()
-            u[i] = False
-            w0, b0, blocks0 = scratch_block_sums(x, u)
-            u[i] = True
-            w1, b1, _ = scratch_block_sums(x, u)
-            assert cand.b0 == blocks0
-            assert cand.w0_sum == pytest.approx(w0, abs=1e-8)
-            assert cand.w1_sum == pytest.approx(w1, abs=1e-8)
-            assert cand.b0_sum == pytest.approx(b0, abs=1e-8)
-            assert cand.b1_sum == pytest.approx(b1, abs=1e-8)
-
-
 class TestPosterior:
     def test_constant_series_short_circuits(self):
         post = bcp_posterior(np.full(40, 7.0), BcpConfig(seed=1))
@@ -147,13 +107,25 @@ class TestPosterior:
 
     def test_matches_reference_sampler_with_scratch_sums(self):
         # same integrals and RNG stream, independent partition bookkeeping:
-        # posteriors must agree bitwise across seeds
-        x = step_series(n_left=14, n_right=14, seed=21)
-        for seed in range(10):
-            cfg = BcpConfig(iterations=120, burn_in=20, seed=seed)
+        # posteriors must agree bitwise across seeds; the 260-week flu curve
+        # has long blocks, which exercises the right-edge lookup
+        step = step_series(n_left=14, n_right=14, seed=21)
+        flu = gen_flu(SynthConfig(years=5, seed=42)).values
+        cases = [(step, BcpConfig(iterations=120, burn_in=20, seed=seed))
+                 for seed in range(10)]
+        cases += [(flu, BcpConfig(iterations=25, burn_in=5, seed=seed))
+                  for seed in range(3)]
+        for x, cfg in cases:
             prod = bcp_posterior(x, cfg).probabilities
             ref = reference_bcp_posterior(x, cfg)
-            assert np.array_equal(prod, ref), f"seed {seed}"
+            assert np.array_equal(prod, ref), f"n {x.size}, seed {cfg.seed}"
+
+    def test_noiseless_steps_detected_exactly(self):
+        # every block constant: W is exactly zero, not rounding noise
+        x = np.array([1.3] * 12 + [2.9] * 12 + [0.45] * 6)
+        for seed in range(8):
+            assert detect(bcp_posterior(x, BcpConfig(seed=seed)).probabilities) \
+                == [11, 23], f"seed {seed}"
 
     def test_scale_and_shift_leave_detections_unchanged(self):
         x = step_series(seed=6)
@@ -259,6 +231,14 @@ class TestScoreResource:
                                BcpConfig(iterations=100, burn_in=10, seed=0),
                                top_k=10)
         assert len(score.queries) == 2
+
+    @pytest.mark.parametrize("kwargs", [{"top_k": -1}, {"window": -1}])
+    def test_negative_top_k_or_window_rejected(self, kwargs):
+        x = step_series(n_left=10, n_right=10, seed=1)
+        flu = self.weekly(x, "flu", ResourceKind.FLU_PATIENTS)
+        with pytest.raises(ValueError, match="top_k >= 0 and window >= 0"):
+            score_resource(flu, [self.weekly(x, "q")], flu,
+                           BcpConfig(iterations=10, burn_in=1), **kwargs)
 
     def test_flat_flu_undefined_sensitivity(self):
         rng = Xorshift64Star(8)

@@ -190,6 +190,22 @@ class TestBacktest:
         assert [f["model"] for f in failures] == ["lasso"]
         assert "'lam'" in failures[0]["error"] and "'lambda'" in failures[0]["error"]
 
+    def test_wrongly_typed_model_options_keep_other_models_and_exit_4(
+            self, synth_dir, tmp_path):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
+            model_options={"lasso": {"lambda": "1"}, "forest": {"n_trees": "5"}})
+        out = tmp_path / "results"
+        assert run(["backtest", "--config", config, "--model", "all",
+                    "--out", out]) == 4
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["model"] for f in failures] == ["lasso", "forest"]
+        assert "lasso option 'lambda'" in failures[0]["error"]
+        assert "forest option 'n_trees'" in failures[1]["error"]
+        report = json.loads((out / "backtest.json").read_text())
+        assert [r["model"] for r in report] == ["huber", "svr", "arima"]
+
     def test_bad_forest_option_keeps_other_models_and_exits_4(self, synth_dir,
                                                               tmp_path):
         config = write_run_config(
@@ -269,6 +285,21 @@ class TestAblate:
         assert [f["dropped"] for f in failures] == \
             ["none", "search", "social", "shopping", "qa", "past"]
 
+    def test_wrongly_typed_model_option_fails_each_row_and_exits_4(
+            self, synth_dir, tmp_path):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir, model="lasso",
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
+            model_options={"lasso": {"lambda": "1"}})
+        out = tmp_path / "results"
+        assert run(["ablate", "--config", config, "--drop", "all",
+                    "--out", out]) == 4
+        assert json.loads((out / "ablation.json").read_text()) == []
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["dropped"] for f in failures] == \
+            ["none", "search", "social", "shopping", "qa", "past"]
+        assert all("lasso option 'lambda'" in f["error"] for f in failures)
+
     def test_unknown_drop_exits_5(self, synth_dir, tmp_path, capsys):
         config = write_run_config(tmp_path / "run.json", synth_dir)
         code = run(["ablate", "--config", config, "--drop", "weather",
@@ -327,6 +358,26 @@ class TestChangepoint:
                     "--queries", query, "--iterations", "20", "--burn-in", "2",
                     "--out", tmp_path / "cp"]) == 2
         assert "q.csv:11: value must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--iterations", "0"],
+        ["--iterations", "60", "--burn-in", "60"],
+        ["--iterations", "60", "--burn-in", "-1"],
+        ["--p0", "0"],
+        ["--p0", "1.5"],
+        ["--w0", "0"],
+        ["--w0", "-0.1"],
+        ["--top-k", "-1"],
+        ["--window", "-1"],
+    ])
+    def test_bad_flag_exits_2(self, synth_dir, tmp_path, capsys, flags):
+        out = tmp_path / "cp"
+        assert run(["changepoint", "--flu", synth_dir / "flu.csv",
+                    "--queries", synth_dir / "proxy_01.csv",
+                    "--iterations", "20", "--burn-in", "2", *flags,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_degenerate_flu_exits_6(self, tmp_path):
         flu = tmp_path / "flat.csv"

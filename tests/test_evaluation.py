@@ -113,6 +113,31 @@ class TestModelSpec:
         assert kind in message and repr(next(iter(options))) in message
         assert all(repr(key) in message for key in MODELS[kind].options)
 
+    @pytest.mark.parametrize("kind, options", [
+        ("lasso", {"lambda": "1"}),
+        ("lasso", {"intercept": 1}),
+        ("huber", {"sigma": "2.0"}),
+        ("svr", {"c": None}),
+        ("forest", {"n_trees": "5"}),
+        ("forest", {"n_trees": 5.0}),
+        ("forest", {"max_depth": True}),
+        ("arima", {"order": [3, 1]}),
+        ("arima", {"order": ["3", 1, 2]}),
+    ])
+    def test_wrongly_typed_option_rejected(self, kind, options):
+        key = next(iter(options))
+        with pytest.raises(ValueError, match=f"{kind} option '{key}' must be"):
+            ModelSpec(kind, options)
+
+    def test_well_typed_options_accepted(self):
+        ModelSpec("lasso", {"lambda": 1, "intercept": False})
+        ModelSpec("huber", {"delta": 2, "sigma": None})
+        ModelSpec("svr", {"c": 1000.0, "epsilon": 0})
+        ModelSpec("forest", {"n_trees": 5, "max_depth": None, "max_features": 3,
+                             "bootstrap": False})
+        ModelSpec("arima", {"order": [3, 1, 2]})
+        ModelSpec("arima", {"order": (1, 0, 0)})
+
     def test_table_names_real_fit_keywords(self):
         for entry in MODELS.values():
             params = inspect.signature(getattr(evaluation, entry.fit)).parameters
