@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betaln
 
 from .errors import AlignmentError, DegenerateInput
@@ -127,6 +126,10 @@ def log_inc_beta(a: float, c: float, x: float) -> float:
 
 
 def _quad_log_inc_beta(a: float, c: float, x: float) -> float:
+    # imported on first use: scipy.integrate pulls in scipy.optimize, about
+    # 0.4 s of start-up, and only these parameter corners need it
+    from scipy.integrate import quad
+
     def g(t: float) -> float:
         if t <= 0.0:
             return 0.0 if a == 1.0 else -np.inf

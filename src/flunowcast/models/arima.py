@@ -1,14 +1,25 @@
-"""ARIMA(p, d, q) fitted by conditional sum of squares.
+"""ARIMA(p, d, q) fitted by conditional sum of squares (CSS).
 
-The series is differenced ``d`` times; the ARMA innovations are then
-computed recursively with pre-sample innovations fixed at zero,
+The series is differenced ``d`` times; the ARMA innovations of the
+differences z then solve the MA filter
 
-    e_t = z_t - c - sum_i ar_i z_{t-i} - sum_j ma_j e_{t-j},   t >= p,
+    e_t + sum_j ma_j e_{t-1-j} = z_t - c - sum_i ar_i z_{t-1-i},   t >= p,
 
-and the summed e_t^2 is minimized over (c, ar, ma). The constant c is
-included only when d == 0: a differenced model is a pure random walk plus
-ARMA noise, which keeps ARIMA(0,1,0) parameter-free and makes forecasts
-translate exactly with the series level.
+with pre-sample innovations fixed at zero, and the summed e_t^2 is
+minimized over (c, ar, ma). The constant c is included only when d == 0:
+a differenced model is a pure random walk plus ARMA noise, which keeps
+ARIMA(0,1,0) parameter-free and makes forecasts translate exactly with the
+series level.
+
+The filter is one unit-lower-triangular band system, solved for all t at
+once. Each parameter's sensitivity de/dparam obeys the same filter with
+forcing -1 (constant), -z_{t-1-i} (AR terms) or -e_{t-1-j} (MA terms), so
+one more solve, on a block of right-hand sides, gives the Jacobian. The fit
+is then nonlinear least squares by Marquardt steps (Box, Jenkins & Reinsel,
+*Time Series Analysis*, 7.2; Marquardt, *SIAM J. Appl. Math.* 1963), kept
+inside the region where the MA polynomial 1 + sum_j ma_j B^(j+1) is
+invertible: all its roots lie outside the unit circle, so the filter is
+stable.
 
 Forecasts iterate the recursion with future innovations set to zero and
 integrate the differences back to the original level.
@@ -19,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dtbtrs
 
 from ..errors import InsufficientHistory, NonConvergence, SeriesTooShort
 from ..series import WeeklySeries
@@ -47,79 +59,80 @@ def _values(series) -> np.ndarray:
     return np.asarray(series, dtype=float)
 
 
+def _lags(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows t = k..n-1 of the first k lags of x: column i holds x_{t-1-i}."""
+    return sliding_window_view(x[:-1], k)[:, ::-1]
+
+
+def _ma_filter(ma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Solve e_t + sum_j ma_j e_{t-1-j} = u_t, pre-sample e zero, for u and
+    for every column of a 2-D u.
+
+    Forward substitution on the unit-lower-triangular band (LAPACK tbtrs):
+    an explosive filter overflows to inf or NaN as the recursion would,
+    where a pivoting band solver can stop at a zero pivot.
+    """
+    if ma.size == 0:
+        return u
+    band = np.empty((ma.size + 1, u.shape[0]))
+    band[1:] = ma[:, None]  # row 0, the unit diagonal, is not read
+    return dtbtrs(band, u, uplo="L", diag="U")[0]
+
+
+def _unpack(params: np.ndarray, p: int, q: int, with_const: bool):
+    off = 1 if with_const else 0
+    c = params[0] if with_const else 0.0
+    return c, params[off:off + p], params[off + p:off + p + q]
+
+
+def _invertible(ma: np.ndarray) -> bool:
+    """All roots of 1 + sum_j ma_j B^(j+1) lie outside the unit circle."""
+    return bool(np.all(np.abs(np.roots(np.r_[1.0, ma])) < 1.0))
+
+
 def css_innovations(z: np.ndarray, c: float, ar: np.ndarray,
                     ma: np.ndarray) -> np.ndarray:
     """Innovations e_p..e_{T-1}; references before index p count as zero."""
-    p, q = ar.size, ma.size
-    t_len = z.size
-    # AR part is a fixed linear filter; only the MA feedback is sequential.
-    acc = z[p:] - c
-    for i in range(p):
-        acc = acc - ar[i] * z[p - 1 - i:t_len - 1 - i]
-    if q == 0:
-        return acc
-    e = np.zeros(t_len - p)
-    ma_list = ma.tolist()
-    for t in range(t_len - p):
-        s = float(acc[t])
-        for j in range(min(q, t)):
-            s -= ma_list[j] * e[t - 1 - j]
-        e[t] = s
-    return e
+    return _ma_filter(ma, z[ar.size:] - c - _lags(z, ar.size) @ ar)
+
+
+def _innovations_and_jacobian(z: np.ndarray, params: np.ndarray, p: int, q: int,
+                              with_const: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Innovations e and their Jacobian J[k, t] = de_t / dparams[k]."""
+    c, ar, ma = _unpack(params, p, q, with_const)
+    e = css_innovations(z, c, ar, ma)
+    forcing = np.hstack([np.ones((e.size, 1 if with_const else 0)), _lags(z, p),
+                         _lags(np.r_[np.zeros(q), e], q)])
+    return e, -_ma_filter(ma, forcing).T
 
 
 def css_objective(z: np.ndarray, params: np.ndarray, p: int, q: int,
                   with_const: bool) -> float:
-    c = params[0] if with_const else 0.0
-    off = 1 if with_const else 0
-    e = css_innovations(z, c, params[off:off + p], params[off + p:off + p + q])
+    e = css_innovations(z, *_unpack(params, p, q, with_const))
     return float(e @ e)
 
 
 def css_gradient(z: np.ndarray, params: np.ndarray, p: int, q: int,
                  with_const: bool) -> np.ndarray:
-    """Analytic gradient of the conditional sum of squares.
-
-    Every parameter sensitivity obeys the same MA-feedback recursion as the
-    innovations themselves, s_t = u_t - sum_j ma_j s_{t-j}, with forcing
-    u_t = -1 (constant), -z_{t-i} (AR terms) or -e_{t-j} (MA terms).
-    """
-    c = params[0] if with_const else 0.0
-    off = 1 if with_const else 0
-    ar = params[off:off + p]
-    ma = params[off + p:off + p + q]
-    e = css_innovations(z, c, ar, ma)
-    t_len = e.size
-    n_par = params.size
-    sens = np.zeros((n_par, t_len))
-    e_pad = np.concatenate([np.zeros(p), e])  # align indices with z
-
-    for t in range(t_len):
-        tg = t + p  # global index into z
-        k = 0
-        if with_const:
-            sens[0, t] = -1.0
-            k = 1
-        for i in range(p):
-            sens[k + i, t] = -z[tg - 1 - i]
-        for j in range(q):
-            idx = tg - 1 - j
-            sens[k + p + j, t] = -e_pad[idx] if idx >= p else 0.0
-        for j in range(min(q, t)):
-            sens[:, t] -= ma[j] * sens[:, t - 1 - j]
-    return 2.0 * (sens @ e)
+    """Analytic gradient of the conditional sum of squares, 2 J e."""
+    e, jac = _innovations_and_jacobian(z, params, p, q, with_const)
+    return 2.0 * (jac @ e)
 
 
 def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER,
               tol: float = 1e-8) -> ArimaModel:
-    """Minimize the conditional sum of squares by BFGS with the analytic
-    CSS gradient.
+    """Minimize the conditional sum of squares by Marquardt steps.
 
-    Starting values come from an ordinary least-squares AR regression on
-    the differenced series (MA terms start at zero). Only if BFGS ends above
-    the starting objective does Nelder-Mead restart from those values, with
-    a function tolerance of ``tol`` times the starting objective, and BFGS
-    then polishes its result.
+    The start is an ordinary least-squares AR regression on the differenced
+    series, with the MA terms at zero. Each step solves
+    (J J' + lambda diag(J J')) delta = -J e and keeps the trial point only
+    if its MA polynomial is invertible and its CSS is lower; otherwise
+    lambda grows tenfold, and it shrinks tenfold after each kept step. The
+    fit stops after a kept step that lowers the CSS by at most ``tol`` of
+    itself, or when no step damped up to lambda = 1e10 lowers it (such a
+    step could lower it by about 2 * n_params / lambda of itself at most),
+    or after 500 kept steps. It raises ``NonConvergence`` unless the result
+    has a finite CSS no larger than the start's and a finite gradient.
     """
     y = _values(series)
     order = tuple(order)  # a run config supplies a JSON list
@@ -134,64 +147,49 @@ def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER,
     n_params = p + q + (1 if with_const else 0)
 
     if n_params == 0:
-        e = z.copy()
         return ArimaModel(order=order, ar=np.zeros(0), ma=np.zeros(0),
-                          intercept=0.0,
-                          noise_variance=float(e @ e) / e.size)
+                          intercept=0.0, noise_variance=float(z @ z) / z.size)
 
-    x0 = np.zeros(n_params)
-    off = 1 if with_const else 0
-    if p > 0:
-        rows = np.column_stack([z[p - 1 - i:z.size - 1 - i] for i in range(p)])
-        design = np.hstack([np.ones((rows.shape[0], 1)), rows]) if with_const else rows
-        sol, *_ = np.linalg.lstsq(design, z[p:], rcond=None)
-        if with_const:
-            x0[0] = sol[0]
-            x0[1:1 + p] = sol[1:]
-        else:
-            x0[:p] = sol
-    elif with_const:
-        x0[0] = float(z.mean())
+    lags = _lags(z, p)
+    design = np.hstack([np.ones((lags.shape[0], 1 if with_const else 0)), lags])
+    sol, *_ = np.linalg.lstsq(design, z[p:], rcond=None)
+    x0 = np.r_[sol, np.zeros(q)]
 
     f0 = css_objective(z, x0, p, q, with_const)
-    norm = max(abs(f0), 1e-30)
+    params, css, damping = x0, f0, 1e-3
+    for _ in range(500):
+        e, jac = _innovations_and_jacobian(z, params, p, q, with_const)
+        normal, grad = jac @ jac.T, jac @ e
+        while damping <= 1e10:
+            step, *_ = np.linalg.lstsq(normal + damping * np.diag(np.diag(normal)),
+                                       -grad, rcond=None)
+            trial = params + step
+            trial_css = (css_objective(z, trial, p, q, with_const)
+                         if _invertible(trial[n_params - q:]) else np.inf)
+            if trial_css < css:
+                break
+            damping *= 10.0
+        else:
+            break  # no damped step inside the invertible region lowers the CSS
+        converged = css - trial_css <= tol * css
+        params, css, damping = trial, trial_css, damping / 10.0
+        if converged:
+            break
 
-    # Work on css/norm so gradient-norm and function tolerances are
-    # scale-free regardless of the series magnitude.
-    def fun_grad(params):
-        return (css_objective(z, params, p, q, with_const) / norm,
-                css_gradient(z, params, p, q, with_const) / norm)
+    if not (np.isfinite(css) and css <= f0
+            and np.all(np.isfinite(css_gradient(z, params, p, q, with_const)))):
+        raise NonConvergence("CSS fit did not reach a finite objective and gradient")
 
-    best = minimize(fun_grad, x0, method="BFGS", jac=True,
-                    options={"gtol": 1e-12, "maxiter": 500})
-    if best.fun * norm > f0 * (1.0 + 1e-12) + 1e-300:
-        # rough surface: derivative-free fallback, then re-polish
-        nm = minimize(lambda par: css_objective(z, par, p, q, with_const), x0,
-                      method="Nelder-Mead",
-                      options={"xatol": 1e-10,
-                               "fatol": max(1e-14, tol * max(1.0, abs(f0))),
-                               "maxiter": 800 * n_params,
-                               "maxfev": 800 * n_params})
-        best = minimize(fun_grad, nm.x, method="BFGS", jac=True,
-                        options={"gtol": 1e-12, "maxiter": 500})
-    if best.fun * norm > f0 * (1.0 + 1e-9) + 1e-300:
-        raise NonConvergence("CSS minimization failed to improve on the AR start")
-
-    params = best.x
-    c = float(params[0]) if with_const else 0.0
-    ar = params[off:off + p].copy()
-    ma = params[off + p:off + p + q].copy()
-    e = css_innovations(z, c, ar, ma)
-    dof = max(1, e.size)
-    return ArimaModel(order=order, ar=ar, ma=ma, intercept=c,
-                      noise_variance=float(e @ e) / dof)
+    c, ar, ma = _unpack(params, p, q, with_const)
+    return ArimaModel(order=order, ar=ar.copy(), ma=ma.copy(), intercept=float(c),
+                      noise_variance=css / max(1, z.size - p))
 
 
 def forecast_arima(model: ArimaModel, last_observations, horizon: int) -> np.ndarray:
     """Iterated h-step forecast with future innovations set to zero.
 
     ``last_observations`` must supply at least p + d trailing values; the
-    innovations over that history are reconstructed by the same recursion
+    innovations over that history are reconstructed by the same MA filter
     used in fitting.
     """
     if horizon < 1:

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from flunowcast import evaluation
 from flunowcast.errors import InsufficientHistory, SeriesTooShort
+from flunowcast.evaluation import ModelSpec, backtest
+from flunowcast.features import SplitPlan
 from flunowcast.models import (
     css_innovations,
     fit_arima,
@@ -9,10 +14,15 @@ from flunowcast.models import (
     model_from_json,
     model_to_json,
 )
-from flunowcast.models.arima import css_gradient, css_objective
+from flunowcast.models.arima import (
+    _innovations_and_jacobian,
+    css_gradient,
+    css_objective,
+)
 from flunowcast.rng import Xorshift64Star
 
 from oracles import central_difference, yule_walker_ar
+from test_acceptance import _panel
 
 
 def ar1_series(phi=0.8, n=500, seed=42, sd=1.0):
@@ -110,6 +120,37 @@ class TestCssInternals:
             lambda par: css_objective(z, par, 2, 2, True), params, eps=1e-7)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() < 1e-6
+
+        _, jac = _innovations_and_jacobian(z, params, 2, 2, True)
+        numeric_jac = np.array([
+            central_difference(
+                lambda par: css_innovations(z, par[0], par[1:3], par[3:])[t],
+                params, eps=1e-7)
+            for t in range(jac.shape[1])]).T
+        rel = np.abs(jac - numeric_jac) / np.maximum(1.0, np.abs(numeric_jac))
+        assert rel.max() < 1e-6
+
+
+def test_contaminated_panels_give_finite_invertible_fits(monkeypatch):
+    # criterion 10(c)'s panels: reporting-glitch spikes in the training era
+    fitted = []
+
+    def recording_fit(*args, **kwargs):
+        fitted.append(fit_arima(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(evaluation, "fit_arima", recording_fit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed in range(1000, 1020):
+            panel, _ = _panel(seed, contaminate=True, proxy_noise=200.0)
+            plan = SplitPlan.of(panel.start + 53, [(panel.start + 210, panel.start + 229)])
+            run = backtest(panel, {}, ModelSpec("arima"), plan)[0]
+            assert all(np.isfinite(pred) for _, _, pred in run.predictions), seed
+    assert len(fitted) == 20 * 20
+    for model in fitted:
+        # roots of the MA polynomial 1 + sum_j ma_j B^(j+1)
+        assert np.abs(np.roots(np.r_[model.ma[::-1], 1.0])).min() > 1.0
 
 
 def test_json_round_trip_bitwise():

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import flunowcast
 from flunowcast.cli import main
 
 
@@ -390,3 +393,14 @@ class TestChangepoint:
                      "2015-01-26,3\n2015-02-02,4\n", encoding="utf-8")
         assert run(["changepoint", "--flu", flu, "--queries", q,
                     "--iterations", "20", "--burn-in", "2"]) == 6
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # together they cost about half a second of every command's start-up,
+    # and no command needs them on its common paths
+    src = str(Path(flunowcast.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import flunowcast.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

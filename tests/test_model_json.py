@@ -87,7 +87,7 @@ GOLDEN = {
     "forest_shallow":
         "f1e31e3252a6f64861550594ce610f09b35c91bdf7449ad71572daca710c760f",
     "arima_211":
-        "7f81c0aaf540908f15a77efd15ea4c07dda4af19b1eae445dd43b885995cad1a",
+        "d36bf1e2927331576aa11e8be99346b90b221f7face433c03b94700f34fc8cf3",
     "arima_100":
         "264e2451b60258357b4594995e0d749b1a32214299d80739d23756048fb17ad0",
 }
