@@ -15,7 +15,8 @@ where b counts the blocks with u[i] = 0, and W/B are the within- and
 between-block sums of squares under each choice of u[i]. Posterior change
 probabilities are the post-burn-in frequencies of u[i] = 1.
 
-A sweep keeps only W and the block count as running values:
+A sweep keeps only W, the block count and the current partition's
+W-integral as running values:
 - W + B is the series' total sum of squares for every partition, so B
   follows from W.
 - A boundary at i splits its merged block [lo, hi] into n_l and n_r
@@ -24,6 +25,10 @@ A sweep keeps only W and the block count as running values:
 - Positions right of i are redrawn only after i, so hi is the first
   boundary past i as the sweep began; lo is a running index that moves to
   i + 1 whenever a boundary is drawn at i.
+- The conditional odds at a position compare the partitions with and
+  without a boundary there; one of them is the current partition, whose
+  W-integral f((blocks - 1)/2, W) was computed at the previous position (or
+  before the first sweep). So each position computes one integral.
 - A W at or below 1e-12 times the total sum of squares counts as exactly
   zero. A partition into noiseless blocks has W = 0, but the running sums
   land near 1e-16 instead, and the W = 0 branches of the integral must not
@@ -204,6 +209,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     blocks = 1
     rng = Xorshift64Star(config.seed)
     counts = np.zeros(n - 1)
+    current = log_w_integral(0.0, w_within, total - w_within, config.w0, n)  # f((blocks - 1)/2, W)
 
     @functools.cache
     def log_p_ratio(b: int) -> float:
@@ -228,8 +234,12 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 w_0, w_1, b = w_within, w_within - gain, blocks
             # noiseless blocks: W is zero up to the rounding of the sums
             w_0, w_1 = (0.0 if w <= zero_w else w for w in (w_0, w_1))
-            num = log_w_integral(b / 2.0, w_1, total - w_1, config.w0, n)
-            den = log_w_integral((b - 1) / 2.0, w_0, total - w_0, config.w0, n)
+            if u[i]:
+                num = current
+                den = log_w_integral((b - 1) / 2.0, w_0, total - w_0, config.w0, n)
+            else:
+                num = log_w_integral(b / 2.0, w_1, total - w_1, config.w0, n)
+                den = current
             if num == math.inf and den == math.inf:
                 # W1 = W0 = 0: an extra boundary inside an already-constant
                 # block; the numerator diverges strictly slower, odds -> 0.
@@ -247,6 +257,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                     prob = odds / (1.0 + odds)
             u[i] = cut = rng.random() < prob
             w_within, blocks = (w_1, b + 1) if cut else (w_0, b)
+            current = num if cut else den
             if cut:
                 lo = i + 1
         if sweep >= config.burn_in:

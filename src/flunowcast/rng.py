@@ -15,11 +15,22 @@ State update (64-bit unsigned arithmetic, wrapping):
 Uniform doubles take the top 53 bits of the output: ``(output >> 11) * 2^-53``.
 Seeds are expanded into a nonzero starting state with the splitmix64
 finalizer, also given below.
+
+``Xorshift64Star`` is the reference: one stream, one Python integer state.
+``stream_states`` and ``next_u64s`` step many streams at once, with one numpy
+``uint64`` array holding a state per stream and the same equations; ``uint64``
+arithmetic wraps exactly as the masks above do. ``multiply_shift`` turns
+outputs into ``randint`` draws. It forms the high word of the 64x64-bit
+product from the 32-bit halves of each output, which is exact for bounds
+below 2^32. Each stream's outputs and draws are bit for bit those of its
+``Xorshift64Star``; the forest grows all of its trees on one such array.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
@@ -91,3 +102,42 @@ class Xorshift64Star:
             j = i + self.randint(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+_U12, _U25, _U27, _U32 = (np.uint64(shift) for shift in (12, 25, 27, 32))
+_U64_MULT = np.uint64(_MULT)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def stream_states(seeds) -> np.ndarray:
+    """Starting states of ``Xorshift64Star(seed)`` for each seed, as one
+    ``uint64`` array for ``next_u64s``."""
+    return np.array([Xorshift64Star(seed)._state for seed in seeds], dtype=np.uint64)
+
+
+def next_u64s(states: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` outputs of every stream, one row per stream, as
+    ``Xorshift64Star.next_u64`` gives them; ``states`` steps in place."""
+    outputs = np.empty((states.size, count), dtype=np.uint64)
+    for i in range(count):
+        states ^= states >> _U12
+        states ^= states << _U25
+        states ^= states >> _U27
+        outputs[:, i] = states
+    outputs *= _U64_MULT
+    return outputs
+
+
+def multiply_shift(outputs: np.ndarray, n) -> np.ndarray:
+    """``(output * n) >> 64`` for each output, as ``Xorshift64Star.randint``
+    reduces one, for 0 < n < 2^32 (an int or an array broadcast against
+    ``outputs``); returns an ``intp`` array."""
+    bound = np.asarray(n)
+    if bound.size and (bound.min() <= 0 or bound.max() >= 1 << 32):
+        raise ValueError(f"need 0 < n < 2^32, got {n}")
+    bound = bound.astype(np.uint64)
+    # outputs = hi * 2^32 + lo; neither partial product nor their sum below
+    # exceeds 2^64 - 1 while n < 2^32
+    high = (outputs >> _U32) * bound + (((outputs & _LOW32) * bound) >> _U32)
+    return (high >> _U32).astype(np.intp)
+

@@ -217,3 +217,94 @@ def reference_bcp_posterior(series, config):
         if sweep >= config.burn_in:
             counts += u
     return counts / (config.iterations - config.burn_in)
+
+
+_FOREST_TIE_EPS = 1e-12
+
+
+def _reference_best_split(X, y, idx, features, min_leaf):
+    """Lowest-SSE split of one node over its candidate features, or None.
+
+    Returns (feature, threshold, left_idx, right_idx). Each column's pick is
+    its first split within the tie band of its lowest SSE; the picks are then
+    taken in ascending feature order and a later one wins only by strict
+    improvement (lowest feature, then lowest threshold).
+    """
+    y_node = y[idx]
+    m = y_node.size
+    # rows on the left of each split; never empty, as m >= 2 * min_leaf here
+    ks = np.arange(min_leaf, m - min_leaf + 1)
+    block = X[np.ix_(idx, features)]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    ys = y_node[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    left_sum = csum[ks - 1]
+    left_sq = csq[ks - 1]
+    right_sum = y_node.sum() - left_sum
+    right_sq = csq[-1] - left_sq
+    k_col = ks[:, None]
+    sse = (left_sq - left_sum * left_sum / k_col) + \
+          (right_sq - right_sum * right_sum / (m - k_col))
+    # a threshold must separate distinct values
+    sse[~(xs[ks - 1] < xs[ks])] = np.inf
+    picks = np.argmax(sse <= sse.min(axis=0) + _FOREST_TIE_EPS, axis=0)
+    best = None
+    best_sse = np.inf
+    for j, pick in enumerate(picks):
+        if sse[pick, j] < best_sse - _FOREST_TIE_EPS:
+            best_sse = sse[pick, j]
+            best = j
+    if best is None:
+        return None
+    k = int(ks[picks[best]])
+    threshold = 0.5 * (xs[k - 1, best] + xs[k, best])
+    return (features[best], float(threshold),
+            idx[order[:k, best]], idx[order[k:, best]])
+
+
+def _reference_tree(X, y, idx, depth, max_depth, min_leaf, max_features, rng):
+    y_node = y[idx]
+    if (idx.size < 2 * min_leaf
+            or (max_depth is not None and depth >= max_depth)
+            or np.all(y_node == y_node[0])):
+        return {"value": float(y_node.mean())}
+    p = X.shape[1]
+    features = sorted(rng.sample_without_replacement(p, min(max_features, p)))
+    split = _reference_best_split(X, y, idx, features, min_leaf)
+    if split is None:
+        return {"value": float(y_node.mean())}
+    f, threshold, left_idx, right_idx = split
+    return {
+        "feature": f, "threshold": threshold,
+        "left": _reference_tree(X, y, left_idx, depth + 1, max_depth, min_leaf,
+                                max_features, rng),
+        "right": _reference_tree(X, y, right_idx, depth + 1, max_depth, min_leaf,
+                                 max_features, rng),
+    }
+
+
+def reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
+                           max_features, seed):
+    """The forest's trees grown one at a time by the plain recursive CART
+    builder: each tree on its own scalar ``Xorshift64Star`` stream, seeded
+    by ``derive_seed(seed, t)``, which draws the bootstrap's n ``randint``s
+    and then, depth first and left before right, each split node's feature
+    subset with ``sample_without_replacement``. ``max_features`` is the
+    resolved count (``fit_forest``'s default is ceil(p / 3))."""
+    from flunowcast.rng import Xorshift64Star, derive_seed
+
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = Xorshift64Star(derive_seed(seed, t))
+        if bootstrap:
+            idx = np.array([rng.randint(n) for _ in range(n)], dtype=int)
+        else:
+            idx = np.arange(n)
+        trees.append(_reference_tree(X, y, idx, 0, max_depth, min_leaf,
+                                     max_features, rng))
+    return trees

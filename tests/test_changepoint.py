@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flunowcast import changepoint
 from flunowcast.changepoint import (
     BcpConfig,
     bcp_posterior,
@@ -145,6 +146,24 @@ class TestPosterior:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             bcp_posterior(np.array([1.0, 2.0]), BcpConfig())
+
+    @pytest.mark.parametrize("x", [step_series(n_left=10, n_right=12, seed=3),
+                                   np.array([1.3] * 8 + [2.9] * 8)])
+    def test_one_w_integral_per_position(self, monkeypatch, x):
+        # the current partition's integral is carried from the previous
+        # draw, across sweeps too, so each position computes only the other
+        # side's, looked up by its module-global name
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_w_integral(*args)
+
+        cfg = BcpConfig(iterations=30, burn_in=5, seed=2)
+        expected = bcp_posterior(x, cfg).probabilities
+        monkeypatch.setattr(changepoint, "log_w_integral", counted)
+        assert np.array_equal(bcp_posterior(x, cfg).probabilities, expected)
+        assert len(calls) == cfg.iterations * (x.size - 1) + 1
 
 
 class TestDetect:

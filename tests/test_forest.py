@@ -1,8 +1,14 @@
+import dataclasses
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from flunowcast.errors import NoData, ShapeMismatch
 from flunowcast.models import ForestModel, fit_forest, model_from_json, model_to_json
+
+from oracles import reference_forest_trees
 
 
 def seeded_dataset(seed, n=40, p=5):
@@ -105,6 +111,17 @@ class TestEdges:
                            max_features=None, seed=0)
         assert model.trees == [{"value": float(y.mean())}] * 2
 
+    @pytest.mark.parametrize("bad", ["x_nan", "x_inf", "y_nan", "y_ninf"])
+    def test_non_finite_input_rejected(self, bad):
+        X, y = seeded_dataset(5)
+        X, y = X.copy(), y.copy()
+        if bad.startswith("x"):
+            X[3, 1] = np.nan if bad == "x_nan" else np.inf
+        else:
+            y[7] = np.nan if bad == "y_nan" else -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X, y, n_trees=2, seed=0)
+
     def test_single_row(self):
         model = fit_forest(np.array([[1.0, 2.0]]), np.array([5.0]),
                            n_trees=3, seed=0)
@@ -117,3 +134,65 @@ def test_json_round_trip_bitwise():
     clone = model_from_json(model_to_json(model))
     probe = X[:10]
     assert np.array_equal(clone.predict(probe), model.predict(probe))
+
+
+# The lockstep builder against the recursive one, tree for tree: model JSON
+# must match byte for byte. Columns cover continuous, integer-valued (value
+# ties), duplicated (feature ties) and constant (no split) data; targets
+# alternate between continuous and integer-valued (equal-target leaves).
+# n = 300 takes the sort keys past uint8.
+ORACLE_CONFIGS = list(itertools.product(
+    [1, 2, 5],                  # min_leaf
+    [None, 0, 2],               # max_depth
+    [True, False],              # bootstrap
+    ["none", "one", "p", "p+3"],  # max_features
+    [1, 7]))                    # n_trees
+
+
+def oracle_dataset(n, p, seed):
+    rs = np.random.RandomState(seed)
+    base = rs.normal(size=n)
+    kinds = {
+        "normal": base,
+        "integer": rs.randint(0, 4, size=n).astype(float),
+        "duplicate": base,
+        "constant": np.full(n, 1.5),
+        "other": rs.normal(size=n),
+    }
+    names = list(kinds) if p == 5 else [["normal", "integer", "constant"][seed % 3]]
+    X = np.column_stack([kinds[name] for name in names])
+    if seed % 2:
+        y = rs.randint(0, 3, size=n).astype(float)
+    else:
+        y = 2.0 * X[:, 0] + rs.normal(0, 0.5, n)
+    return X, y
+
+
+def oracle_cases():
+    rng = random.Random(20261018)
+    for n, p in itertools.product([1, 2, 3, 7, 40, 300], [1, 5]):
+        for config in rng.sample(ORACLE_CONFIGS, 24):
+            yield (n, p) + config
+
+
+ORACLE_CASES = list(oracle_cases())
+
+
+def test_oracle_grid_covers_every_option_value():
+    for position, values in enumerate(zip(*ORACLE_CONFIGS)):
+        assert set(values) == {case[position + 2] for case in ORACLE_CASES}
+
+
+@pytest.mark.parametrize("n,p", list(itertools.product([1, 2, 3, 7, 40, 300], [1, 5])))
+def test_lockstep_trees_match_recursive_oracle(n, p):
+    for seed, (_, _, min_leaf, max_depth, bootstrap, features, n_trees) in enumerate(
+            case for case in ORACLE_CASES if case[:2] == (n, p)):
+        X, y = oracle_dataset(n, p, seed)
+        max_features = {"none": None, "one": 1, "p": p, "p+3": p + 3}[features]
+        model = fit_forest(X, y, n_trees=n_trees, max_depth=max_depth,
+                           min_leaf=min_leaf, bootstrap=bootstrap,
+                           max_features=max_features, seed=seed)
+        trees = reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
+                                       model.max_features, seed)
+        assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees)), \
+            (n, p, min_leaf, max_depth, bootstrap, features, n_trees, seed)

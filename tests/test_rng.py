@@ -1,6 +1,13 @@
 import numpy as np
+import pytest
 
-from flunowcast.rng import Xorshift64Star, derive_seed
+from flunowcast.rng import (
+    Xorshift64Star,
+    derive_seed,
+    multiply_shift,
+    next_u64s,
+    stream_states,
+)
 
 
 def test_streams_are_reproducible():
@@ -52,3 +59,36 @@ def test_sample_without_replacement():
     assert len(set(picks)) == 4
     assert all(0 <= p < 10 for p in picks)
     assert sorted(rng.sample_without_replacement(5, 5)) == list(range(5))
+
+
+RANDINT_BOUNDS = [1, 2, 56, 161, 2**32 - 1]
+
+
+def test_vectorised_streams_match_scalar_streams():
+    # one uint64 array steps 50 streams at once; every output and every
+    # multiply-shift draw must equal the scalar generator's, bit for bit
+    seeds = [derive_seed(7, i) for i in range(50)]
+    states = stream_states(seeds)
+    scalars = [Xorshift64Star(seed) for seed in seeds]
+    for step in range(40):
+        bound = RANDINT_BOUNDS[step % len(RANDINT_BOUNDS)]
+        draws = multiply_shift(next_u64s(states, 1)[:, 0], bound)
+        assert draws.tolist() == [r.randint(bound) for r in scalars]
+        outputs = next_u64s(states, 3)
+        assert outputs.dtype == np.uint64 and outputs.shape == (50, 3)
+        assert outputs.tolist() == [[r.next_u64() for _ in range(3)] for r in scalars]
+
+
+def test_multiply_shift_takes_a_bound_per_column():
+    seeds = [derive_seed(3, i) for i in range(50)]
+    outputs = next_u64s(stream_states(seeds), len(RANDINT_BOUNDS))
+    scalars = [Xorshift64Star(seed) for seed in seeds]
+    expected = [[r.randint(bound) for bound in RANDINT_BOUNDS] for r in scalars]
+    assert multiply_shift(outputs, np.array(RANDINT_BOUNDS)).tolist() == expected
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2**32, 2**40])
+def test_vectorised_draw_rejects_bounds_outside_32_bits(bound):
+    outputs = next_u64s(stream_states([derive_seed(1, 0)]), 1)
+    with pytest.raises(ValueError):
+        multiply_shift(outputs, bound)
