@@ -33,12 +33,20 @@ W-integral as running values:
   zero. A partition into noiseless blocks has W = 0, but the running sums
   land near 1e-16 instead, and the W = 0 branches of the integral must not
   be decided by rounding.
+- The sampler draws exactly one uniform per position, in order, so each
+  sweep takes its n - 1 uniforms from the stream in one ``randoms`` call.
+
+The series is first divided by the power of two that brings its largest
+magnitude into [0.5, 1). That is exact, so ordinary inputs keep their bits,
+and a finite series of any magnitude standardizes without overflow.
 
 The two one-dimensional integrals reduce to incomplete-beta closed forms
 (evaluated in log space); a log-scaled adaptive quadrature covers the
 parameter corners where the regularized incomplete beta under- or
-overflows. Tests cross-check both routes against direct quadrature of the
-raw integrands.
+overflows. The closed forms call ``betainc`` and ``betaln`` through
+``scipy.special.cython_special``, the scalar entry points of the same C
+routines, which skip the ufunc's per-call dispatch. Tests cross-check both
+routes against direct quadrature of the raw integrands.
 """
 
 from __future__ import annotations
@@ -46,20 +54,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from math import log
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import cython_special
 
 from .errors import AlignmentError, DegenerateInput
 from .rng import Xorshift64Star, derive_seed
-from .series import WeeklySeries, pearson
+from .series import WeeklySeries, pearson, unit_scale
 
 _LOG_ZERO = -np.inf
 
-
-@functools.lru_cache(maxsize=8192)
-def _betaln_cached(a: float, c: float) -> float:
-    return float(betaln(a, c))
+# scalar entry points of the ufuncs betainc and betaln: the same C routines
+# (bit for bit, tests pin it) without the ufunc's per-call dispatch; the
+# double specialization of betainc also takes ints
+_betainc = cython_special.betainc["double"]
+_betaln = cython_special.betaln
 
 
 @dataclass(frozen=True)
@@ -122,11 +132,11 @@ def log_inc_beta(a: float, c: float, x: float) -> float:
         return math.inf  # divergent tail
     # Small upper limit: (1-t)^(c-1) == 1 to working precision on [0, x].
     if x * (abs(c - 1.0) + 1.0) < 1e-10:
-        return a * math.log(x) - math.log(a)
+        return a * log(x) - log(a)
     if c > 0.0:
-        reg = float(betainc(a, c, x))
+        reg = _betainc(a, c, x)
         if reg > 0.0:
-            return _betaln_cached(a, c) + math.log(reg)
+            return _betaln(a, c) + log(reg)
     return _quad_log_inc_beta(a, c, x)
 
 
@@ -162,21 +172,20 @@ def log_w_integral(d: float, w_within: float, b_between: float,
                    w0: float, n: int) -> float:
     """log of int_0^w0 w^d (W + B w)^(-(n-1)/2) dw, W >= 0, B >= 0."""
     m = (n - 1) / 2.0
+    if w_within > 0.0 and b_between > 0.0:  # the sampler's common case
+        t_upper = b_between * w0 / (w_within + b_between * w0)
+        return ((d - m + 1.0) * log(w_within) - (d + 1.0) * log(b_between)
+                + log_inc_beta(d + 1.0, m - d - 1.0, t_upper))
     w_within = max(0.0, w_within)
     b_between = max(0.0, b_between)
     if w_within == 0.0 and b_between == 0.0:
         raise DegenerateInput("both block sums vanish")
     if b_between == 0.0:
-        return -m * math.log(w_within) + (d + 1.0) * math.log(w0) - math.log(d + 1.0)
-    if w_within == 0.0:
-        dm = d - m + 1.0
-        if dm <= 0.0:
-            return math.inf  # divergent at w -> 0: certainty in favor of this branch
-        return -m * math.log(b_between) + dm * math.log(w0) - math.log(dm)
-    t_upper = b_between * w0 / (w_within + b_between * w0)
-    return ((d - m + 1.0) * math.log(w_within)
-            - (d + 1.0) * math.log(b_between)
-            + log_inc_beta(d + 1.0, m - d - 1.0, t_upper))
+        return -m * log(w_within) + (d + 1.0) * log(w0) - log(d + 1.0)
+    dm = d - m + 1.0  # W = 0
+    if dm <= 0.0:
+        return math.inf  # divergent at w -> 0: certainty in favor of this branch
+    return -m * log(b_between) + dm * log(w0) - log(dm)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +205,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         raise ValueError(f"need at least 3 observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series must be finite")
+    x = unit_scale(x)  # exact, and x.std() cannot overflow
     sd = float(x.std())
     if sd == 0.0:
         return PosteriorResult(probabilities=np.zeros(n - 1))
@@ -204,12 +214,13 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     s1 = [0.0, *np.cumsum(std).tolist()]  # prefix sums of the series
     total = float(std @ std)              # W + B for every partition
     zero_w = 1e-12 * total
+    w0 = config.w0
     u = [False] * (n - 1)
     w_within = total                      # W of the current partition
     blocks = 1
     rng = Xorshift64Star(config.seed)
     counts = np.zeros(n - 1)
-    current = log_w_integral(0.0, w_within, total - w_within, config.w0, n)  # f((blocks - 1)/2, W)
+    current = log_w_integral(0.0, w_within, total - w_within, w0, n)  # f((blocks - 1)/2, W)
 
     @functools.cache
     def log_p_ratio(b: int) -> float:
@@ -222,30 +233,33 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         right = np.append(cuts, n - 1)[
             np.searchsorted(cuts, np.arange(n - 1), side="right")].tolist()
         lo = 0  # left edge of the merged block
-        for i in range(n - 1):
-            hi = right[i]
+        for i, hi, draw in zip(range(n - 1), right, rng.randoms(n - 1)):
             n_l = i + 1 - lo
             n_r = hi - i
             diff = (s1[i + 1] - s1[lo]) / n_l - (s1[hi + 1] - s1[i + 1]) / n_r
             gain = n_l * n_r / (n_l + n_r) * diff * diff
+            # w_within is already clamped; only the other side's W can fall
+            # to zero up to the rounding of the sums (noiseless blocks)
             if u[i]:
-                w_0, w_1, b = w_within + gain, w_within, blocks - 1
-            else:
-                w_0, w_1, b = w_within, w_within - gain, blocks
-            # noiseless blocks: W is zero up to the rounding of the sums
-            w_0, w_1 = (0.0 if w <= zero_w else w for w in (w_0, w_1))
-            if u[i]:
+                b = blocks - 1
+                w_0, w_1 = w_within + gain, w_within
+                if w_0 <= zero_w:
+                    w_0 = 0.0
                 num = current
-                den = log_w_integral((b - 1) / 2.0, w_0, total - w_0, config.w0, n)
+                den = log_w_integral((b - 1) / 2.0, w_0, total - w_0, w0, n)
             else:
-                num = log_w_integral(b / 2.0, w_1, total - w_1, config.w0, n)
+                b = blocks
+                w_0, w_1 = w_within, w_within - gain
+                if w_1 <= zero_w:
+                    w_1 = 0.0
+                num = log_w_integral(b / 2.0, w_1, total - w_1, w0, n)
                 den = current
-            if num == math.inf and den == math.inf:
-                # W1 = W0 = 0: an extra boundary inside an already-constant
-                # block; the numerator diverges strictly slower, odds -> 0.
-                prob = 0.0
-            elif num == math.inf:
-                prob = 1.0  # noiseless step: split blocks are exactly constant
+            if num == math.inf:
+                # both infinite: W1 = W0 = 0, an extra boundary inside an
+                # already-constant block; the numerator diverges strictly
+                # slower, odds -> 0. Otherwise a noiseless step: the split
+                # blocks are exactly constant.
+                prob = 0.0 if den == math.inf else 1.0
             else:
                 log_odds = log_p_ratio(b) + num - den
                 if log_odds > 700.0:
@@ -255,11 +269,12 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 else:
                     odds = math.exp(log_odds)
                     prob = odds / (1.0 + odds)
-            u[i] = cut = rng.random() < prob
-            w_within, blocks = (w_1, b + 1) if cut else (w_0, b)
-            current = num if cut else den
-            if cut:
-                lo = i + 1
+            if draw < prob:
+                u[i] = True
+                w_within, blocks, current, lo = w_1, b + 1, num, i + 1
+            else:
+                u[i] = False
+                w_within, blocks, current = w_0, b, den
         if sweep >= config.burn_in:
             counts += u
     return PosteriorResult(probabilities=counts / (config.iterations - config.burn_in))

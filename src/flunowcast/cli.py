@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .changepoint import BcpConfig, score_resource
-from .errors import AlignmentError, EmptyIntersection, FluNowcastError
+from .errors import AlignmentError, DegenerateInput, EmptyIntersection, FluNowcastError
 from .evaluation import (
     MODEL_KINDS,
     ModelSpec,
@@ -39,6 +39,7 @@ from .series import (
     WeekIndex,
     align,
     read_series_csv,
+    unit_scale,
     write_series_csv,
 )
 from .synth import (
@@ -323,7 +324,7 @@ def cmd_changepoint(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_IO, str(exc))
     flu_aligned = panel["flu"]
-    if float(flu_aligned.values.std()) == 0.0:
+    if float(unit_scale(flu_aligned.values).std()) == 0.0:
         return _fail(EXIT_DEGENERATE, "flu series has zero variance")
 
     aligned_queries = [panel[q.name] for q in queries]
@@ -333,6 +334,8 @@ def cmd_changepoint(args) -> int:
         score = score_resource(flu_aligned, aligned_queries, flu_aligned, config,
                                top_k=args.top_k, threshold=args.threshold,
                                window=args.window)
+    except DegenerateInput as exc:
+        return _fail(EXIT_DEGENERATE, str(exc))
     except ValueError as exc:
         return _fail(EXIT_IO, str(exc))
 

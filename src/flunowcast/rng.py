@@ -75,6 +75,22 @@ class Xorshift64Star:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * _INV53
 
+    def randoms(self, count: int) -> list[float]:
+        """The next ``count`` uniform doubles, as ``count`` calls to
+        ``random`` give them. The states step in Python; the multiply and
+        the top-53-bit scaling run on all of them at once in ``uint64``."""
+        s = self._state
+        states = []
+        for _ in range(count):
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            states.append(s)
+        self._state = s
+        outputs = np.array(states, dtype=np.uint64)
+        outputs *= _U64_MULT
+        return ((outputs >> _U11) * _INV53).tolist()
+
     def randint(self, n: int) -> int:
         """Integer in [0, n) by the multiply-shift reduction (n up to 2^53)."""
         if n <= 0:
@@ -104,7 +120,7 @@ class Xorshift64Star:
         return pool[:k]
 
 
-_U12, _U25, _U27, _U32 = (np.uint64(shift) for shift in (12, 25, 27, 32))
+_U11, _U12, _U25, _U27, _U32 = (np.uint64(shift) for shift in (11, 12, 25, 27, 32))
 _U64_MULT = np.uint64(_MULT)
 _LOW32 = np.uint64(0xFFFFFFFF)
 

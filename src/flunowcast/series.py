@@ -222,11 +222,23 @@ def align(series_list: Sequence[WeeklySeries]) -> SignalPanel:
     return SignalPanel(s.slice(start, end) for s in series_list)
 
 
+def unit_scale(x: np.ndarray) -> np.ndarray:
+    """``x`` divided by the power of two that brings max|x| into [0.5, 1).
+
+    The division is exact, so centring, scaling and correlation give the
+    bits they give on ``x`` itself, and the sum of squares of a finite
+    series of any magnitude stays finite.
+    """
+    return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+
+
 def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
     if x.size != y.size:
         raise AlignmentError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least 2 points")
+    x = unit_scale(x)
+    y = unit_scale(y)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.dot(dx, dx)))

@@ -79,3 +79,7 @@ def test_changepoint_calls_every_required_hook(tracing, data_dir, tmp_path):
     assert code == 0
     tracer.replay_counts()
     tracer.check_required("changepoint")
+    # the replay counts every W-integral, not only the sampler's fallbacks:
+    # flu and both queries, one per position per sweep plus the start
+    n = len((data_dir / "flu.csv").read_text(encoding="utf-8").splitlines()) - 1
+    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == 3 * (20 * (n - 1) + 1)

@@ -73,6 +73,22 @@ class TestIntegrals:
                 assert num == pytest.approx(quad_log_p_integral(b, n - b - 1, 0.1), abs=1e-8)
                 assert den == pytest.approx(quad_log_p_integral(b - 1, n - b, 0.1), abs=1e-8)
 
+    def test_scalar_entry_points_match_ufuncs_bitwise(self):
+        # the sampler's incomplete-beta arguments: a = k/2 + 1 and
+        # c = (n - 1)/2 - a for a partition of k + 1 blocks, x across (0, 1)
+        from scipy.special import betainc, betaln
+
+        xs = np.concatenate([[1e-9, 1e-5], np.linspace(0.001, 0.999, 37), [1 - 1e-9]])
+        for n in (5, 30, 61, 260):
+            a = np.arange(n - 1) / 2.0 + 1.0
+            c = (n - 1) / 2.0 - a
+            a, c = a[c > 0], c[c > 0]
+            scalar = [changepoint._betainc(ai, ci, x) for ai, ci in zip(a, c) for x in xs]
+            ufunc = betainc(a[:, None], c[:, None], xs[None, :]).ravel()
+            assert np.array_equal(np.array(scalar).view(np.uint64), ufunc.view(np.uint64))
+            scalar = [changepoint._betaln(ai, ci) for ai, ci in zip(a, c)]
+            assert np.array_equal(np.array(scalar).view(np.uint64), betaln(a, c).view(np.uint64))
+
     def test_degenerate_within_sums(self):
         # W = 0 with a divergent exponent: overwhelming evidence for a split
         assert log_w_integral(1.0, 0.0, 5.0, 0.1, 60) == math.inf
@@ -133,6 +149,20 @@ class TestPosterior:
         base = detect(bcp_posterior(x, BcpConfig(seed=2)).probabilities)
         moved = detect(bcp_posterior(400.0 * x + 1000.0, BcpConfig(seed=2)).probabilities)
         assert base == moved
+
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_power_of_two_scale_keeps_every_bit(self, power):
+        # finite series whose standard deviation over- or underflows at raw
+        # scale; the sampler's exact rescale gives the unscaled posterior
+        x = step_series(seed=6)
+        expected = bcp_posterior(x, BcpConfig(iterations=60, burn_in=5, seed=2)).probabilities
+        scaled = bcp_posterior(np.ldexp(x, power), BcpConfig(iterations=60, burn_in=5, seed=2))
+        assert np.array_equal(scaled.probabilities, expected)
+
+    def test_large_magnitude_keeps_detections(self):
+        x = step_series(seed=6)
+        base = detect(bcp_posterior(x, BcpConfig(seed=2)).probabilities)
+        assert detect(bcp_posterior(1e200 * x, BcpConfig(seed=2)).probabilities) == base
 
     def test_noise_rarely_detected(self):
         over = []

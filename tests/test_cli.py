@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -311,6 +313,10 @@ class TestAblate:
         assert "usage" in capsys.readouterr().err
 
 
+# sha256 of changepoint.json for the run in test_report_bytes_are_pinned
+GOLDEN_CHANGEPOINT = "a19c27ee34407b408733143cc0c89c42a521013569d41dbbb7c2727d679376e9"
+
+
 class TestChangepoint:
     def test_defaults_match_protocol(self):
         from flunowcast.cli import build_parser
@@ -341,6 +347,17 @@ class TestChangepoint:
                         "--iterations", "80", "--burn-in", "10",
                         "--seed", "5", "--out", out]) == 0
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    def test_report_bytes_are_pinned(self, synth_dir, tmp_path):
+        # the sampler's arithmetic and draw order fix every byte of the
+        # report; a faster sweep must reproduce them exactly
+        out = tmp_path / "cp"
+        queries = [synth_dir / f"proxy_{i:02d}.csv" for i in range(1, 5)]
+        assert run(["changepoint", "--flu", synth_dir / "flu.csv", "--queries", *queries,
+                    "--iterations", "100", "--burn-in", "10", "--seed", "7",
+                    "--out", out]) == 0
+        digest = hashlib.sha256((out / "changepoint.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_CHANGEPOINT
 
     def test_schema(self, synth_dir, tmp_path):
         out = tmp_path / "cp"
@@ -381,6 +398,41 @@ class TestChangepoint:
                     "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_large_magnitude_flu_is_scored(self, synth_dir, tmp_path):
+        # every value finite, but the raw sum of squares overflows
+        lines = (synth_dir / "flu.csv").read_text().splitlines()
+        flu = tmp_path / "flu.csv"
+        flu.write_text("\n".join([lines[0]] + [
+            f"{date},{float(value) * 1e200!r}"
+            for date, value in (line.split(",") for line in lines[1:])]) + "\n",
+            encoding="utf-8")
+        reports = {}
+        for name, path in (("plain", synth_dir / "flu.csv"), ("large", flu)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow on the way
+                assert run(["changepoint", "--flu", path,
+                            "--queries", synth_dir / "proxy_01.csv",
+                            synth_dir / "proxy_02.csv", "--iterations", "40",
+                            "--burn-in", "5", "--out", tmp_path / name]) == 0
+            reports[name] = json.loads((tmp_path / name / "changepoint.json").read_text())
+        assert reports["large"]["detected"] == reports["plain"]["detected"]
+        assert [q["term"] for q in reports["large"]["queries"]] == \
+            [q["term"] for q in reports["plain"]["queries"]]
+
+    def test_degenerate_sampler_input_exits_6(self, synth_dir, tmp_path, monkeypatch,
+                                              capsys):
+        from flunowcast import cli
+        from flunowcast.errors import DegenerateInput
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateInput("both block sums vanish")
+
+        monkeypatch.setattr(cli, "score_resource", degenerate)
+        assert run(["changepoint", "--flu", synth_dir / "flu.csv",
+                    "--queries", synth_dir / "proxy_01.csv", "--iterations", "20",
+                    "--burn-in", "2", "--out", tmp_path / "cp"]) == 6
+        assert "both block sums vanish" in capsys.readouterr().err
 
     def test_degenerate_flu_exits_6(self, tmp_path):
         flu = tmp_path / "flat.csv"

@@ -61,6 +61,17 @@ def test_sample_without_replacement():
     assert sorted(rng.sample_without_replacement(5, 5)) == list(range(5))
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 259, 1000])
+def test_randoms_equal_single_draws(count):
+    # the change-point sampler draws a sweep's uniforms in one call
+    for seed in (0, 5, derive_seed(9, 3)):
+        batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
+        draws = batch.randoms(count)
+        assert draws == [single.random() for _ in range(count)]
+        assert all(type(d) is float for d in draws)
+        assert batch.next_u64() == single.next_u64()  # same state after
+
+
 RANDINT_BOUNDS = [1, 2, 56, 161, 2**32 - 1]
 
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ class TestPearson:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateInput):
             pearson(series([5, 5, 5]), series([1, 2, 3], name="t"))
+
+    @pytest.mark.parametrize("power", [-1060, -1000, -600, 600, 1000, 1019])
+    def test_power_of_two_scale_keeps_every_bit(self, power):
+        # finite series whose sums of squares over- or underflow at raw scale
+        x = np.array([1.0, 4.0, 2.0, 9.0, 3.0])
+        y = np.array([2.0, 1.0, 7.0, 3.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson(np.ldexp(x, power), y) == pearson(x, y)
+            assert pearson(x, np.ldexp(y, power)) == pearson(x, y)
+
+    def test_large_magnitude_self_correlation(self):
+        x = np.array([1.0, 4.0, 2.0, 9.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson(1e300 * x, x) == pytest.approx(1.0, abs=1e-15)
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=12),
