@@ -205,11 +205,10 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         raise ValueError(f"need at least 3 observations, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series must be finite")
-    x = unit_scale(x)  # exact, and x.std() cannot overflow
-    sd = float(x.std())
-    if sd == 0.0:
+    if x.min() == x.max():
         return PosteriorResult(probabilities=np.zeros(n - 1))
-    std = (x - x.mean()) / sd
+    x = unit_scale(x)  # exact, and x.std() cannot overflow
+    std = (x - x.mean()) / float(x.std())
 
     s1 = [0.0, *np.cumsum(std).tolist()]  # prefix sums of the series
     total = float(std @ std)              # W + B for every partition

@@ -39,7 +39,6 @@ from .series import (
     WeekIndex,
     align,
     read_series_csv,
-    unit_scale,
     write_series_csv,
 )
 from .synth import (
@@ -155,13 +154,15 @@ def cmd_select(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared run-config loading for backtest/ablate
+# shared run loading and writing for backtest/ablate
 # ---------------------------------------------------------------------------
 
 def _load_run_config(args) -> dict:
     config = {}
     if args.config:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: a run config must be a JSON object")
     if args.seed is not None:
         config["seed"] = args.seed
     if getattr(args, "model", None):
@@ -202,15 +203,59 @@ def _build_panel_and_selection(config: dict):
     return panel, per_resource
 
 
-def _plan_from_config(config: dict) -> SplitPlan:
-    windows = [(WeekIndex.parse(w["start"]), WeekIndex.parse(w["end"]))
-               for w in config["windows"]]
-    return SplitPlan.of(WeekIndex.parse(config["train_start"]), windows)
+def _load_run(args) -> tuple[dict, dict] | int:
+    """The run config of a backtest/ablate command and the keywords that
+    each of its ``backtest``/``ablate`` calls takes; or the exit code when
+    they cannot be loaded."""
+    try:
+        config = _load_run_config(args)
+        panel, selected = _build_panel_and_selection(config)
+        plan = SplitPlan.of(WeekIndex.parse(config["train_start"]),
+                            [(WeekIndex.parse(w["start"]), WeekIndex.parse(w["end"]))
+                             for w in config["windows"]])
+        lag = config.get("lag", {})
+        lag_spec = LagSpec(min_lag=lag.get("min", 2), max_lag=lag.get("max", 53))
+    except (AlignmentError, EmptyIntersection) as exc:
+        return _fail(EXIT_ALIGNMENT, str(exc))
+    except (OSError, ValueError, KeyError) as exc:
+        return _fail(EXIT_IO, str(exc))
+    return config, {"panel": panel, "selected": selected, "plan": plan,
+                    "lag_spec": lag_spec, "signal_lag": config["signal_lag"],
+                    "seed": config["seed"]}
 
 
-def _lag_spec_from_config(config: dict) -> LagSpec:
-    lag = config.get("lag", {})
-    return LagSpec(min_lag=lag.get("min", 2), max_lag=lag.get("max", 53))
+def _model_spec(config: dict, kind: str) -> ModelSpec:
+    return ModelSpec(kind=kind, options=config.get("model_options", {}).get(kind, {}))
+
+
+def _run_each(key: str, names, run) -> tuple[list, list]:
+    """``run(name)`` for each name. A model failure becomes a failures.json
+    entry under ``key`` and the remaining names still run."""
+    done, failures = [], []
+    for name in names:
+        try:
+            done.append(run(name))
+        except (FluNowcastError, ValueError) as exc:
+            failures.append({key: name, "error": str(exc)})
+    return done, failures
+
+
+def _write_run(config: dict, write, failures: list, failed: str, wrote: str) -> int:
+    """Write what ran into the run's out directory, plus failures.json when
+    some of it failed: exit 4 then, with the partial results kept."""
+    out = Path(config.get("out", "."))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write(out)
+        if failures:
+            _dump_json(failures, out / "failures.json")
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
+    if failures:
+        return _fail(EXIT_MODEL, f"{len(failures)} {failed} failed; "
+                                 f"partial results in {out}")
+    print(f"wrote {wrote} to {out}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -218,45 +263,22 @@ def _lag_spec_from_config(config: dict) -> LagSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_backtest(args) -> int:
-    config = _load_run_config(args)
-    out = Path(config.get("out", "."))
-    try:
-        panel, selected = _build_panel_and_selection(config)
-        plan = _plan_from_config(config)
-        lag_spec = _lag_spec_from_config(config)
-    except (AlignmentError, EmptyIntersection) as exc:
-        return _fail(EXIT_ALIGNMENT, str(exc))
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_IO, str(exc))
-
+    loaded = _load_run(args)
+    if isinstance(loaded, int):
+        return loaded
+    config, run_args = loaded
     kinds = MODEL_KINDS if config["model"] == "all" else [config["model"]]
-    results = []
-    failures = []
-    for kind in kinds:
-        try:
-            spec = ModelSpec(kind=kind,
-                             options=config.get("model_options", {}).get(kind, {}))
-            runs = backtest(panel, selected, spec, plan, lag_spec,
-                            signal_lag=config["signal_lag"], seed=config["seed"])
-        except (FluNowcastError, ValueError) as exc:
-            failures.append({"model": kind, "error": str(exc)})
-            continue
-        results.extend(runs)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    runs, failures = _run_each(
+        "model", kinds, lambda kind: backtest(spec=_model_spec(config, kind), **run_args))
+    results = [res for blocks in runs for res in blocks]
+
+    def write(out: Path) -> None:
         write_report_json(results, out / "backtest.json")
         for res in results:
-            name = f"plot_{res.model_kind}_{res.window[0].iso()}.csv"
-            write_plot_csv(res, out / name)
-        if failures:
-            _dump_json(failures, out / "failures.json")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
-    if failures:
-        return _fail(EXIT_MODEL, f"{len(failures)} model run(s) failed; "
-                                 f"partial results in {out}")
-    print(f"wrote {len(results)} result block(s) to {out}")
-    return EXIT_OK
+            write_plot_csv(res, out / f"plot_{res.model_kind}_{res.window[0].iso()}.csv")
+
+    return _write_run(config, write, failures, "model run(s)",
+                      f"{len(results)} result block(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -264,49 +286,22 @@ def cmd_backtest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(args) -> int:
-    config = _load_run_config(args)
-    out = Path(config.get("out", "."))
+    if args.drop not in ("all", *drop_labels()):
+        print(f"usage: --drop must be one of {['all', *drop_labels()]}", file=sys.stderr)
+        return EXIT_BAD_DROP
     labels = drop_labels() if args.drop == "all" else [args.drop]
-    for label in labels:
-        if label not in drop_labels():
-            print(f"usage: --drop must be one of {['all', *drop_labels()]}",
-                  file=sys.stderr)
-            return EXIT_BAD_DROP
-    try:
-        panel, selected = _build_panel_and_selection(config)
-        plan = _plan_from_config(config)
-        lag_spec = _lag_spec_from_config(config)
-    except (AlignmentError, EmptyIntersection) as exc:
-        return _fail(EXIT_ALIGNMENT, str(exc))
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_IO, str(exc))
-
-    rows = []
-    failures = []
-    for label in labels:
-        try:
-            spec = ModelSpec(kind=config["model"],
-                             options=config.get("model_options", {}).get(config["model"], {}))
-            result = ablate(panel, selected, spec, plan, drop=label,
-                            lag_spec=lag_spec, signal_lag=config["signal_lag"],
-                            seed=config["seed"])
-        except (FluNowcastError, ValueError) as exc:
-            failures.append({"dropped": label, "error": str(exc)})
-            continue
-        rows.append({"dropped": result.dropped,
-                     "windows": [result_to_dict(r) for r in result.results]})
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _dump_json(rows, out / "ablation.json")
-        if failures:
-            _dump_json(failures, out / "failures.json")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
-    if failures:
-        return _fail(EXIT_MODEL, f"{len(failures)} ablation row(s) failed; "
-                                 f"partial results in {out}")
-    print(f"wrote {len(rows)} ablation row(s) to {out}")
-    return EXIT_OK
+    loaded = _load_run(args)
+    if isinstance(loaded, int):
+        return loaded
+    config, run_args = loaded
+    results, failures = _run_each(
+        "dropped", labels,
+        lambda label: ablate(spec=_model_spec(config, config["model"]), drop=label,
+                             **run_args))
+    rows = [{"dropped": res.dropped, "windows": [result_to_dict(r) for r in res.results]}
+            for res in results]
+    return _write_run(config, lambda out: _dump_json(rows, out / "ablation.json"),
+                      failures, "ablation row(s)", f"{len(rows)} ablation row(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def cmd_changepoint(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_IO, str(exc))
     flu_aligned = panel["flu"]
-    if float(unit_scale(flu_aligned.values).std()) == 0.0:
+    if flu_aligned.values.min() == flu_aligned.values.max():
         return _fail(EXIT_DEGENERATE, "flu series has zero variance")
 
     aligned_queries = [panel[q.name] for q in queries]

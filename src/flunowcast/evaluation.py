@@ -277,34 +277,35 @@ def drop_labels() -> list[str]:
                       if kind is not ResourceKind.FLU_PATIENTS), PAST_LAGS]
 
 
+def _block(column: str) -> str:
+    """The ablation label that drops a feature column: the resource tag of
+    a query column, "past" for a flu lag."""
+    tag, sep, _ = column.partition(":")
+    return tag if sep else PAST_LAGS
+
+
 def ablate(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
            plan: SplitPlan, drop: str = "none", lag_spec: LagSpec = LagSpec(),
            signal_lag: int = DEFAULT_SIGNAL_LAG, seed: int = 0) -> AblationResult:
-    """Backtest with one feature block removed.
+    """Backtest on the columns that ``drop`` keeps of the full dataset.
 
-    ``drop`` is "none" (identical to a plain backtest), a UGC resource tag
-    (that resource's query columns are removed), or "past" (all lag
-    columns are removed; the dataset keeps its row range by building lag
-    features first and slicing them away).
+    Every label is a column subset: "none" keeps every column, a UGC
+    resource tag drops that resource's query columns, and "past" drops the
+    lag block. Rows stay the same in each, and ARIMA, which reads no
+    features, runs its plain backtest under every label.
     """
-    if drop == "none":
-        return AblationResult(drop, backtest(panel, selected, spec, plan,
-                                             lag_spec, signal_lag, seed))
-    if drop == PAST_LAGS:
+    if drop not in drop_labels():
+        ResourceKind.from_tag(drop)  # an unknown tag raises here
+        raise ValueError("drop the flu history with 'past', not a resource tag")
+    dataset = None
+    if spec.kind != "arima":
         full = build_dataset(panel, selected, lag_spec, signal_lag,
                              start=plan.train_start, end=plan.last_week)
-        n_lags = lag_spec.n_lags
-        trimmed = SupervisedDataset(weeks=full.weeks, X=full.X[:, n_lags:].copy(),
-                                    y=full.y, feature_names=full.feature_names[n_lags:])
-        return AblationResult(drop, backtest(panel, selected, spec, plan,
-                                             lag_spec, signal_lag, seed,
-                                             dataset=trimmed))
-    kind = ResourceKind.from_tag(drop)
-    if kind is ResourceKind.FLU_PATIENTS:
-        raise ValueError("drop the flu history with 'past', not a resource tag")
-    reduced = {k: terms for k, terms in selected.items() if k is not kind}
-    return AblationResult(drop, backtest(panel, reduced, spec, plan,
-                                         lag_spec, signal_lag, seed))
+        keep = [i for i, name in enumerate(full.feature_names) if _block(name) != drop]
+        dataset = SupervisedDataset(start=full.start, X=full.X[:, keep], y=full.y,
+                                    feature_names=[full.feature_names[i] for i in keep])
+    return AblationResult(drop, backtest(panel, selected, spec, plan, lag_spec,
+                                         signal_lag, seed, dataset=dataset))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ The feature layout is fixed and fully deterministic: first the lag block
 (lag ``min_lag`` through ``max_lag``, nearest lag first), then one column
 per selected query in (resource, term) order. Standardization is applied
 per split by the evaluation layer, never baked into the raw matrix.
+
+Rows are contiguous weeks, as a ``WeeklySeries``'s values are: a dataset
+stores its first week, and row ``i`` is week ``start + i``. So the build
+checks the panel's coverage once for the whole row range, then slices: the
+lag block is one sliding window over the flu values, each query column and
+``y`` one slice. Splits find their rows by week arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyTrain, InsufficientHistory
 from .series import (
@@ -83,66 +90,55 @@ class SplitPlan:
 
 @dataclass
 class SupervisedDataset:
-    """Design matrix with named, timestamped rows.
+    """Design matrix over a contiguous run of weeks.
 
     ``X[i]`` holds the features for predicting ``y[i]`` = flu count at
-    ``weeks[i]``.
+    week ``start + i``.
     """
 
-    weeks: list[WeekIndex]
+    start: WeekIndex
     X: np.ndarray
     y: np.ndarray
     feature_names: list[str]
 
     def __post_init__(self):
-        if self.X.shape != (len(self.weeks), len(self.feature_names)):
-            raise ValueError("X shape disagrees with weeks/feature_names")
-        if self.y.shape != (len(self.weeks),):
-            raise ValueError("y shape disagrees with weeks")
+        if self.y.ndim != 1 or self.X.shape != (self.y.size, len(self.feature_names)):
+            raise ValueError("X shape disagrees with y/feature_names")
 
     def __len__(self) -> int:
-        return len(self.weeks)
+        return self.y.size
+
+    @property
+    def weeks(self) -> list[WeekIndex]:
+        return [self.start + i for i in range(len(self))]
 
     def row_index(self, week: WeekIndex) -> int:
-        return self.weeks.index(week)
-
-
-def lag_features(flu: WeeklySeries, spec: LagSpec, t: WeekIndex) -> np.ndarray:
-    """Flu values at t - min_lag, ..., t - max_lag (nearest lag first)."""
-    earliest = t - spec.max_lag
-    latest = t - spec.min_lag
-    if not (flu.covers(earliest) and flu.covers(latest)):
-        raise InsufficientHistory(
-            f"lags for {t} need {earliest}..{latest}, flu covers {flu.start}..{flu.end}")
-    hi = latest - flu.start
-    lo = earliest - flu.start
-    # values[lo..hi] ascending in time == descending lag; reverse for lag order.
-    return flu.values[lo:hi + 1][::-1].copy()
-
-
-def _ordered_terms(selected: SelectedQueries) -> list[tuple[ResourceKind, str]]:
-    out: list[tuple[ResourceKind, str]] = []
-    for kind in UGC_RESOURCES:
-        for term in selected.get(kind, ()):
-            out.append((kind, term))
-    return out
-
-
-def exogenous_features(panel: SignalPanel, selected: SelectedQueries,
-                       t: WeekIndex, signal_lag: int = DEFAULT_SIGNAL_LAG) -> np.ndarray:
-    """One value per selected query at week t - signal_lag."""
-    week = t - signal_lag
-    if not (panel.start <= week <= panel.end):
-        raise InsufficientHistory(
-            f"exogenous features for {t} need {week}, panel covers "
-            f"{panel.start}..{panel.end}")
-    return np.array([panel[term].value_at(week) for _, term in _ordered_terms(selected)])
+        i = week - self.start
+        if not 0 <= i < len(self):
+            raise KeyError(f"week {week} is not a dataset row")
+        return i
 
 
 def feature_names(spec: LagSpec, selected: SelectedQueries) -> list[str]:
     names = [f"flu_lag{lag:02d}" for lag in spec.lags()]
-    names.extend(f"{kind.value}:{term}" for kind, term in _ordered_terms(selected))
+    names.extend(f"{kind.value}:{term}"
+                 for kind in UGC_RESOURCES for term in selected.get(kind, ()))
     return names
+
+
+def _check_row(flu: WeeklySeries, spec: LagSpec, signal_lag: int, t: WeekIndex) -> None:
+    """Raise InsufficientHistory unless the panel holds the target, the lags
+    and the query week of week t's row."""
+    if not flu.covers(t):
+        raise InsufficientHistory(f"target week {t} outside the panel")
+    earliest, latest = t - spec.max_lag, t - spec.min_lag
+    if not (flu.covers(earliest) and flu.covers(latest)):
+        raise InsufficientHistory(
+            f"lags for {t} need {earliest}..{latest}, flu covers {flu.start}..{flu.end}")
+    if not flu.covers(t - signal_lag):
+        raise InsufficientHistory(
+            f"exogenous features for {t} need {t - signal_lag}, panel covers "
+            f"{flu.start}..{flu.end}")
 
 
 def build_dataset(panel: SignalPanel, selected: SelectedQueries,
@@ -153,22 +149,32 @@ def build_dataset(panel: SignalPanel, selected: SelectedQueries,
     """One row per week of [start, end]: lag block then exogenous block.
 
     The panel must cover the requested range plus ``max_lag`` weeks of
-    history; otherwise InsufficientHistory propagates from the row ops.
+    history; otherwise InsufficientHistory names the first row that cannot
+    be built.
     """
     flu = panel.flu()
     start = start if start is not None else panel.start + spec.max_lag
     end = end if end is not None else panel.end
-    weeks = week_range(start, end)
-    rows = []
-    for t in weeks:
-        if not flu.covers(t):
-            raise InsufficientHistory(f"target week {t} outside the panel")
-        lag_block = lag_features(flu, spec, t)
-        exo_block = exogenous_features(panel, selected, t, signal_lag)
-        rows.append(np.concatenate([lag_block, exo_block]))
-    y = np.array([flu.value_at(t) for t in weeks])
-    return SupervisedDataset(weeks=weeks, X=np.vstack(rows), y=y,
-                             feature_names=feature_names(spec, selected))
+    if end < start:
+        raise ValueError("end precedes start")
+    n_rows = end - start + 1
+    # Each check fails on a run of weeks at the start of the panel or at its
+    # end, so the first row that fails, if any, is the first row or the
+    # first week whose target or query week lies past the panel's end.
+    _check_row(flu, spec, signal_lag, start)
+    queries = [panel[term].values
+               for kind in UGC_RESOURCES for term in selected.get(kind, ())]
+    first_uncovered = flu.end + 1 + min(signal_lag, 0)
+    if first_uncovered <= end:
+        _check_row(flu, spec, signal_lag, first_uncovered)
+    lo = start - spec.max_lag - flu.start
+    lags = sliding_window_view(flu.values[lo:lo + n_rows + spec.n_lags - 1], spec.n_lags)
+    q0 = start - signal_lag - flu.start
+    return SupervisedDataset(
+        start=start,
+        X=np.column_stack([lags[:, ::-1], *(q[q0:q0 + n_rows] for q in queries)]),
+        y=flu.values[start - flu.start:end - flu.start + 1].copy(),
+        feature_names=feature_names(spec, selected))
 
 
 @dataclass(frozen=True)
@@ -182,17 +188,11 @@ class Split:
 
 def expanding_splits(dataset: SupervisedDataset, plan: SplitPlan) -> Iterator[Split]:
     """One split per eval week: train on every row in [train_start, w)."""
-    weeks = dataset.weeks
-    index_of = {w: i for i, w in enumerate(weeks)}
+    first = max(plan.train_start - dataset.start, 0)
     for win_start, win_end in plan.eval_windows:
         for w in week_range(win_start, win_end):
-            if w not in index_of:
-                raise KeyError(f"eval week {w} is not a dataset row")
-            test_idx = index_of[w]
-            train_idx = np.array([
-                i for i, tw in enumerate(weeks)
-                if plan.train_start <= tw < w
-            ], dtype=int)
+            test_idx = dataset.row_index(w)
+            train_idx = np.arange(first, test_idx)
             if train_idx.size == 0:
                 raise EmptyTrain(f"no training rows precede {w}")
             yield Split(train_idx=train_idx, test_idx=test_idx, test_week=w)

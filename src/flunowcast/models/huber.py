@@ -113,6 +113,8 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
     The scale is then frozen and IRLS runs to a parameter change below
     ``tol``, which for a fixed scale is a provably convergent descent.
     """
+    if form not in ("doubled", "canonical"):
+        raise ValueError(f"unknown loss form {form!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:

@@ -237,14 +237,14 @@ def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
         raise AlignmentError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least 2 points")
+    if x.min() == x.max() or y.min() == y.max():
+        raise DegenerateInput("constant series has no defined correlation")
     x = unit_scale(x)
     y = unit_scale(y)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.dot(dx, dx)))
     sy = float(np.sqrt(np.dot(dy, dy)))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateInput("constant series has no defined correlation")
     return float(np.dot(dx, dy) / (sx * sy))
 
 
@@ -264,12 +264,12 @@ class StandardizationParams:
     """Per-column centering and scaling learned from a fit matrix.
 
     ``scale`` is the population (divide by n) standard deviation;
-    zero-variance columns are flagged degenerate and standardize to zero.
+    constant columns are flagged degenerate and standardize to zero.
     """
 
     mean: np.ndarray
     scale: np.ndarray
-    degenerate: np.ndarray  # bool mask, True where scale == 0
+    degenerate: np.ndarray  # bool mask, True where the column is constant
 
     @property
     def n_columns(self) -> int:
@@ -283,7 +283,11 @@ def standardize_fit(columns) -> StandardizationParams:
         raise ShapeMismatch("expected a 2-D matrix of columns")
     mean = mat.mean(axis=0) if mat.shape[0] else np.zeros(mat.shape[1])
     scale = mat.std(axis=0) if mat.shape[0] else np.zeros(mat.shape[1])
-    return StandardizationParams(mean=mean, scale=scale, degenerate=scale == 0.0)
+    # min == max tells a constant column, whose std need not be 0 (its mean
+    # may not round back to its value); scale == 0 also flags distinct values
+    # too close together for their deviations to square
+    constant = mat.min(axis=0) == mat.max(axis=0) if mat.shape[0] else True
+    return StandardizationParams(mean=mean, scale=scale, degenerate=constant | (scale == 0.0))
 
 
 def standardize_apply(columns, params: StandardizationParams) -> np.ndarray:

@@ -308,3 +308,35 @@ def reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
         trees.append(_reference_tree(X, y, idx, 0, max_depth, min_leaf,
                                      max_features, rng))
     return trees
+
+
+def reference_dataset(panel, selected, spec, signal_lag, start, end):
+    """The design matrix built one row and one cell at a time: for each
+    week t of [start, end], the flu value at t - lag for each lag from
+    ``spec.min_lag`` up, then each selected query's value at t -
+    ``signal_lag`` in (resource, term) order; ``y`` is the flu value at t.
+    Returns (X, y), or raises the InsufficientHistory of the first row
+    that cannot be built, its target checked first, then its lags, then
+    its query week."""
+    from flunowcast.errors import InsufficientHistory
+    from flunowcast.series import UGC_RESOURCES, week_range
+
+    flu = panel.flu()
+    terms = [term for kind in UGC_RESOURCES for term in selected.get(kind, ())]
+    weeks = week_range(start, end)
+    rows = []
+    for t in weeks:
+        if not flu.covers(t):
+            raise InsufficientHistory(f"target week {t} outside the panel")
+        earliest, latest = t - spec.max_lag, t - spec.min_lag
+        if not (flu.covers(earliest) and flu.covers(latest)):
+            raise InsufficientHistory(
+                f"lags for {t} need {earliest}..{latest}, flu covers {flu.start}..{flu.end}")
+        week = t - signal_lag
+        if not panel.start <= week <= panel.end:
+            raise InsufficientHistory(
+                f"exogenous features for {t} need {week}, panel covers "
+                f"{panel.start}..{panel.end}")
+        rows.append([flu.value_at(t - lag) for lag in spec.lags()]
+                    + [panel[term].value_at(week) for term in terms])
+    return np.array(rows), np.array([flu.value_at(t) for t in weeks])

@@ -103,6 +103,11 @@ class TestPosterior:
         assert post.probabilities.shape == (39,)
         assert np.all(post.probabilities == 0.0)
 
+    def test_constant_series_with_nonzero_std_short_circuits(self):
+        # np.full(260, 1234.567).std() is 2.3e-13, not 0
+        post = bcp_posterior(np.full(260, 1234.567), BcpConfig(iterations=20, burn_in=2))
+        assert np.all(post.probabilities == 0.0)
+
     def test_step_series_detection(self):
         post = bcp_posterior(step_series(seed=5), BcpConfig(seed=9))
         p = post.probabilities

@@ -122,6 +122,12 @@ class TestSelect:
         assert code == 3
 
 
+# sha256 of backtest.json and ablation.json for the runs in the
+# test_report_bytes_are_pinned tests of TestBacktest and TestAblate
+GOLDEN_BACKTEST = "15f0c2c1b0b781c1928822e4e020b34c8497309b568417eaddc90c3973f09dd1"
+GOLDEN_ABLATION = "ad1bd1ee13e9573736f8bc67fd5ad21c086e15a639a6925d9c5e646780e96289"
+
+
 class TestBacktest:
     def test_report_schema(self, synth_dir, tmp_path):
         config = write_run_config(tmp_path / "run.json", synth_dir)
@@ -144,6 +150,19 @@ class TestBacktest:
         report = json.loads((out / "backtest.json").read_text())
         assert [r["model"] for r in report] == \
             ["lasso", "huber", "svr", "forest", "arima"]
+
+    def test_report_bytes_are_pinned(self, synth_dir, tmp_path):
+        # every model's fits and the report's layout fix every byte; a
+        # change to how the design matrix is built must reproduce them
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-13"}],
+            model_options={"forest": {"n_trees": 5}})
+        out = tmp_path / "results"
+        assert run(["backtest", "--config", config, "--model", "all",
+                    "--out", out]) == 0
+        digest = hashlib.sha256((out / "backtest.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_BACKTEST
 
     def test_rerun_byte_identical(self, synth_dir, tmp_path):
         config = write_run_config(tmp_path / "run.json", synth_dir)
@@ -263,6 +282,15 @@ class TestAblate:
         assert [r["dropped"] for r in rows] == \
             ["none", "search", "social", "shopping", "qa", "past"]
 
+    def test_report_bytes_are_pinned(self, synth_dir, tmp_path):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-13"}])
+        out = tmp_path / "results"
+        assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 0
+        digest = hashlib.sha256((out / "ablation.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_ABLATION
+
     def test_none_row_equals_plain_backtest(self, synth_dir, tmp_path):
         config = write_run_config(
             tmp_path / "run.json", synth_dir,
@@ -304,6 +332,17 @@ class TestAblate:
         assert [f["dropped"] for f in failures] == \
             ["none", "search", "social", "shopping", "qa", "past"]
         assert all("lasso option 'lambda'" in f["error"] for f in failures)
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{", encoding="utf-8")
+        listed = tmp_path / "list.json"
+        listed.write_text("[]", encoding="utf-8")
+        for config in (tmp_path / "missing.json", broken, listed):
+            for command in ("backtest", "ablate"):
+                assert run([command, "--config", config, "--out", tmp_path / "r"]) == 2
+                assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_drop_exits_5(self, synth_dir, tmp_path, capsys):
         config = write_run_config(tmp_path / "run.json", synth_dir)
@@ -445,6 +484,18 @@ class TestChangepoint:
                      "2015-01-26,3\n2015-02-02,4\n", encoding="utf-8")
         assert run(["changepoint", "--flu", flu, "--queries", q,
                     "--iterations", "20", "--burn-in", "2"]) == 6
+
+    def test_flat_flu_with_nonzero_std_exits_6(self, synth_dir, tmp_path, capsys):
+        # every value 1234.567: its std is 2.3e-13, not 0
+        lines = (synth_dir / "flu.csv").read_text().splitlines()
+        flu = tmp_path / "flat.csv"
+        flu.write_text("\n".join([lines[0]] + [f"{line.split(',')[0]},1234.567"
+                                               for line in lines[1:]]) + "\n",
+                       encoding="utf-8")
+        assert run(["changepoint", "--flu", flu, "--queries", synth_dir / "proxy_01.csv",
+                    "--iterations", "20", "--burn-in", "2",
+                    "--out", tmp_path / "cp"]) == 6
+        assert "zero variance" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():

@@ -17,10 +17,17 @@ from flunowcast.evaluation import (
     mae,
     mape,
     r2,
+    result_to_dict,
     write_plot_csv,
     write_report_json,
 )
-from flunowcast.features import LagSpec, SplitPlan, build_dataset, expanding_splits
+from flunowcast.features import (
+    LagSpec,
+    SplitPlan,
+    SupervisedDataset,
+    build_dataset,
+    expanding_splits,
+)
 from flunowcast.rng import derive_seed
 from flunowcast.series import (
     ResourceKind,
@@ -30,6 +37,8 @@ from flunowcast.series import (
     standardize_fit,
 )
 from flunowcast.synth import ProxyConfig, SynthConfig, gen_flu, gen_proxy
+
+from oracles import reference_dataset
 
 W0 = WeekIndex(dt.date(2013, 9, 30))
 UGC = [ResourceKind.SEARCH_QUERY, ResourceKind.SOCIAL_MEDIA,
@@ -249,6 +258,11 @@ class TestBacktest:
         assert results[0].window != results[1].window
 
 
+def report_text(results) -> str:
+    """The results as backtest.json writes them: equal text means equal bits."""
+    return json.dumps([result_to_dict(r) for r in results], sort_keys=True)
+
+
 class TestAblate:
     def test_labels(self):
         assert drop_labels() == ["none", "search", "social", "shopping", "qa", "past"]
@@ -260,6 +274,39 @@ class TestAblate:
         ablated = ablate(panel, selected, ModelSpec("huber"), plan,
                          drop="none", seed=7).results[0]
         assert ablated.predictions == plain.predictions
+
+    @pytest.mark.parametrize("spec", [ModelSpec("huber"),
+                                      ModelSpec("forest", {"n_trees": 3})])
+    def test_resource_row_is_a_backtest_without_that_resource(self, spec):
+        panel, selected = informative_panel()
+        plan = short_plan(panel, length=3)
+        for kind in UGC:
+            reduced = {k: terms for k, terms in selected.items() if k is not kind}
+            expected = backtest(panel, reduced, spec, plan, seed=3)
+            row = ablate(panel, selected, spec, plan, drop=kind.value, seed=3)
+            assert report_text(row.results) == report_text(expected)
+
+    def test_past_row_is_a_backtest_on_the_query_columns(self):
+        panel, selected = informative_panel()
+        plan = short_plan(panel, length=3)
+        X, y = reference_dataset(panel, selected, LagSpec(), 2,
+                                 plan.train_start, plan.last_week)
+        n_lags = LagSpec().n_lags
+        queries = SupervisedDataset(start=plan.train_start, X=X[:, n_lags:], y=y,
+                                    feature_names=[f"q{i}" for i in range(len(UGC))])
+        expected = backtest(panel, selected, ModelSpec("huber"), plan, seed=3,
+                            dataset=queries)
+        row = ablate(panel, selected, ModelSpec("huber"), plan, drop="past", seed=3)
+        assert report_text(row.results) == report_text(expected)
+
+    def test_arima_runs_its_plain_backtest_under_every_label(self):
+        panel, selected = informative_panel()
+        plan = short_plan(panel, length=2)
+        spec = ModelSpec("arima")
+        expected = report_text(backtest(panel, selected, spec, plan))
+        for label in drop_labels():
+            assert report_text(ablate(panel, selected, spec, plan, drop=label).results) \
+                == expected
 
     def test_drop_past_collapses_on_noise_proxies(self):
         seed = 55

@@ -8,12 +8,12 @@ from flunowcast.features import (
     LagSpec,
     SplitPlan,
     build_dataset,
-    exogenous_features,
     expanding_splits,
     export_csv,
-    lag_features,
 )
-from flunowcast.series import ResourceKind, SignalPanel, WeekIndex, WeeklySeries
+from flunowcast.series import ResourceKind, SignalPanel, WeekIndex, WeeklySeries, week_range
+
+from oracles import reference_dataset
 
 W0 = WeekIndex(dt.date(2013, 9, 30))
 
@@ -39,19 +39,40 @@ def panel_with_queries(counts=(1, 1, 1, 1), n=120):
     }
 
 
+def built_row(panel, selected, t, spec=LagSpec(), signal_lag=2):
+    """Week t's row of build_dataset, checked against the oracle's."""
+    ds = build_dataset(panel, selected, spec, signal_lag, start=t, end=t)
+    X, y = reference_dataset(panel, selected, spec, signal_lag, t, t)
+    assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+    return ds.X[0]
+
+
+def build_error(panel, selected, spec, signal_lag, start, end) -> str:
+    """build_dataset's InsufficientHistory message, checked against the
+    oracle's."""
+    with pytest.raises(InsufficientHistory) as built:
+        build_dataset(panel, selected, spec, signal_lag, start=start, end=end)
+    with pytest.raises(InsufficientHistory) as oracle:
+        reference_dataset(panel, selected, spec, signal_lag, start, end)
+    assert str(built.value) == str(oracle.value)
+    return str(built.value)
+
+
 class TestLagFeatures:
     def test_ramp_default_spec(self):
-        vec = lag_features(ramp_flu(), LagSpec(), W0 + 55)
+        vec = built_row(SignalPanel([ramp_flu()]), {}, W0 + 55)
         assert vec.shape == (52,)
         assert vec[0] == 53.0 and vec[-1] == 2.0  # lag 2 first, lag 53 last
 
     def test_insufficient_history_at_boundary(self):
-        with pytest.raises(InsufficientHistory):
-            lag_features(ramp_flu(), LagSpec(), W0 + 52)  # needs week -1
-        assert lag_features(ramp_flu(), LagSpec(), W0 + 53)[-1] == 0.0
+        panel = SignalPanel([ramp_flu()])
+        message = build_error(panel, {}, LagSpec(), 2, W0 + 52, W0 + 52)  # needs week -1
+        assert message.startswith("lags for ")
+        assert built_row(panel, {}, W0 + 53)[-1] == 0.0
 
     def test_degenerate_single_lag(self):
-        vec = lag_features(ramp_flu(), LagSpec(min_lag=2, max_lag=2), W0 + 10)
+        vec = built_row(SignalPanel([ramp_flu()]), {}, W0 + 10,
+                        LagSpec(min_lag=2, max_lag=2))
         assert vec.tolist() == [8.0]
 
     def test_spec_validation(self):
@@ -62,28 +83,65 @@ class TestLagFeatures:
         assert LagSpec().n_lags == 52
 
 
+ONE_LAG = LagSpec(min_lag=1, max_lag=1)  # a row's query block is X[1:]
+
+
 class TestExogenousFeatures:
     def test_zero_signal_lag(self):
         panel, selected = panel_with_queries((1, 0, 0, 0))
         t = W0 + 7
-        vec = exogenous_features(panel, selected, t, signal_lag=0)
+        vec = built_row(panel, selected, t, ONE_LAG, signal_lag=0)[1:]
         assert vec.tolist() == [panel["search0"].value_at(t)]
 
     def test_shift_semantics(self):
         panel, selected = panel_with_queries((1, 0, 0, 0))
         t = W0 + 7
-        vec = exogenous_features(panel, selected, t, signal_lag=2)
+        vec = built_row(panel, selected, t, ONE_LAG, signal_lag=2)[1:]
         assert vec.tolist() == [panel["search0"].value_at(t - 2)]
 
     def test_paper_resource_counts_give_fifty(self):
         panel, selected = panel_with_queries((13, 18, 10, 9))
-        vec = exogenous_features(panel, selected, W0 + 10, signal_lag=2)
+        vec = built_row(panel, selected, W0 + 10, ONE_LAG, signal_lag=2)[1:]
         assert vec.shape == (50,)
 
     def test_insufficient_history(self):
         panel, selected = panel_with_queries((1, 0, 0, 0))
-        with pytest.raises(InsufficientHistory):
-            exogenous_features(panel, selected, W0 + 1, signal_lag=2)
+        message = build_error(panel, selected, ONE_LAG, 2, W0 + 1, W0 + 1)
+        assert message.startswith("exogenous features for ")
+
+
+@pytest.mark.parametrize("spec", [LagSpec(1, 1), LagSpec(2, 3), LagSpec(1, 6),
+                                  LagSpec(4, 4)])
+@pytest.mark.parametrize("signal_lag", [-3, -1, 0, 2, 5, 8])
+def test_build_matches_oracle_over_ranges(spec, signal_lag):
+    """Every [start, end] from before the panel to past its end: the same
+    X and y as the row-by-row oracle, or the same error for the same row."""
+    panel, selected = panel_with_queries((2, 1, 0, 1), n=16)
+    outcomes = set()
+    for s in range(-2, 19):
+        for e in range(s, 19):
+            start, end = W0 + s, W0 + e
+            try:
+                X, y = reference_dataset(panel, selected, spec, signal_lag, start, end)
+            except InsufficientHistory as exc:
+                with pytest.raises(InsufficientHistory) as built:
+                    build_dataset(panel, selected, spec, signal_lag, start=start, end=end)
+                assert str(built.value) == str(exc)
+                outcomes.add(str(exc).split(" ")[0])
+                continue
+            ds = build_dataset(panel, selected, spec, signal_lag, start=start, end=end)
+            assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+            assert ds.weeks == week_range(start, end)
+            outcomes.add("built")
+    assert {"built", "target", "lags"} <= outcomes
+    if signal_lag < 0 or signal_lag > spec.max_lag:
+        assert "exogenous" in outcomes
+
+
+def test_reversed_range_is_rejected():
+    panel, selected = panel_with_queries((1, 0, 0, 0))
+    with pytest.raises(ValueError, match="end precedes start"):
+        build_dataset(panel, selected, ONE_LAG, 2, start=W0 + 10, end=W0 + 9)
 
 
 class TestBuildDataset:
@@ -167,6 +225,15 @@ class TestExpandingSplits:
             train_weeks = [ds.weeks[i] for i in split.train_idx]
             assert all(w < split.test_week for w in train_weeks)
             assert all(w >= plan.train_start for w in train_weeks)
+
+    def test_eval_week_outside_dataset_raises(self):
+        ds = self.make_dataset(5)
+        plan = SplitPlan.of(W0 + 60, [(W0 + 63, W0 + 65)])
+        with pytest.raises(KeyError, match="is not a dataset row"):
+            list(expanding_splits(ds, plan))
+        assert ds.row_index(W0 + 64) == 4
+        with pytest.raises(KeyError):
+            ds.row_index(W0 + 59)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,11 @@ class TestFit:
         assert abs(a.beta[0] - b.beta[0]) < 1e-6
         assert abs(a.intercept - b.intercept) < 1e-6
 
+    def test_unknown_form_rejected(self):
+        X, y = outlier_dataset(seed=21)
+        with pytest.raises(ValueError, match="unknown loss form 'bogus'"):
+            fit_huber(X, y, form="bogus")
+
     def test_fixed_sigma_respected(self):
         X, y = outlier_dataset(seed=4)
         model = fit_huber(X, y, sigma=2.5)

@@ -91,6 +91,14 @@ class TestPearson:
         with pytest.raises(DegenerateInput):
             pearson(series([5, 5, 5]), series([1, 2, 3], name="t"))
 
+    def test_constant_series_whose_mean_does_not_round_back(self):
+        # np.full(260, 1234.567).std() is 2.3e-13, not 0
+        flat = np.full(260, 1234.567)
+        with pytest.raises(DegenerateInput):
+            pearson(flat, np.arange(260.0))
+        with pytest.raises(DegenerateInput):
+            pearson(np.arange(260.0), flat)
+
     @pytest.mark.parametrize("power", [-1060, -1000, -600, 600, 1000, 1019])
     def test_power_of_two_scale_keeps_every_bit(self, power):
         # finite series whose sums of squares over- or underflow at raw scale
@@ -137,6 +145,13 @@ class TestStandardize:
         params = standardize_fit(np.array([[5.0], [5.0], [5.0]]))
         assert params.mean[0] == 5.0 and params.scale[0] == 0.0
         assert params.degenerate[0]
+
+    def test_constant_column_with_nonzero_std_flagged(self):
+        # the std of three 0.1s is 1.4e-17, not 0
+        cols = np.column_stack([np.full(3, 0.1), [1.0, 2.0, 3.0]])
+        params = standardize_fit(cols)
+        assert params.degenerate.tolist() == [True, False]
+        assert standardize_apply(cols, params)[:, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_singleton_column(self):
         params = standardize_fit(np.array([[0.0]]))
