@@ -8,7 +8,9 @@ over file values.
 
 Exit codes: 0 success; 2 I/O failure or an invalid flag; 3 alignment
 failure; 4 model failure (partial results are still written); 5 unknown
-ablation label; 6 degenerate change-point input.
+ablation label; 6 degenerate change-point input. ``main`` is the one place
+that turns errors into exit codes 2, 3 and 6; a command body only parses
+its input, runs, and hands its output to ``_write_run`` (or to stdout).
 """
 
 from __future__ import annotations
@@ -41,14 +43,7 @@ from .series import (
     read_series_csv,
     write_series_csv,
 )
-from .synth import (
-    ProxyConfig,
-    SynthConfig,
-    flu_config_to_dict,
-    gen_flu,
-    gen_proxy,
-    proxy_config_to_dict,
-)
+from .synth import ProxyConfig, SynthConfig, config_to_dict, gen_flu, gen_proxy
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -70,59 +65,75 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-# ---------------------------------------------------------------------------
-# synth
-# ---------------------------------------------------------------------------
-
 def _merged_options(args, flag_names) -> dict:
-    """Config-file values overridden by explicitly supplied flags."""
+    """The ``--config`` file's JSON object, if one is given, with each of
+    ``flag_names`` that was given on the command line written over it."""
     merged = {}
     if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        merged = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(merged, dict):
+            raise ValueError(f"{args.config}: a run config must be a JSON object")
     for name in flag_names:
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
     return merged
 
+
+def _write_run(out, write, wrote: str, failures=(), failed: str = "") -> int:
+    """Make the directory ``out``, call ``write`` on its path, and add
+    failures.json when some of the run failed: exit 4 then, with the
+    partial results kept."""
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write(out)
+        if failures:
+            _dump_json(failures, out / "failures.json")
+    except OSError as exc:
+        raise OSError(f"cannot write to {out}: {exc}") from exc
+    if failures:
+        return _fail(EXIT_MODEL, f"{len(failures)} {failed} failed; "
+                                 f"partial results in {out}")
+    print(f"wrote {wrote} to {out}")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# synth
+# ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
     opts = _merged_options(args, ["years", "proxies", "baseline", "peak_scale",
                                   "noise_sd", "proxy_lead", "proxy_gain",
                                   "proxy_noise", "seed", "out"])
     if "out" not in opts:
-        return _fail(EXIT_IO, "synth needs --out (or an 'out' config entry)")
-    out = Path(opts["out"])
-    seed = opts.get("seed", 0)
-    flu_cfg = SynthConfig(years=opts.get("years", 5),
-                          baseline=opts.get("baseline", 1000.0),
-                          peak_scale=opts.get("peak_scale", 30000.0),
-                          noise_sd=opts.get("noise_sd", 300.0),
-                          seed=seed)
+        raise ValueError("synth needs --out (or an 'out' config entry)")
+    n_proxies = opts.get("proxies", 4)
+    if n_proxies < 0:
+        raise ValueError(f"proxies must be non-negative, got {n_proxies}")
+    flu_cfg = SynthConfig(**{name: opts[name] for name in
+                             ("years", "baseline", "peak_scale", "noise_sd", "seed")
+                             if name in opts})
+    proxy_cfgs = [ProxyConfig(name=f"proxy_{i + 1:02d}",
+                              resource=UGC_RESOURCES[i % len(UGC_RESOURCES)],
+                              lead_weeks=opts.get("proxy_lead", 2),
+                              gain=opts.get("proxy_gain", 0.05),
+                              noise_sd=opts.get("proxy_noise", 150.0),
+                              seed=derive_seed(flu_cfg.seed, i + 1))
+                  for i in range(n_proxies)]
     flu = gen_flu(flu_cfg)
-    proxy_cfgs = []
-    for i in range(opts.get("proxies", 4)):
-        resource = UGC_RESOURCES[i % len(UGC_RESOURCES)]
-        proxy_cfgs.append(ProxyConfig(
-            name=f"proxy_{i + 1:02d}", resource=resource,
-            lead_weeks=opts.get("proxy_lead", 2),
-            gain=opts.get("proxy_gain", 0.05),
-            noise_sd=opts.get("proxy_noise", 150.0),
-            seed=derive_seed(seed, i + 1)))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+
+    def write(out: Path) -> None:
         write_series_csv(flu, out / "flu.csv")
         for cfg in proxy_cfgs:
             write_series_csv(gen_proxy(flu, cfg), out / f"{cfg.name}.csv")
-        manifest = {
-            "flu": flu_config_to_dict(flu_cfg),
-            "proxies": [proxy_config_to_dict(c) for c in proxy_cfgs],
-        }
-        _dump_json(manifest, out / "manifest.json")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
-    print(f"wrote {1 + len(proxy_cfgs)} series + manifest to {out}")
-    return EXIT_OK
+        _dump_json({"flu": config_to_dict(flu_cfg),
+                    "proxies": [config_to_dict(c) for c in proxy_cfgs]},
+                   out / "manifest.json")
+
+    return _write_run(opts["out"], write,
+                      f"{1 + len(proxy_cfgs)} series + manifest")
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +143,12 @@ def cmd_synth(args) -> int:
 def cmd_select(args) -> int:
     opts = _merged_options(args, ["target", "candidates", "threshold", "out"])
     if "target" not in opts or not opts.get("candidates"):
-        return _fail(EXIT_IO, "select needs --target and --candidates")
-    try:
-        target = read_series_csv(opts["target"], resource=ResourceKind.FLU_PATIENTS)
-        candidates = [
-            CandidateQuery(term=Path(p).stem, volume=read_series_csv(p))
-            for p in opts["candidates"]
-        ]
-        result = select_queries(candidates, target,
-                                SelectionConfig(threshold=opts.get("threshold", 0.70)))
-    except (AlignmentError, EmptyIntersection) as exc:
-        return _fail(EXIT_ALIGNMENT, str(exc))
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_IO, str(exc))
+        raise ValueError("select needs --target and --candidates")
+    target = read_series_csv(opts["target"], resource=ResourceKind.FLU_PATIENTS)
+    candidates = [CandidateQuery(term=Path(p).stem, volume=read_series_csv(p))
+                  for p in opts["candidates"]]
+    result = select_queries(candidates, target,
+                            SelectionConfig(threshold=opts.get("threshold", 0.70)))
     payload = [{"term": term, "r": r} for term, r in result.selected]
     if opts.get("out"):
         _dump_json(payload, Path(opts["out"]))
@@ -154,21 +158,12 @@ def cmd_select(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared run loading and writing for backtest/ablate
+# shared run loading for backtest/ablate
 # ---------------------------------------------------------------------------
 
 def _load_run_config(args) -> dict:
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config}: a run config must be a JSON object")
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if getattr(args, "model", None):
-        config["model"] = args.model
-    if args.out:
-        config["out"] = args.out
+    config = _merged_options(args, ["seed", "model", "out"])
+    config.setdefault("out", ".")
     config.setdefault("seed", 0)
     config.setdefault("model", "huber")
     config.setdefault("signal_lag", DEFAULT_SIGNAL_LAG)
@@ -203,22 +198,17 @@ def _build_panel_and_selection(config: dict):
     return panel, per_resource
 
 
-def _load_run(args) -> tuple[dict, dict] | int:
+def _load_run(args) -> tuple[dict, dict]:
     """The run config of a backtest/ablate command and the keywords that
-    each of its ``backtest``/``ablate`` calls takes; or the exit code when
-    they cannot be loaded."""
-    try:
-        config = _load_run_config(args)
-        panel, selected = _build_panel_and_selection(config)
-        plan = SplitPlan.of(WeekIndex.parse(config["train_start"]),
-                            [(WeekIndex.parse(w["start"]), WeekIndex.parse(w["end"]))
-                             for w in config["windows"]])
-        lag = config.get("lag", {})
-        lag_spec = LagSpec(min_lag=lag.get("min", 2), max_lag=lag.get("max", 53))
-    except (AlignmentError, EmptyIntersection) as exc:
-        return _fail(EXIT_ALIGNMENT, str(exc))
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_IO, str(exc))
+    each of its ``backtest``/``ablate`` calls takes."""
+    config = _load_run_config(args)
+    panel, selected = _build_panel_and_selection(config)
+    plan = SplitPlan.of(WeekIndex.parse(config["train_start"]),
+                        [(WeekIndex.parse(w["start"]), WeekIndex.parse(w["end"]))
+                         for w in config["windows"]])
+    lag = config.get("lag", {})
+    lag_spec = LagSpec(**{field: lag[key] for key, field in
+                          (("min", "min_lag"), ("max", "max_lag")) if key in lag})
     return config, {"panel": panel, "selected": selected, "plan": plan,
                     "lag_spec": lag_spec, "signal_lag": config["signal_lag"],
                     "seed": config["seed"]}
@@ -240,33 +230,12 @@ def _run_each(key: str, names, run) -> tuple[list, list]:
     return done, failures
 
 
-def _write_run(config: dict, write, failures: list, failed: str, wrote: str) -> int:
-    """Write what ran into the run's out directory, plus failures.json when
-    some of it failed: exit 4 then, with the partial results kept."""
-    out = Path(config.get("out", "."))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write(out)
-        if failures:
-            _dump_json(failures, out / "failures.json")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
-    if failures:
-        return _fail(EXIT_MODEL, f"{len(failures)} {failed} failed; "
-                                 f"partial results in {out}")
-    print(f"wrote {wrote} to {out}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # backtest
 # ---------------------------------------------------------------------------
 
 def cmd_backtest(args) -> int:
-    loaded = _load_run(args)
-    if isinstance(loaded, int):
-        return loaded
-    config, run_args = loaded
+    config, run_args = _load_run(args)
     kinds = MODEL_KINDS if config["model"] == "all" else [config["model"]]
     runs, failures = _run_each(
         "model", kinds, lambda kind: backtest(spec=_model_spec(config, kind), **run_args))
@@ -277,8 +246,8 @@ def cmd_backtest(args) -> int:
         for res in results:
             write_plot_csv(res, out / f"plot_{res.model_kind}_{res.window[0].iso()}.csv")
 
-    return _write_run(config, write, failures, "model run(s)",
-                      f"{len(results)} result block(s)")
+    return _write_run(config["out"], write,
+                      f"{len(results)} result block(s)", failures, "model run(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +259,15 @@ def cmd_ablate(args) -> int:
         print(f"usage: --drop must be one of {['all', *drop_labels()]}", file=sys.stderr)
         return EXIT_BAD_DROP
     labels = drop_labels() if args.drop == "all" else [args.drop]
-    loaded = _load_run(args)
-    if isinstance(loaded, int):
-        return loaded
-    config, run_args = loaded
+    config, run_args = _load_run(args)
     results, failures = _run_each(
         "dropped", labels,
         lambda label: ablate(spec=_model_spec(config, config["model"]), drop=label,
                              **run_args))
     rows = [{"dropped": res.dropped, "windows": [result_to_dict(r) for r in res.results]}
             for res in results]
-    return _write_run(config, lambda out: _dump_json(rows, out / "ablation.json"),
-                      failures, "ablation row(s)", f"{len(rows)} ablation row(s)")
+    return _write_run(config["out"], lambda out: _dump_json(rows, out / "ablation.json"),
+                      f"{len(rows)} ablation row(s)", failures, "ablation row(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +275,18 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_changepoint(args) -> int:
-    try:
-        flu = read_series_csv(args.flu, name="flu",
-                              resource=ResourceKind.FLU_PATIENTS)
-        queries = [read_series_csv(p) for p in args.queries]
-        panel = align([flu, *queries])
-    except (AlignmentError, EmptyIntersection) as exc:
-        return _fail(EXIT_ALIGNMENT, str(exc))
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_IO, str(exc))
+    flu = read_series_csv(args.flu, name="flu", resource=ResourceKind.FLU_PATIENTS)
+    queries = [read_series_csv(p) for p in args.queries]
+    panel = align([flu, *queries])
     flu_aligned = panel["flu"]
     if flu_aligned.values.min() == flu_aligned.values.max():
-        return _fail(EXIT_DEGENERATE, "flu series has zero variance")
+        raise DegenerateInput("flu series has zero variance")
 
-    aligned_queries = [panel[q.name] for q in queries]
-    try:
-        config = BcpConfig(iterations=args.iterations, burn_in=args.burn_in,
-                           p0=args.p0, w0=args.w0, seed=args.seed)
-        score = score_resource(flu_aligned, aligned_queries, flu_aligned, config,
-                               top_k=args.top_k, threshold=args.threshold,
-                               window=args.window)
-    except DegenerateInput as exc:
-        return _fail(EXIT_DEGENERATE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_IO, str(exc))
+    config = BcpConfig(iterations=args.iterations, burn_in=args.burn_in,
+                       p0=args.p0, w0=args.w0, seed=args.seed)
+    score = score_resource(flu_aligned, [panel[q.name] for q in queries], flu_aligned,
+                           config, top_k=args.top_k, threshold=args.threshold,
+                           window=args.window)
 
     def report_dict(report):
         return {"tp": report.true_positive, "fp": report.false_positive,
@@ -350,15 +304,10 @@ def cmd_changepoint(args) -> int:
         "matches": report_dict(score.aggregate),
     }
     if args.out:
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            _dump_json(payload, out / "changepoint.json")
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write to {out}: {exc}")
-        print(f"wrote change-point report to {out}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        return _write_run(args.out,
+                          lambda out: _dump_json(payload, out / "changepoint.json"),
+                          "change-point report")
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -426,8 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (AlignmentError, EmptyIntersection) as exc:
+        return _fail(EXIT_ALIGNMENT, str(exc))
+    except DegenerateInput as exc:
+        return _fail(EXIT_DEGENERATE, str(exc))
+    except (OSError, ValueError, KeyError) as exc:
+        return _fail(EXIT_IO, str(exc))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numbers
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .features import (
     build_dataset,
     expanding_splits,
 )
-from .models import (  # fits are dispatched by name through MODELS
+from .models import (  # fits are called by name from this namespace; see ModelSpec.fit
+    MODELS,
     fit_arima,
     fit_forest,
     fit_huber,
@@ -126,27 +127,6 @@ def compute_metrics(predicted, actual) -> MetricReport:
                         mape=mape_value, n=len(actual),
                         skipped_zero_actuals=skipped)
 
-
-class ModelEntry(NamedTuple):
-    fit: str                 # name of the fit function in this module
-    options: dict[str, str]  # run-config option -> the fit keyword it sets
-    seeded: bool = False     # the fit takes a per-split ``seed``
-
-
-# The model kinds, in report order. Option defaults live in the fit
-# signatures. Fits are looked up by name when they run, so a function
-# swapped into this module's namespace takes effect.
-MODELS = {
-    "lasso": ModelEntry("fit_lasso", {"lambda": "lam", "intercept": "include_intercept"}),
-    "huber": ModelEntry("fit_huber", {"delta": "delta", "sigma": "sigma",
-                                      "intercept": "include_intercept"}),
-    "svr": ModelEntry("fit_svr_linear", {"c": "c_penalty", "epsilon": "epsilon"}),
-    "forest": ModelEntry("fit_forest", {"n_trees": "n_trees", "max_depth": "max_depth",
-                                        "min_leaf": "min_leaf", "bootstrap": "bootstrap",
-                                        "max_features": "max_features"},
-                         seeded=True),
-    "arima": ModelEntry("fit_arima", {"order": "order"}),
-}
 
 MODEL_KINDS = tuple(MODELS)
 

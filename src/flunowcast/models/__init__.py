@@ -30,18 +30,35 @@ __all__ = [
     "huber_loss", "huber_loss_gradient",
     "lasso_objective", "lasso_stationarity_violation",
     "dual_objective", "primal_objective",
-    "MODEL_CLASSES", "model_to_json", "model_from_json",
+    "ModelEntry", "MODELS", "MODEL_CLASSES", "model_to_json", "model_from_json",
 ]
 
 
-# kind -> fitted-model class; the JSON codec and the "kind" tag come from here
-MODEL_CLASSES = {
-    "lasso": LassoModel,
-    "huber": HuberModel,
-    "svr": SvrModel,
-    "forest": ForestModel,
-    "arima": ArimaModel,
+class ModelEntry(typing.NamedTuple):
+    fit: str                 # name of the fit function in this package
+    options: dict[str, str]  # run-config option -> the fit keyword it sets
+    seeded: bool = False     # the fit takes a per-split ``seed``
+
+
+# The model kinds, in report order. Option defaults live in the fit
+# signatures. Callers look fits up by name when they run, so a function
+# swapped into the caller's namespace takes effect.
+MODELS = {
+    "lasso": ModelEntry("fit_lasso", {"lambda": "lam", "intercept": "include_intercept"}),
+    "huber": ModelEntry("fit_huber", {"delta": "delta", "sigma": "sigma",
+                                      "intercept": "include_intercept"}),
+    "svr": ModelEntry("fit_svr_linear", {"c": "c_penalty", "epsilon": "epsilon"}),
+    "forest": ModelEntry("fit_forest", {"n_trees": "n_trees", "max_depth": "max_depth",
+                                        "min_leaf": "min_leaf", "bootstrap": "bootstrap",
+                                        "max_features": "max_features"},
+                         seeded=True),
+    "arima": ModelEntry("fit_arima", {"order": "order"}),
 }
+
+# kind -> fitted-model class, the return type of the kind's fit; the JSON
+# codec and the "kind" tag come from here
+MODEL_CLASSES = {kind: typing.get_type_hints(globals()[entry.fit])["return"]
+                 for kind, entry in MODELS.items()}
 
 _JSON_KEYS = {"lam": "lambda"}  # field -> JSON key, where the two differ
 

@@ -37,6 +37,7 @@ from ..errors import InsufficientHistory, NonConvergence, SeriesTooShort
 from ..series import WeeklySeries
 
 DEFAULT_ORDER = (3, 1, 2)
+TOL = 1e-8  # a kept Marquardt step lowering the CSS by at most this share ends the fit
 
 
 @dataclass
@@ -119,8 +120,7 @@ def css_gradient(z: np.ndarray, params: np.ndarray, p: int, q: int,
     return 2.0 * (jac @ e)
 
 
-def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER,
-              tol: float = 1e-8) -> ArimaModel:
+def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER) -> ArimaModel:
     """Minimize the conditional sum of squares by Marquardt steps.
 
     The start is an ordinary least-squares AR regression on the differenced
@@ -128,7 +128,7 @@ def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER,
     (J J' + lambda diag(J J')) delta = -J e and keeps the trial point only
     if its MA polynomial is invertible and its CSS is lower; otherwise
     lambda grows tenfold, and it shrinks tenfold after each kept step. The
-    fit stops after a kept step that lowers the CSS by at most ``tol`` of
+    fit stops after a kept step that lowers the CSS by at most ``TOL`` of
     itself, or when no step damped up to lambda = 1e10 lowers it (such a
     step could lower it by about 2 * n_params / lambda of itself at most),
     or after 500 kept steps. It raises ``NonConvergence`` unless the result
@@ -171,7 +171,7 @@ def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER,
             damping *= 10.0
         else:
             break  # no damped step inside the invertible region lowers the CSS
-        converged = css - trial_css <= tol * css
+        converged = css - trial_css <= TOL * css
         params, css, damping = trial, trial_css, damping / 10.0
         if converged:
             break

@@ -67,8 +67,6 @@ class ForestModel:
     bootstrap: bool
     seed: int
     n_features: int
-    train_y_min: float = 0.0
-    train_y_max: float = 0.0
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)
@@ -319,5 +317,4 @@ def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
                   min(max_features, p), seed)
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        min_leaf=min_leaf, max_features=max_features,
-                       bootstrap=bootstrap, seed=seed, n_features=p,
-                       train_y_min=float(y.min()), train_y_max=float(y.max()))
+                       bootstrap=bootstrap, seed=seed, n_features=p)

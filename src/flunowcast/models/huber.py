@@ -26,6 +26,10 @@ from .linear import linear_predict
 # consistent for Gaussian residuals.
 MAD_TO_SIGMA = 1.4826022185056018
 
+TOL = 1e-8        # relative change that ends the scale and IRLS loops
+MAX_ITER = 1000   # IRLS steps at the frozen scale
+SCALE_ITER = 100  # least-squares / MAD alternations while the scale settles
+
 
 @dataclass
 class HuberModel:
@@ -101,17 +105,15 @@ def _weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray,
 
 
 def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
-              include_intercept: bool = True, form: str = "doubled",
-              tol: float = 1e-8, max_iter: int = 1000,
-              scale_iter: int = 100) -> HuberModel:
+              include_intercept: bool = True, form: str = "doubled") -> HuberModel:
     """IRLS fit with an alternated robust scale.
 
     When ``sigma`` is not supplied, the fit alternates a weighted
     least-squares step with a MAD re-estimate of the scale until the scale
-    settles (or ``scale_iter`` alternations, whichever first; the MAD is a
+    settles (or ``SCALE_ITER`` alternations, whichever first; the MAD is a
     step function of the residuals, so a hard cap guarantees termination).
     The scale is then frozen and IRLS runs to a parameter change below
-    ``tol``, which for a fixed scale is a provably convergent descent.
+    ``TOL``, which for a fixed scale is a provably convergent descent.
     """
     if form not in ("doubled", "canonical"):
         raise ValueError(f"unknown loss form {form!r}")
@@ -130,7 +132,7 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
         sigma = _mad_scale(y - X @ beta - intercept)
         if sigma <= 0.0:
             sigma = max(float(np.std(y)), 1e-12)
-        for _ in range(scale_iter):
+        for _ in range(SCALE_ITER):
             a = (y - X @ beta - intercept) / sigma
             beta, intercept = _weighted_lstsq(X, y, _weights(a, delta, form),
                                               include_intercept)
@@ -139,12 +141,12 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
             if cand <= 1e-12 * max(1.0, float(np.abs(y).max())):
                 cand = float(np.std(resid))  # near-perfect fit: MAD collapses
             cand = max(cand, 1e-12)
-            settled = abs(cand - sigma) <= tol * max(1.0, sigma)
+            settled = abs(cand - sigma) <= TOL * max(1.0, sigma)
             sigma = cand
             if settled:
                 break
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         a = (y - X @ beta - intercept) / sigma
         new_beta, new_intercept = _weighted_lstsq(X, y, _weights(a, delta, form),
                                                   include_intercept)
@@ -155,7 +157,7 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
         param_scale = max(1.0, float(np.max(np.abs(new_beta))) if beta.size else 1.0,
                           abs(new_intercept))
         beta, intercept = new_beta, new_intercept
-        if step <= tol * param_scale:
+        if step <= TOL * param_scale:
             return HuberModel(beta=beta, intercept=intercept, sigma=float(sigma),
                               delta=delta)
-    raise NonConvergence(f"Huber IRLS did not settle within {max_iter} iterations")
+    raise NonConvergence(f"Huber IRLS did not settle within {MAX_ITER} iterations")

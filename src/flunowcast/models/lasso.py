@@ -20,7 +20,7 @@ outside the range of G_AA, the residual of that solve is a null direction
 along which the objective falls, and its zero crossings are candidates too.
 
 The only exit is the certificate: every subgradient optimality condition
-holds within ``tol`` of the problem scale.
+holds within ``TOL`` of the problem scale.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ import numpy as np
 
 from ..errors import NoData, NonConvergence
 from .linear import linear_predict
+
+TOL = 1e-8          # certificate: stationarity violation over the problem scale
+MAX_ITER = 100_000  # active-set steps
 
 
 @dataclass
@@ -92,13 +95,12 @@ def _line_search(gram, g, b, d, t_max, lam):
     return change[k], points[k]
 
 
-def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True,
-              tol: float = 1e-8, max_iter: int = 100_000) -> LassoModel:
-    """Exact LASSO fit; ``max_iter`` counts active-set steps.
+def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True) -> LassoModel:
+    """Exact LASSO fit.
 
     Returns once the stationarity violation on the centered problem is at
-    most ``tol * max(1, 2 max|X_c'y_c|)``; raises ``NonConvergence`` when
-    ``max_iter`` steps do not get there.
+    most ``TOL * max(1, 2 max|X_c'y_c|)``; raises ``NonConvergence`` when
+    ``MAX_ITER`` active-set steps do not get there.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -124,9 +126,9 @@ def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True,
                           lam=lam)
 
     gram = Xc.T @ Xc
-    threshold = tol * max(1.0, float(np.abs(2.0 * (Xc.T @ yc)).max()))
+    threshold = TOL * max(1.0, float(np.abs(2.0 * (Xc.T @ yc)).max()))
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         g = Xc.T @ (yc - Xc @ beta)
         viol = _violations(2.0 * g, beta, lam)
         if viol.max() <= threshold:
@@ -143,7 +145,7 @@ def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True,
                  for d, t_max in ((step, 1.0), (rhs - gram_a @ step, np.inf))]
         beta[active] = min(moves, key=lambda move: move[0])[1]
     else:
-        raise NonConvergence(f"active-set search did not certify in {max_iter} steps")
+        raise NonConvergence(f"active-set search did not certify in {MAX_ITER} steps")
 
     intercept = y_mean - float(x_mean @ beta) if include_intercept else 0.0
     return LassoModel(beta=beta, intercept=intercept, lam=lam)

@@ -21,6 +21,9 @@ import numpy as np
 from ..errors import NoData, NonConvergence
 from .linear import linear_predict
 
+TOL = 1e-6            # worst KKT pair violation at exit
+MAX_ITER = 1_000_000  # SMO pair updates
+
 
 @dataclass
 class SvrModel:
@@ -54,9 +57,8 @@ def dual_objective(model: SvrModel, X, y) -> float:
                  + y @ theta)
 
 
-def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1,
-                   tol: float = 1e-6, max_iter: int = 1_000_000) -> SvrModel:
-    """SMO on the dual; ``tol`` bounds the worst KKT pair violation."""
+def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrModel:
+    """SMO on the dual; ``TOL`` bounds the worst KKT pair violation."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
@@ -76,7 +78,7 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1,
     # Per-unit objective change of the four admissible moves. "up" moves
     # raise sum(theta) by 1, "down" moves lower it by 1; a step pairs one
     # of each so the equality constraint is preserved.
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         g_inc_a = s + epsilon - y          # d/d alpha_i (increase)
         g_dec_as = s - epsilon - y         # -d/d alpha*_i (decrease alpha*)
         up = np.where(alpha < c_penalty, g_inc_a, np.inf)
@@ -87,7 +89,7 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1,
         i = int(np.argmin(up))
         j = int(np.argmin(down))
         gain = up[i] + down[j]
-        if gain >= -tol:
+        if gain >= -TOL:
             break
         if i == j:
             # Only possible as (decrease alpha*, decrease alpha): both positive,
@@ -127,7 +129,7 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1,
             alpha[j] -= t
         s += t * (K[:, i] - K[:, j])
     else:
-        raise NonConvergence(f"SMO did not converge within {max_iter} pair updates")
+        raise NonConvergence(f"SMO did not converge within {MAX_ITER} pair updates")
 
     # Restore exact per-point complementarity (never worsens the objective).
     both = np.minimum(alpha, alpha_star)

@@ -15,7 +15,7 @@ any platform.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def gen_flu(config: SynthConfig) -> WeeklySeries:
                if config.peak_week_jitter > 0 else 0
                for _ in range(config.years)]
     t = np.arange(n, dtype=float)
-    values = np.full(n, config.baseline)
+    values = np.full(n, config.baseline, dtype=float)
     for season, jitter in enumerate(jitters):
         peak = season * WEEKS_PER_SEASON + config.peak_week_mean + jitter
         values += config.peak_scale * np.exp(
@@ -101,21 +101,14 @@ def gen_proxy(flu: WeeklySeries, config: ProxyConfig) -> WeeklySeries:
     return WeeklySeries(config.name, config.resource, flu.start, values)
 
 
-def flu_config_to_dict(config: SynthConfig) -> dict:
-    return {
-        "years": config.years, "baseline": config.baseline,
-        "peak_scale": config.peak_scale, "peak_week_mean": config.peak_week_mean,
-        "peak_week_jitter": config.peak_week_jitter,
-        "peak_width": config.peak_width, "noise_sd": config.noise_sd,
-        "seed": config.seed, "start": config.start.isoformat(),
-    }
+def config_to_dict(config: SynthConfig | ProxyConfig) -> dict:
+    """A generator config as JSON values: dates in ISO form, resources by
+    their tag, tuples as lists."""
+    def encode(value):
+        if isinstance(value, dt.date):
+            return value.isoformat()
+        if isinstance(value, ResourceKind):
+            return value.value
+        return list(value) if isinstance(value, tuple) else value
 
-
-def proxy_config_to_dict(config: ProxyConfig) -> dict:
-    return {
-        "name": config.name, "resource": config.resource.value,
-        "lead_weeks": config.lead_weeks, "gain": config.gain,
-        "noise_sd": config.noise_sd,
-        "dropout": list(config.dropout) if config.dropout else None,
-        "seed": config.seed,
-    }
+    return {f.name: encode(getattr(config, f.name)) for f in fields(config)}

@@ -89,6 +89,28 @@ class TestSynth:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--years", "0"], ["--proxies", "-1"]])
+    def test_invalid_generator_option_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "data"
+        assert run(["synth", *flags, "--seed", "1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_integer_config_values_equal_float_flags(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"years": 1, "proxies": 1, "baseline": 700,
+                                   "peak_scale": 2000, "noise_sd": 50,
+                                   "proxy_gain": 1, "proxy_noise": 10}),
+                       encoding="utf-8")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        assert run(["synth", "--years", "1", "--proxies", "1", "--baseline", "700",
+                    "--peak-scale", "2000", "--noise-sd", "50", "--proxy-gain", "1",
+                    "--proxy-noise", "10", "--out", tmp_path / "b"]) == 0
+        a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
+        # the manifests differ only in how they spell a number (700 and 700.0)
+        assert json.loads(a.pop("manifest.json")) == json.loads(b.pop("manifest.json"))
+        assert a == b
+
 
 class TestSelect:
     def test_exact_copy_selected(self, synth_dir, tmp_path, capsys):
@@ -120,6 +142,13 @@ class TestSelect:
                     "--candidates", short / "proxy_01.csv",
                     "--threshold", "0.5"])
         assert code == 3
+
+    def test_out_in_missing_directory_exits_2(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "sel.json"
+        assert run(["select", "--target", synth_dir / "flu.csv",
+                    "--candidates", synth_dir / "proxy_01.csv", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()
 
 
 # sha256 of backtest.json and ablation.json for the runs in the
@@ -339,7 +368,7 @@ class TestAblate:
         listed = tmp_path / "list.json"
         listed.write_text("[]", encoding="utf-8")
         for config in (tmp_path / "missing.json", broken, listed):
-            for command in ("backtest", "ablate"):
+            for command in ("backtest", "ablate", "synth", "select"):
                 assert run([command, "--config", config, "--out", tmp_path / "r"]) == 2
                 assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r").exists()

@@ -148,9 +148,13 @@ class TestModelSpec:
         ModelSpec("arima", {"order": (1, 0, 0)})
 
     def test_table_names_real_fit_keywords(self):
+        # every keyword of a fit, past its data arguments, is a run-config
+        # option; only the forest's per-split seed and Huber's loss form are not
         for entry in MODELS.values():
             params = inspect.signature(getattr(evaluation, entry.fit)).parameters
-            assert set(entry.options.values()) <= set(params)
+            keywords = {name for name, param in params.items()
+                        if param.default is not param.empty} - {"seed", "form"}
+            assert set(entry.options.values()) == keywords
             assert ("seed" in params) == entry.seeded
 
     def test_options_reach_the_fit(self):

@@ -64,9 +64,7 @@ class TestInvariants:
                                min_leaf=model.min_leaf,
                                max_features=model.max_features,
                                bootstrap=model.bootstrap, seed=model.seed,
-                               n_features=model.n_features,
-                               train_y_min=model.train_y_min,
-                               train_y_max=model.train_y_max)
+                               n_features=model.n_features)
         probe = X[:8]
         assert np.allclose(model.predict(probe), shuffled.predict(probe),
                            rtol=0, atol=1e-12)
