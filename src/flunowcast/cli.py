@@ -24,9 +24,11 @@ from .changepoint import BcpConfig, score_resource
 from .errors import AlignmentError, DegenerateInput, EmptyIntersection, FluNowcastError
 from .evaluation import (
     MODEL_KINDS,
+    AblationResult,
     ModelSpec,
     ablate,
     backtest,
+    check_type,
     drop_labels,
     result_to_dict,
     write_plot_csv,
@@ -65,18 +67,33 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _merged_options(args, flag_names) -> dict:
-    """The ``--config`` file's JSON object, if one is given, with each of
-    ``flag_names`` that was given on the command line written over it."""
+# The keys each command reads from its --config object or its flags, and
+# their types; a key that is also a flag of the command is taken from the flag.
+SYNTH_KEYS = {"years": int, "proxies": int, "baseline": float, "peak_scale": float,
+              "noise_sd": float, "proxy_lead": int, "proxy_gain": float,
+              "proxy_noise": float, "seed": int, "out": str}
+SELECT_KEYS = {"target": str, "candidates": list[str], "threshold": float, "out": str}
+RUN_KEYS = {"flu": str, "resources": dict[str, list[str]],
+            "thresholds": dict[str, float | None], "train_start": str,
+            "windows": list[dict[str, str]], "lag": dict[str, int], "signal_lag": int,
+            "model": str, "model_options": dict[str, dict], "seed": int, "out": str}
+
+
+def _merged_options(args, keys: dict) -> dict:
+    """The ``--config`` file's JSON object, if one is given, with each flag
+    among ``keys`` that was given on the command line written over it. Every
+    value of a key in ``keys`` must fit that key's type; other keys pass."""
     merged = {}
     if getattr(args, "config", None):
         merged = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(merged, dict):
             raise ValueError(f"{args.config}: a run config must be a JSON object")
-    for name in flag_names:
+    for name, hint in keys.items():
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
+        if name in merged:
+            check_type(repr(name), hint, merged[name])
     return merged
 
 
@@ -104,9 +121,7 @@ def _write_run(out, write, wrote: str, failures=(), failed: str = "") -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    opts = _merged_options(args, ["years", "proxies", "baseline", "peak_scale",
-                                  "noise_sd", "proxy_lead", "proxy_gain",
-                                  "proxy_noise", "seed", "out"])
+    opts = _merged_options(args, SYNTH_KEYS)
     if "out" not in opts:
         raise ValueError("synth needs --out (or an 'out' config entry)")
     n_proxies = opts.get("proxies", 4)
@@ -141,7 +156,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_select(args) -> int:
-    opts = _merged_options(args, ["target", "candidates", "threshold", "out"])
+    opts = _merged_options(args, SELECT_KEYS)
     if "target" not in opts or not opts.get("candidates"):
         raise ValueError("select needs --target and --candidates")
     target = read_series_csv(opts["target"], resource=ResourceKind.FLU_PATIENTS)
@@ -162,7 +177,7 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_run_config(args) -> dict:
-    config = _merged_options(args, ["seed", "model", "out"])
+    config = _merged_options(args, RUN_KEYS)
     config.setdefault("out", ".")
     config.setdefault("seed", 0)
     config.setdefault("model", "huber")
@@ -260,10 +275,15 @@ def cmd_ablate(args) -> int:
         return EXIT_BAD_DROP
     labels = drop_labels() if args.drop == "all" else [args.drop]
     config, run_args = _load_run(args)
+    # ARIMA reads no features, so one run of it is every label's row
+    arima = config["model"] == "arima"
     results, failures = _run_each(
-        "dropped", labels,
+        "dropped", labels[:1] if arima else labels,
         lambda label: ablate(spec=_model_spec(config, config["model"]), drop=label,
                              **run_args))
+    if arima:
+        results = [AblationResult(label, res.results) for res in results for label in labels]
+        failures = [{**fail, "dropped": label} for fail in failures for label in labels]
     rows = [{"dropped": res.dropped, "windows": [result_to_dict(r) for r in res.results]}
             for res in results]
     return _write_run(config["out"], lambda out: _dump_json(rows, out / "ablation.json"),

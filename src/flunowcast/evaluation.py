@@ -132,18 +132,31 @@ MODEL_KINDS = tuple(MODELS)
 
 
 def _admits(hint, value) -> bool:
-    """Whether a run-config value fits a fit keyword's type hint: any real
-    number for a float, a JSON list for a tuple, never a bool for a number."""
+    """Whether a config value fits a type hint: any finite real number for a
+    float, a JSON list for a tuple or a list, a JSON object for a dict, never
+    a bool for a number."""
     if isinstance(hint, types.UnionType):
         return any(_admits(member, value) for member in get_args(hint))
-    if get_origin(hint) is tuple:
-        members = get_args(hint)
+    origin, members = get_origin(hint), get_args(hint)
+    if origin is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == len(members)
                 and all(map(_admits, members, value)))
+    if origin is list:
+        return isinstance(value, list) and all(_admits(members[0], v) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _admits(members[0], k) and _admits(members[1], v) for k, v in value.items())
     if hint is bool:
         return isinstance(value, bool)
     kind = {float: numbers.Real, int: numbers.Integral}.get(hint, hint)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (not isinstance(value, float) or bool(np.isfinite(value))))
+
+
+def check_type(name: str, hint, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` fits ``hint``."""
+    if not _admits(hint, value):
+        raise ValueError(f"{name} must be {inspect.formatannotation(hint)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,10 +183,7 @@ class ModelSpec:
         # the hints of the package's own fit, not of a wrapper put in its place
         hints = get_type_hints(getattr(models, MODELS[self.kind].fit))
         for name, value in self.options.items():
-            hint = hints[accepted[name]]
-            if not _admits(hint, value):
-                raise ValueError(f"{self.kind} option {name!r} must be "
-                                 f"{inspect.formatannotation(hint)}, got {value!r}")
+            check_type(f"{self.kind} option {name!r}", hints[accepted[name]], value)
 
     def fit(self, *data, seed: int = 0):
         """Fit this kind's model on ``data``: (X, y), or for ARIMA the

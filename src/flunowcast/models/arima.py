@@ -34,7 +34,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dtbtrs
 
 from ..errors import InsufficientHistory, NonConvergence, SeriesTooShort
-from ..series import WeeklySeries
 
 DEFAULT_ORDER = (3, 1, 2)
 TOL = 1e-8  # a kept Marquardt step lowering the CSS by at most this share ends the fit
@@ -55,9 +54,10 @@ class ArimaModel:
 
 
 def _values(series) -> np.ndarray:
-    if isinstance(series, WeeklySeries):
-        return np.asarray(series.values, dtype=float)
-    return np.asarray(series, dtype=float)
+    values = np.asarray(getattr(series, "values", series), dtype=float)  # series or array
+    if not np.isfinite(values).all():
+        raise ValueError("ARIMA needs a finite series")
+    return values
 
 
 def _lags(x: np.ndarray, k: int) -> np.ndarray:
@@ -132,7 +132,8 @@ def fit_arima(series, order: tuple[int, int, int] = DEFAULT_ORDER) -> ArimaModel
     itself, or when no step damped up to lambda = 1e10 lowers it (such a
     step could lower it by about 2 * n_params / lambda of itself at most),
     or after 500 kept steps. It raises ``NonConvergence`` unless the result
-    has a finite CSS no larger than the start's and a finite gradient.
+    has a finite CSS no larger than the start's and a finite gradient. A
+    negative order or a non-finite value raises ``ValueError`` before any step.
     """
     y = _values(series)
     order = tuple(order)  # a run config supplies a JSON list

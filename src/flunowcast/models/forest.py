@@ -43,8 +43,8 @@ from itertools import compress
 
 import numpy as np
 
-from ..errors import NoData, ShapeMismatch
 from ..rng import derive_seed, multiply_shift, next_u64s, stream_states
+from .linear import fit_data, predict_rows
 
 _TIE_EPS = 1e-12
 _INF_BITS = np.int64(0x7FF0000000000000)  # bit pattern of +inf
@@ -69,12 +69,7 @@ class ForestModel:
     n_features: int
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        one_row = X.ndim == 1
-        if one_row:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise ShapeMismatch(f"model has {self.n_features} features, X has {X.shape[1]}")
+        X, one_row = predict_rows(X, self.n_features)
         out = np.empty(X.shape[0])
         for i in range(X.shape[0]):
             out[i] = sum(_leaf_value(t, X[i]) for t in self.trees) / len(self.trees)
@@ -293,24 +288,16 @@ def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
     """Grow ``n_trees`` deterministic CART trees; default feature subsample
     per split is ceil(p / 3).
 
-    Needs ``n_trees >= 1``, ``min_leaf >= 1``, ``max_features >= 1`` and
-    ``max_depth >= 0`` where given, and finite ``X`` and ``y``; otherwise
-    ``ValueError``.
+    Needs ``n_trees``, ``min_leaf`` and ``max_features`` >= 1 and ``max_depth``
+    >= 0 where given, and 1+ rows that ``fit_data`` takes.
     """
     for name, value, low in (("n_trees", n_trees, 1), ("min_leaf", min_leaf, 1),
                              ("max_features", max_features, 1),
                              ("max_depth", max_depth, 0)):
         if value is not None and value < low:
             raise ValueError(f"fit_forest needs {name} >= {low}, got {value}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, p = X.shape
-    if n == 0:
-        raise NoData("fit_forest needs at least one row")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("fit_forest needs finite X and y")
+    X, y = fit_data(X, y, "fit_forest", 1)
+    p = X.shape[1]
     if max_features is None:
         max_features = max(1, math.ceil(p / 3)) if p else 1
     trees = _grow(X, y, n_trees, max_depth, min_leaf, bootstrap,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoData, NonConvergence
-from .linear import linear_predict
+from ..errors import NonConvergence
+from .linear import fit_data, linear_predict
 
 # MAD of a standard normal is 1/1.4826...; this factor makes the estimate
 # consistent for Gaussian residuals.
@@ -65,8 +65,7 @@ def loss_gradient(X, y, beta, intercept: float, sigma: float,
     branch (half that for the canonical form); both branches agree at
     |a| = delta, so the loss is C^1 everywhere.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = fit_data(X, y, "loss_gradient", 0)
     beta = np.asarray(beta, dtype=float)
     a = (y - X @ beta - intercept) / sigma
     psi = np.where(np.abs(a) <= delta, 2.0 * a, 2.0 * delta * np.sign(a))
@@ -113,17 +112,15 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
     settles (or ``SCALE_ITER`` alternations, whichever first; the MAD is a
     step function of the residuals, so a hard cap guarantees termination).
     The scale is then frozen and IRLS runs to a parameter change below
-    ``TOL``, which for a fixed scale is a provably convergent descent.
+    ``TOL``, which for a fixed scale is a provably convergent descent. Needs finite
+    ``delta`` > 0, ``sigma`` None or finite > 0, and 2+ rows that ``fit_data`` takes.
     """
     if form not in ("doubled", "canonical"):
         raise ValueError(f"unknown loss form {form!r}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n = X.shape[0]
-    if n < 2:
-        raise NoData("fit_huber needs at least 2 rows")
+    if not (np.isfinite(delta) and delta > 0
+            and (sigma is None or np.isfinite(sigma) and sigma > 0)):
+        raise ValueError(f"need finite delta > 0 and sigma None or > 0, got {delta=}, {sigma=}")
+    X, y = fit_data(X, y, "fit_huber", 2)
 
     beta = np.zeros(X.shape[1])
     intercept = float(np.median(y)) if include_intercept else 0.0

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoData, NonConvergence
-from .linear import linear_predict
+from ..errors import NonConvergence
+from .linear import fit_data, linear_predict
 
 TOL = 1e-8          # certificate: stationarity violation over the problem scale
 MAX_ITER = 100_000  # active-set steps
@@ -100,17 +100,12 @@ def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True) -> LassoMo
 
     Returns once the stationarity violation on the centered problem is at
     most ``TOL * max(1, 2 max|X_c'y_c|)``; raises ``NonConvergence`` when
-    ``MAX_ITER`` active-set steps do not get there.
+    ``MAX_ITER`` active-set steps do not get there. Needs a finite ``lam`` >= 0
+    and 1+ rows that ``fit_data`` takes.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, p = X.shape
-    if n == 0:
-        raise NoData("fit_lasso needs at least one row")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    X, y = fit_data(X, y, "fit_lasso", 1)
 
     if include_intercept:
         x_mean = X.mean(axis=0)
@@ -120,8 +115,8 @@ def fit_lasso(X, y, lam: float = 1.0, include_intercept: bool = True) -> LassoMo
     else:
         Xc, yc = X, y
 
-    beta = np.zeros(p)
-    if p == 0:
+    beta = np.zeros(X.shape[1])
+    if beta.size == 0:
         return LassoModel(beta=beta, intercept=y_mean if include_intercept else 0.0,
                           lam=lam)
 

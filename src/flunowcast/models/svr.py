@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NoData, NonConvergence
-from .linear import linear_predict
+from ..errors import NonConvergence
+from .linear import fit_data, linear_predict
 
 TOL = 1e-6            # worst KKT pair violation at exit
 MAX_ITER = 1_000_000  # SMO pair updates
@@ -40,8 +40,7 @@ class SvrModel:
 
 def primal_objective(model: SvrModel, X, y) -> float:
     """1/2 ||w||^2 + C * sum of epsilon-insensitive slacks."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = fit_data(X, y, "primal_objective", 0)
     f = X @ model.weights + model.bias
     slack = np.maximum(0.0, np.abs(y - f) - model.epsilon)
     return float(0.5 * model.weights @ model.weights + model.c_penalty * slack.sum())
@@ -49,8 +48,7 @@ def primal_objective(model: SvrModel, X, y) -> float:
 
 def dual_objective(model: SvrModel, X, y) -> float:
     """Value of the maximized dual at the stored multipliers."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = fit_data(X, y, "dual_objective", 0)
     theta = model.alphas - model.alpha_stars
     w = X.T @ theta
     return float(-0.5 * w @ w - model.epsilon * (model.alphas + model.alpha_stars).sum()
@@ -58,16 +56,12 @@ def dual_objective(model: SvrModel, X, y) -> float:
 
 
 def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrModel:
-    """SMO on the dual; ``TOL`` bounds the worst KKT pair violation."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    """SMO on the dual; ``TOL`` bounds the worst KKT pair violation. Needs finite
+    ``c_penalty`` > 0, finite ``epsilon`` >= 0, and 1+ rows that ``fit_data`` takes."""
+    if not (np.isfinite(c_penalty) and c_penalty > 0 and np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"need finite C > 0 and epsilon >= 0, got {c_penalty=}, {epsilon=}")
+    X, y = fit_data(X, y, "fit_svr_linear", 1)
     n = X.shape[0]
-    if n == 0:
-        raise NoData("fit_svr_linear needs at least one row")
-    if c_penalty <= 0 or epsilon < 0:
-        raise ValueError("need C > 0 and epsilon >= 0")
 
     K = X @ X.T
     diag = np.diag(K).copy()

@@ -2,13 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
 import flunowcast
+from flunowcast import evaluation
 from flunowcast.cli import main
+from flunowcast.evaluation import MODELS, drop_labels
 
 
 def run(argv):
@@ -259,6 +262,28 @@ class TestBacktest:
         report = json.loads((out / "backtest.json").read_text())
         assert [r["model"] for r in report] == ["huber", "svr", "arima"]
 
+    @pytest.mark.parametrize("options, kind, key", [
+        ({"lasso": {"lambda": float("nan")}}, "lasso", "lambda"),
+        ({"svr": {"c": float("inf")}}, "svr", "'c'"),
+        ({"huber": {"delta": 0}}, "huber", "delta"),
+    ])
+    def test_option_out_of_range_fails_its_model_at_once(self, synth_dir, tmp_path,
+                                                         options, kind, key):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
+            model_options={**options, "forest": {"n_trees": 5}})
+        out = tmp_path / "results"
+        start = time.perf_counter()
+        assert run(["backtest", "--config", config, "--model", "all",
+                    "--out", out]) == 4
+        assert time.perf_counter() - start < 10.0
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["model"] for f in failures] == [kind]
+        assert key in failures[0]["error"]
+        report = json.loads((out / "backtest.json").read_text())
+        assert [r["model"] for r in report] == [k for k in MODELS if k != kind]
+
     def test_bad_forest_option_keeps_other_models_and_exits_4(self, synth_dir,
                                                               tmp_path):
         config = write_run_config(
@@ -346,6 +371,35 @@ class TestAblate:
         failures = json.loads((out / "failures.json").read_text())
         assert [f["dropped"] for f in failures] == \
             ["none", "search", "social", "shopping", "qa", "past"]
+
+    def test_arima_runs_once_for_all_six_rows(self, synth_dir, tmp_path, monkeypatch):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir, model="arima",
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}])
+        back_out, abl_out = tmp_path / "back", tmp_path / "abl"
+        assert run(["backtest", "--config", config, "--out", back_out]) == 0
+        fits = []
+        fit_arima = evaluation.fit_arima
+        monkeypatch.setattr(evaluation, "fit_arima",
+                            lambda *args, **kw: fits.append(1) or fit_arima(*args, **kw))
+        assert run(["ablate", "--config", config, "--drop", "all", "--out", abl_out]) == 0
+        assert len(fits) == 2  # one per week of the window
+        back = json.loads((back_out / "backtest.json").read_text())
+        rows = json.loads((abl_out / "ablation.json").read_text())
+        assert [r["dropped"] for r in rows] == drop_labels()
+        assert all(r["windows"] == back for r in rows)
+
+    def test_failing_arima_fails_each_row(self, synth_dir, tmp_path):
+        # the panel ends 2018-09-17, so the window's last week has no actual
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir, model="arima",
+            windows=[{"start": "2018-09-10", "end": "2018-09-24"}])
+        out = tmp_path / "results"
+        assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 4
+        assert json.loads((out / "ablation.json").read_text()) == []
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["dropped"] for f in failures] == drop_labels()
+        assert len({f["error"] for f in failures}) == 1
 
     def test_wrongly_typed_model_option_fails_each_row_and_exits_4(
             self, synth_dir, tmp_path):
@@ -525,6 +579,41 @@ class TestChangepoint:
                     "--iterations", "20", "--burn-in", "2",
                     "--out", tmp_path / "cp"]) == 6
         assert "zero variance" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, entry", [
+        ("synth", {"years": "2"}),
+        ("synth", {"proxy_lead": "2"}),
+        ("synth", {"noise_sd": float("nan")}),
+        ("backtest", {"seed": "1"}),
+        ("backtest", {"seed": 1.5}),
+        ("backtest", {"signal_lag": "2"}),
+        ("backtest", {"signal_lag": 2.5}),
+        ("backtest", {"lag": {"min": "2"}}),
+        ("backtest", {"lag": {"min": 2.0}}),
+        ("backtest", {"thresholds": {"search": "0.7"}}),
+        ("backtest", {"thresholds": {"social": float("inf")}}),
+        ("backtest", {"train_start": 5}),
+        ("backtest", {"windows": "x"}),
+        ("backtest", {"resources": {"search": "data/proxy_01.csv"}}),
+        ("ablate", {"seed": "1"}),
+        ("select", {"candidates": "data/proxy_01.csv"}),
+    ])
+    def test_wrongly_typed_value_exits_2_and_writes_nothing(self, synth_dir, tmp_path,
+                                                            capsys, command, entry):
+        config = tmp_path / "config.json"
+        if command in ("backtest", "ablate"):
+            base = json.loads(write_run_config(config, synth_dir).read_text())
+        else:
+            base = {"target": str(synth_dir / "flu.csv")} if command == "select" else {}
+        config.write_text(json.dumps({**base, **entry}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(next(iter(entry))) in err[0]
+        assert not out.exists()
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():

@@ -132,6 +132,9 @@ class TestModelSpec:
         ("forest", {"max_depth": True}),
         ("arima", {"order": [3, 1]}),
         ("arima", {"order": ["3", 1, 2]}),
+        ("lasso", {"lambda": float("nan")}),
+        ("svr", {"c": float("inf")}),
+        ("huber", {"sigma": float("-inf")}),
     ])
     def test_wrongly_typed_option_rejected(self, kind, options):
         key = next(iter(options))
