@@ -78,14 +78,20 @@ class AblationResult:
     results: list[BacktestResult]
 
 
-def r2(predicted, actual) -> float:
-    """Coefficient of determination, 1 - SSres/SStot."""
+def _pair(predicted, actual, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (predicted, actual) pair as float arrays of one length, at least ``min_points``."""
     f = np.asarray(predicted, dtype=float)
     a = np.asarray(actual, dtype=float)
     if f.size != a.size:
         raise ValueError("length mismatch")
-    if a.size < 2:
-        raise ValueError("need at least 2 points")
+    if a.size < min_points:
+        raise ValueError(f"need at least {min_points} point{'s' if min_points > 1 else ''}")
+    return f, a
+
+
+def r2(predicted, actual) -> float:
+    """Coefficient of determination, 1 - SSres/SStot."""
+    f, a = _pair(predicted, actual, 2)
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
         raise DegenerateActuals("constant actuals leave R^2 undefined")
@@ -94,12 +100,7 @@ def r2(predicted, actual) -> float:
 
 
 def mae(predicted, actual) -> float:
-    f = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    if f.size != a.size:
-        raise ValueError("length mismatch")
-    if a.size < 1:
-        raise ValueError("need at least 1 point")
+    f, a = _pair(predicted, actual, 1)
     return float(np.mean(np.abs(f - a)))
 
 
@@ -109,10 +110,7 @@ def mape(predicted, actual) -> tuple[float, int]:
     Returns (percentage, number of skipped zero-actual points); raises
     AllActualsZero when no point is usable.
     """
-    f = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    if f.size != a.size:
-        raise ValueError("length mismatch")
+    f, a = _pair(predicted, actual, 0)
     usable = a != 0.0
     skipped = int((~usable).sum())
     if not usable.any():
@@ -285,8 +283,7 @@ def ablate(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
     features, runs its plain backtest under every label.
     """
     if drop not in drop_labels():
-        ResourceKind.from_tag(drop)  # an unknown tag raises here
-        raise ValueError("drop the flu history with 'past', not a resource tag")
+        raise ValueError(f"drop must be one of {drop_labels()}")
     dataset = None
     if spec.kind != "arima":
         full = build_dataset(panel, selected, lag_spec, signal_lag,

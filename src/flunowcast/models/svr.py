@@ -5,11 +5,14 @@ Solves the standard dual
     min  1/2 (a - a*)^T K (a - a*) + eps * sum(a + a*) - y^T (a - a*)
     s.t. sum(a - a*) = 0,   0 <= a_i, a*_i <= C
 
-by sequential minimal optimization on the maximal violating pair. With the
-linear kernel the weight vector collapses to w = sum_i (a_i - a*_i) x_i and
-predictions are f(x) = w.x + b. Complementarity a_i * a*_i = 0 is restored
-exactly after convergence (subtracting min(a_i, a*_i) from both never
-increases the objective), and the bias is recovered from the KKT interval.
+by sequential minimal optimization on the maximal violating pair. The loop
+has two exits: the pair's gain reaches -TOL (certified), or MAX_ITER pair
+updates pass (``NonConvergence``). Every step it takes is positive, so it
+needs no other. With the linear kernel the weight vector collapses to
+w = sum_i (a_i - a*_i) x_i and predictions are f(x) = w.x + b.
+Complementarity a_i * a*_i = 0 is restored exactly after convergence
+(subtracting min(a_i, a*_i) from both never increases the objective), and
+the bias is recovered from the KKT interval.
 """
 
 from __future__ import annotations
@@ -87,15 +90,16 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrMod
             break
         if i == j:
             # Only possible as (decrease alpha*, decrease alpha): both positive,
-            # objective slope -2*eps. Shrink the common mass and move on.
+            # objective slope -2*eps. The other three pairings of one point
+            # sum to 0 or more. Shrink the common mass and move on.
             shrink = min(alpha[i], alpha_star[i])
-            if shrink <= 0.0:
-                break
             alpha[i] -= shrink
             alpha_star[i] -= shrink
             continue
 
         # theta_i moves +t, theta_j moves -t; choose which variable carries it.
+        # Each cap is positive: C - alpha with alpha < C, or a multiplier
+        # that is > 0 because it offered the finite up[i] or down[j].
         use_a_i = alpha[i] < c_penalty and g_inc_a[i] <= (
             g_dec_as[i] if alpha_star[i] > 0.0 else np.inf)
         use_as_j = alpha_star[j] < c_penalty and -g_dec_as[j] <= (
@@ -104,14 +108,7 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrMod
         cap_i = (c_penalty - alpha[i]) if use_a_i else alpha_star[i]
         cap_j = (c_penalty - alpha_star[j]) if use_as_j else alpha[j]
         eta = diag[i] + diag[j] - 2.0 * K[i, j]
-        if eta <= 1e-300:
-            t = min(cap_i, cap_j)
-            if t <= 0.0:
-                break
-        else:
-            t = min(-gain / eta, cap_i, cap_j)
-        if t <= 0.0:
-            break
+        t = min(cap_i, cap_j) if eta <= 1e-300 else min(-gain / eta, cap_i, cap_j)
 
         if use_a_i:
             alpha[i] += t
@@ -139,33 +136,27 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrMod
 
 def _recover_bias(wx: np.ndarray, y: np.ndarray, alpha: np.ndarray,
                   alpha_star: np.ndarray, c: float, epsilon: float) -> float:
-    """KKT bias: average over interior points, else feasible-interval midpoint."""
+    """KKT bias: average over interior points, else feasible-interval midpoint.
+
+    Column 0 of the (n x 2) arrays is each point's alpha side, column 1 its
+    alpha* side. A side at 0 bounds b from below on the alpha side and from
+    above on the alpha* side; a side at C does the reverse. Every point has
+    a side at 0 after complementarity, so at least one bound is finite.
+    """
     bound_slack = 1e-9 * max(1.0, c)
-    interior = []
-    lo, hi = -np.inf, np.inf
-    for i in range(y.size):
-        b_up = y[i] - wx[i] - epsilon   # alpha side
-        b_dn = y[i] - wx[i] + epsilon   # alpha* side
-        if alpha[i] > bound_slack:
-            if alpha[i] < c - bound_slack:
-                interior.append(b_up)
-            else:
-                hi = min(hi, b_up)
-        else:
-            lo = max(lo, b_up)
-        if alpha_star[i] > bound_slack:
-            if alpha_star[i] < c - bound_slack:
-                interior.append(b_dn)
-            else:
-                lo = max(lo, b_dn)
-        else:
-            hi = min(hi, b_dn)
-    if interior:
-        return float(np.mean(interior))
-    if np.isfinite(lo) and np.isfinite(hi):
-        return float((lo + hi) / 2.0)
-    if np.isfinite(lo):
-        return float(lo)
-    if np.isfinite(hi):
-        return float(hi)
-    return 0.0
+    margin = y - wx
+    b = np.column_stack([margin - epsilon, margin + epsilon])
+    sides = np.column_stack([alpha, alpha_star])
+    free = sides > bound_slack
+    interior = free & (sides < c - bound_slack)
+    if interior.any():
+        return float(np.mean(b[interior]))
+    at_c = free & ~interior
+    alpha_side = np.array([True, False])
+    lo = float(b[np.where(alpha_side, ~free, at_c)].max(initial=-np.inf))
+    hi = float(b[np.where(alpha_side, at_c, ~free)].min(initial=np.inf))
+    if not np.isfinite(hi):
+        return lo
+    if not np.isfinite(lo):
+        return hi
+    return (lo + hi) / 2.0

@@ -36,13 +36,6 @@ class ResourceKind(enum.Enum):
     SHOPPING = "shopping"
     QA_SERVICE = "qa"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "ResourceKind":
-        for kind in cls:
-            if kind.value == tag:
-                return kind
-        raise ValueError(f"unknown resource tag {tag!r}")
-
 
 # UGC resources in canonical feature order (flu lags are handled separately).
 UGC_RESOURCES = (

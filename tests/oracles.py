@@ -111,6 +111,40 @@ def svr_projected_gradient(X, y, c_penalty: float, epsilon: float,
     return best
 
 
+def svr_recover_bias_loop(wx, y, alpha, alpha_star, c: float, epsilon: float) -> float:
+    """KKT bias point by point: the mean of the interior sides' b, else the
+    midpoint (or the one finite end) of the interval the bound sides allow."""
+    bound_slack = 1e-9 * max(1.0, c)
+    interior = []
+    lo, hi = -np.inf, np.inf
+    for i in range(y.size):
+        b_up = y[i] - wx[i] - epsilon   # alpha side
+        b_dn = y[i] - wx[i] + epsilon   # alpha* side
+        if alpha[i] > bound_slack:
+            if alpha[i] < c - bound_slack:
+                interior.append(b_up)
+            else:
+                hi = min(hi, b_up)
+        else:
+            lo = max(lo, b_up)
+        if alpha_star[i] > bound_slack:
+            if alpha_star[i] < c - bound_slack:
+                interior.append(b_dn)
+            else:
+                lo = max(lo, b_dn)
+        else:
+            hi = min(hi, b_dn)
+    if interior:
+        return float(np.mean(interior))
+    if np.isfinite(lo) and np.isfinite(hi):
+        return float((lo + hi) / 2.0)
+    if np.isfinite(lo):
+        return float(lo)
+    if np.isfinite(hi):
+        return float(hi)
+    return 0.0
+
+
 def yule_walker_ar(x, order: int) -> np.ndarray:
     """Textbook Yule-Walker AR coefficients from sample autocovariances."""
     x = np.asarray(x, dtype=float)

@@ -4,8 +4,9 @@
 up, and its certificate recorders read the arguments of the fits they wrap.
 A rename or a signature change there only fails the traced benchmark run,
 with ``HookError`` or a binding error; these cases run the same tracer on
-two small CLI commands so the suite fails first. The tracer is imported
-from its file and used as it is.
+two small CLI commands so the suite fails first. The backtest case also
+checks the solver certificates the tracer records on its fits. The tracer
+is imported from its file and used as it is.
 """
 
 import contextlib
@@ -69,6 +70,12 @@ def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
     metrics, _ = tracer.metrics()
     assert metrics["forest.nodes"] > 0
     assert metrics["lasso.fits"] == metrics["huber.fits"] == metrics["svr.fits"] == 2
+    # each solver's certificate on these real backtest fits: LASSO's stopping
+    # bound, and for Huber's gradient and SVR's duality gap bounds far above
+    # what a converged fit reads here (about 2e-9 and 1e-12)
+    assert metrics["lasso.kkt_rel_max"] < 1e-8
+    assert metrics["huber.grad_rel_max"] < 1e-6
+    assert metrics["svr.gap_rel_max"] < 1e-6
 
 
 def test_changepoint_calls_every_required_hook(tracing, data_dir, tmp_path):

@@ -85,6 +85,21 @@ class TestMetrics:
         with pytest.raises(AllActualsZero):
             mape([1.0, 2.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("metric, predicted, actual, error, message", [
+        (r2, [1.0, 2.0], [1.0], ValueError, "length mismatch"),
+        (mae, [1.0, 2.0], [1.0], ValueError, "length mismatch"),
+        (mape, [1.0, 2.0], [1.0], ValueError, "length mismatch"),
+        (compute_metrics, [1.0, 2.0], [1.0], ValueError, "length mismatch"),
+        (r2, [1.0], [1.0], ValueError, "need at least 2 points"),
+        (compute_metrics, [1.0], [1.0], ValueError, "need at least 2 points"),
+        (mae, [], [], ValueError, "need at least 1 point$"),
+        (mape, [], [], AllActualsZero, "every actual value is zero"),
+        (compute_metrics, [1.0], [0.0], AllActualsZero, "every actual value is zero"),
+    ])
+    def test_bad_pair_raises_in_order(self, metric, predicted, actual, error, message):
+        with pytest.raises(error, match=message):
+            metric(predicted, actual)
+
     def test_report_recompute_bitwise(self):
         rs = np.random.RandomState(0)
         actual = rs.uniform(10, 100, 30)
@@ -348,7 +363,7 @@ class TestAblate:
     def test_unknown_label(self):
         panel, selected = informative_panel()
         plan = short_plan(panel, length=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"drop must be one of \['none', 'search'"):
             ablate(panel, selected, ModelSpec("huber"), plan, drop="flu")
 
 

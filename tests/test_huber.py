@@ -92,10 +92,15 @@ class TestFit:
         assert abs(a.beta[0] - b.beta[0]) < 1e-6
         assert abs(a.intercept - b.intercept) < 1e-6
 
-    def test_unknown_form_rejected(self):
+    @pytest.mark.parametrize("call", [
+        lambda X, y: huber_loss(y, sigma=1.0, form="bogus"),
+        lambda X, y: huber_loss_gradient(X, y, np.zeros(1), 0.0, 1.0, form="bogus"),
+        lambda X, y: fit_huber(X, y, form="bogus"),
+    ], ids=["loss", "loss_gradient", "fit_huber"])
+    def test_unknown_form_rejected(self, call):
         X, y = outlier_dataset(seed=21)
         with pytest.raises(ValueError, match="unknown loss form 'bogus'"):
-            fit_huber(X, y, form="bogus")
+            call(X, y)
 
     def test_fixed_sigma_respected(self):
         X, y = outlier_dataset(seed=4)

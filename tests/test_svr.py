@@ -10,7 +10,9 @@ from flunowcast.models import (
     primal_objective,
 )
 
-from oracles import svr_projected_gradient
+from flunowcast.models.svr import _recover_bias
+
+from oracles import svr_projected_gradient, svr_recover_bias_loop
 
 
 def random_problem(seed, n=15, p=2):
@@ -72,6 +74,80 @@ class TestOptimality:
         model = fit_svr_linear(X, y)
         theta = model.alphas - model.alpha_stars
         assert np.abs(model.weights - X.T @ theta).max() < 1e-12
+
+
+class TestDuplicateRows:
+    """Duplicated rows make pairs whose kernel curvature eta is exactly 0;
+    SMO then steps to the nearer cap instead of the Newton step."""
+
+    def test_constant_feature(self):
+        # every pair has eta = 0; the optimum is w = 0 and b = the median
+        X = np.ones((5, 1))
+        y = np.arange(5.0)
+        model = fit_svr_linear(X, y, c_penalty=1.0, epsilon=0.1)
+        assert model.weights[0] == 0.0
+        assert model.bias == pytest.approx(2.0, abs=1e-12)
+        assert primal_objective(model, X, y) == pytest.approx(5.6, abs=1e-12)
+        assert dual_objective(model, X, y) == pytest.approx(5.6, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_duality_gap_and_complementarity(self, seed):
+        # three distinct rows, four copies each; every seed here takes at
+        # least one eta = 0 step
+        rs = np.random.RandomState(seed)
+        X = np.repeat(rs.normal(size=(3, 2)), 4, axis=0)
+        y = X @ rs.normal(size=2) + rs.normal(0, 1.0, 12)
+        model = fit_svr_linear(X, y, c_penalty=1.0, epsilon=0.1)
+        p_obj = primal_objective(model, X, y)
+        d_obj = dual_objective(model, X, y)
+        assert d_obj <= p_obj + 1e-9
+        assert p_obj - d_obj < 1e-3 * max(abs(p_obj), 1e-12)
+        assert float(np.max(model.alphas * model.alpha_stars)) <= 1e-6
+
+
+def bias_case(kind, seed, n=40, c=2.0):
+    """Margins spread over six decades and multipliers that reach one branch
+    of the bias."""
+    rs = np.random.RandomState(seed)
+    wx, y = rs.normal(0, 3, (2, n)) * 10.0 ** rs.uniform(-3, 3, (2, n))
+    zeros, at_c = np.zeros(n), np.full(n, c)
+    if kind == "interior":  # zeros and interior values, on both sides of a point too
+        alpha, alpha_star = rs.uniform(0.0, c, (2, n)) * rs.randint(0, 2, (2, n))
+    elif kind == "bounds":  # 0 or C on one side, 0 on the other; some right at the slack
+        slack = 1e-9 * c
+        side = rs.choice([0.0, slack, c - slack, c], n)
+        on_alpha = rs.randint(0, 2, n).astype(bool)
+        alpha, alpha_star = np.where(on_alpha, side, 0.0), np.where(on_alpha, 0.0, side)
+    elif kind == "zero":
+        alpha, alpha_star = zeros, zeros
+    elif kind == "lower_only":  # alpha at 0, alpha* at C: every side bounds b from below
+        alpha, alpha_star = zeros, at_c
+    else:  # "upper_only": alpha at C, alpha* at 0: every side bounds b from above
+        alpha, alpha_star = at_c, zeros
+    return wx, y, alpha, alpha_star, c
+
+
+class TestRecoverBias:
+    """The masked KKT bias equals the per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["interior", "bounds", "zero", "lower_only", "upper_only"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.25])
+    def test_matches_loop(self, kind, seed, epsilon):
+        wx, y, alpha, alpha_star, c = bias_case(kind, seed)
+        got = _recover_bias(wx, y, alpha, alpha_star, c, epsilon)
+        want = svr_recover_bias_loop(wx, y, alpha, alpha_star, c, epsilon)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("c", [0.05, 1.0, 100.0])
+    def test_matches_loop_on_fits(self, c):
+        for seed in range(5):
+            X, y = random_problem(seed)
+            model = fit_svr_linear(X, y, c_penalty=c, epsilon=0.1)
+            want = svr_recover_bias_loop(X @ model.weights, y, model.alphas,
+                                         model.alpha_stars, c, 0.1)
+            assert np.float64(model.bias).tobytes() == np.float64(want).tobytes()
 
 
 class TestEdges:
