@@ -45,19 +45,20 @@ The two one-dimensional integrals reduce to incomplete-beta closed forms
 parameter corners where the regularized incomplete beta under- or
 overflows. The closed forms call ``betainc`` and ``betaln`` through
 ``scipy.special.cython_special``, the scalar entry points of the same C
-routines, which skip the ufunc's per-call dispatch. Tests cross-check both
-routes against direct quadrature of the raw integrands.
+routines, which skip the ufunc's per-call dispatch. They are bound on
+their first call, so importing this module (and so every CLI command)
+loads no scipy, and the ``changepoint`` command pays for
+``scipy.special`` once, when the sampler first needs it. Tests
+cross-check both routes against direct quadrature of the raw integrands.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from math import log
 
 import numpy as np
-from scipy.special import cython_special
 
 from .errors import AlignmentError, DegenerateInput
 from .rng import Xorshift64Star, derive_seed
@@ -65,11 +66,26 @@ from .series import WeeklySeries, pearson, unit_scale
 
 _LOG_ZERO = -np.inf
 
-# scalar entry points of the ufuncs betainc and betaln: the same C routines
-# (bit for bit, tests pin it) without the ufunc's per-call dispatch; the
-# double specialization of betainc also takes ints
-_betainc = cython_special.betainc["double"]
-_betaln = cython_special.betaln
+
+def _bind_special() -> None:
+    """Bind ``_betainc`` and ``_betaln`` to the scalar entry points of the
+    ufuncs betainc and betaln: the same C routines (bit for bit, tests pin
+    it) without the ufunc's per-call dispatch; the double specialization of
+    betainc also takes ints. Later calls go straight to C."""
+    global _betainc, _betaln
+    from scipy.special import cython_special
+    _betainc = cython_special.betainc["double"]
+    _betaln = cython_special.betaln
+
+
+def _betainc(a, c, x):
+    _bind_special()
+    return _betainc(a, c, x)
+
+
+def _betaln(a, c):
+    _bind_special()
+    return _betaln(a, c)
 
 
 @dataclass(frozen=True)
@@ -221,10 +237,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     counts = np.zeros(n - 1)
     current = log_w_integral(0.0, w_within, total - w_within, w0, n)  # f((blocks - 1)/2, W)
 
-    @functools.cache
-    def log_p_ratio(b: int) -> float:
-        return (log_inc_beta(b + 1.0, float(n - b), config.p0)
-                - log_inc_beta(float(b), float(n - b + 1), config.p0))
+    log_p_ratios: dict[int, float] = {}  # by block count b, on first need
 
     for sweep in range(config.iterations):
         cuts = np.flatnonzero(u)
@@ -260,7 +273,12 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 # blocks are exactly constant.
                 prob = 0.0 if den == math.inf else 1.0
             else:
-                log_odds = log_p_ratio(b) + num - den
+                log_p = log_p_ratios.get(b)
+                if log_p is None:
+                    log_p = log_p_ratios[b] = (
+                        log_inc_beta(b + 1.0, float(n - b), config.p0)
+                        - log_inc_beta(float(b), float(n - b + 1), config.p0))
+                log_odds = log_p + num - den
                 if log_odds > 700.0:
                     prob = 1.0
                 elif log_odds < -700.0:

@@ -11,11 +11,19 @@ a differenced model is a pure random walk plus ARMA noise, which keeps
 ARIMA(0,1,0) parameter-free and makes forecasts translate exactly with the
 series level.
 
-The filter is one unit-lower-triangular band system, solved for all t at
-once. Each parameter's sensitivity de/dparam obeys the same filter with
-forcing -1 (constant), -z_{t-1-i} (AR terms) or -e_{t-1-j} (MA terms), so
-one more solve, on a block of right-hand sides, gives the Jacobian. The fit
-is then nonlinear least squares by Marquardt steps (Box, Jenkins & Reinsel,
+The filter runs forward in plain Python floats, one pass per right-hand
+side. It needs no LAPACK band solver: importing ``scipy.linalg`` for one
+would load scipy into the start-up of every CLI command, most of which
+need nothing else from it. An explosive filter (an MA polynomial with a
+root inside the unit circle) overflows to inf or NaN as the recursion
+does, without a floating-point warning.
+
+Each parameter's sensitivity de/dparam obeys the same filter with forcing
+-1 (constant), -z_{t-1-i} (AR terms) or -e_{t-1-j} (MA terms). The MA
+forcings are lags of -e with zero pre-sample values, and the filter maps
+zeros to zeros, so their filtered columns are the same lags of one
+filtered -e: p + 1 passes (p without the constant) give the Jacobian.
+The fit is then nonlinear least squares by Marquardt steps (Box, Jenkins & Reinsel,
 *Time Series Analysis*, 7.2; Marquardt, *SIAM J. Appl. Math.* 1963), kept
 inside the region where the MA polynomial 1 + sum_j ma_j B^(j+1) is
 invertible: all its roots lie outside the unit circle, so the filter is
@@ -31,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dtbtrs
 
 from ..errors import InsufficientHistory, NonConvergence, SeriesTooShort
 
@@ -69,15 +76,23 @@ def _ma_filter(ma: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Solve e_t + sum_j ma_j e_{t-1-j} = u_t, pre-sample e zero, for u and
     for every column of a 2-D u.
 
-    Forward substitution on the unit-lower-triangular band (LAPACK tbtrs):
-    an explosive filter overflows to inf or NaN as the recursion would,
-    where a pivoting band solver can stop at a zero pivot.
+    Forward substitution in Python floats, one pass per column: an
+    explosive filter overflows to inf or NaN as the recursion would, and
+    float arithmetic raises no warning on the way. ``ma.size == 0``
+    returns ``u`` itself.
     """
     if ma.size == 0:
         return u
-    band = np.empty((ma.size + 1, u.shape[0]))
-    band[1:] = ma[:, None]  # row 0, the unit diagonal, is not read
-    return dtbtrs(band, u, uplo="L", diag="U")[0]
+    lagged = list(enumerate(ma.tolist(), 1))
+    filtered = []
+    for column in (u.T if u.ndim == 2 else [u]):
+        e = [0.0] * ma.size
+        for value in column.tolist():
+            for lag, coef in lagged:
+                value -= coef * e[-lag]
+            e.append(value)
+        filtered.append(e[ma.size:])
+    return np.array(filtered).T if u.ndim == 2 else np.array(filtered[0])
 
 
 def _unpack(params: np.ndarray, p: int, q: int, with_const: bool):
@@ -102,9 +117,12 @@ def _innovations_and_jacobian(z: np.ndarray, params: np.ndarray, p: int, q: int,
     """Innovations e and their Jacobian J[k, t] = de_t / dparams[k]."""
     c, ar, ma = _unpack(params, p, q, with_const)
     e = css_innovations(z, c, ar, ma)
-    forcing = np.hstack([np.ones((e.size, 1 if with_const else 0)), _lags(z, p),
-                         _lags(np.r_[np.zeros(q), e], q)])
-    return e, -_ma_filter(ma, forcing).T
+    filtered = _ma_filter(ma, np.hstack([np.ones((e.size, 1 if with_const else 0)),
+                                         _lags(z, p), e[:, None]]))
+    # the MA terms' forcings e_{t-1-j} are lags of e with zero pre-sample
+    # values, so their filtered columns are the same lags of the filtered e
+    return e, -np.hstack([filtered[:, :-1],
+                          _lags(np.r_[np.zeros(q), filtered[:, -1]], q)]).T
 
 
 def css_objective(z: np.ndarray, params: np.ndarray, p: int, q: int,

@@ -77,19 +77,20 @@ class Xorshift64Star:
 
     def randoms(self, count: int) -> list[float]:
         """The next ``count`` uniform doubles, as ``count`` calls to
-        ``random`` give them. The states step in Python; the multiply and
-        the top-53-bit scaling run on all of them at once in ``uint64``."""
+        ``random`` give them.
+
+        The state update is linear over GF(2), so the state k + 1 steps
+        ahead is the XOR of the jump-table entries (see ``_jump_table``) of
+        the current state's set bits. The states, the multiply and the
+        top-53-bit scaling run on all ``count`` draws at once in ``uint64``.
+        """
         s = self._state
-        states = []
-        for _ in range(count):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            states.append(s)
-        self._state = s
-        outputs = np.array(states, dtype=np.uint64)
-        outputs *= _U64_MULT
-        return ((outputs >> _U11) * _INV53).tolist()
+        bits = [b for b in range(64) if s >> b & 1]
+        states = np.bitwise_xor.reduce(_jump_table(count)[bits, :count], axis=0)
+        if count:
+            self._state = int(states[-1])
+        states *= _U64_MULT
+        return ((states >> _U11) * _INV53).tolist()
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) by the multiply-shift reduction (n up to 2^53)."""
@@ -131,17 +132,37 @@ def stream_states(seeds) -> np.ndarray:
     return np.array([Xorshift64Star(seed)._state for seed in seeds], dtype=np.uint64)
 
 
-def next_u64s(states: np.ndarray, count: int) -> np.ndarray:
-    """The next ``count`` outputs of every stream, one row per stream, as
-    ``Xorshift64Star.next_u64`` gives them; ``states`` steps in place."""
-    outputs = np.empty((states.size, count), dtype=np.uint64)
+def _walk(states: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` states of every stream, one row per stream;
+    ``states`` steps in place."""
+    walked = np.empty((states.size, count), dtype=np.uint64)
     for i in range(count):
         states ^= states >> _U12
         states ^= states << _U25
         states ^= states >> _U27
-        outputs[:, i] = states
+        walked[:, i] = states
+    return walked
+
+
+def next_u64s(states: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` outputs of every stream, one row per stream, as
+    ``Xorshift64Star.next_u64`` gives them; ``states`` steps in place."""
+    outputs = _walk(states, count)
     outputs *= _U64_MULT
     return outputs
+
+
+_jumps = _walk(np.uint64(1) << np.arange(64, dtype=np.uint64), 1)  # grown on demand
+
+
+def _jump_table(count: int) -> np.ndarray:
+    """Entry [b, k] is the state k + 1 steps after the state with only bit b
+    set. The entries do not depend on ``count``: the one table grows to the
+    longest count asked for, and a shorter count reads a prefix."""
+    global _jumps
+    if count > _jumps.shape[1]:
+        _jumps = np.hstack([_jumps, _walk(_jumps[:, -1].copy(), count - _jumps.shape[1])])
+    return _jumps
 
 
 def multiply_shift(outputs: np.ndarray, n) -> np.ndarray:

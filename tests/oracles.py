@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.lapack import dtbtrs
 
 
 def pearson_brute(x, y) -> float:
@@ -156,6 +157,16 @@ def yule_walker_ar(x, order: int) -> np.ndarray:
         for j in range(order):
             R[i, j] = acov[abs(i - j)]
     return np.linalg.solve(R, acov[1:])
+
+
+def lapack_ma_filter(ma, u) -> np.ndarray:
+    """e_t + sum_j ma_j e_{t-1-j} = u_t with zero pre-sample e, as one
+    unit-lower-triangular band system solved by LAPACK (dtbtrs); a 2-D u
+    gives one solution per column."""
+    ma = np.asarray(ma, dtype=float)
+    band = np.empty((ma.size + 1, np.shape(u)[0]))
+    band[1:] = ma[:, None]  # row 0, the unit diagonal, is not read
+    return dtbtrs(band, u, uplo="L", diag="U")[0]
 
 
 # ---------------------------------------------------------------------------

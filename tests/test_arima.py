@@ -16,12 +16,14 @@ from flunowcast.models import (
 )
 from flunowcast.models.arima import (
     _innovations_and_jacobian,
+    _lags,
+    _ma_filter,
     css_gradient,
     css_objective,
 )
 from flunowcast.rng import Xorshift64Star
 
-from oracles import central_difference, yule_walker_ar
+from oracles import central_difference, lapack_ma_filter, yule_walker_ar
 from test_acceptance import _panel
 
 
@@ -129,6 +131,49 @@ class TestCssInternals:
             for t in range(jac.shape[1])]).T
         rel = np.abs(jac - numeric_jac) / np.maximum(1.0, np.abs(numeric_jac))
         assert rel.max() < 1e-6
+
+
+class TestMaFilter:
+    @pytest.mark.parametrize("columns", [None, 1, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_lapack_band_solve(self, q, columns):
+        # the Python recursion rounds each product and difference, where
+        # the BLAS kernel fuses them, so the two agree to rounding only
+        rng = Xorshift64Star(30 + q)
+        for trial in range(20):
+            ma = np.array(rng.normals(q, sd=0.4))
+            shape = (160,) if columns is None else (160, columns)
+            u = np.array(rng.normals(int(np.prod(shape)), sd=3.0)).reshape(shape)
+            got, want = _ma_filter(ma, u), lapack_ma_filter(ma, u)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (q, trial)
+
+    def test_explosive_filter_overflows_without_warning(self):
+        # roots of x^2 + 3x + 2.5 have modulus sqrt(2.5): e grows as 1.58^t,
+        # past the largest double after about 1540 rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = _ma_filter(np.array([3.0, 2.5]), np.ones((2000, 2)))
+        assert np.isfinite(e[:1500]).all()
+        assert not np.isfinite(e[-1]).any()
+
+    def test_empty_ma_returns_u(self):
+        u = np.arange(6.0).reshape(3, 2)
+        assert _ma_filter(np.zeros(0), u) is u
+
+    @pytest.mark.parametrize("p,q,with_const", [(3, 2, False), (2, 2, True), (0, 3, True),
+                                                (2, 1, False)])
+    def test_ma_jacobian_rows_are_lags_of_one_filtered_column(self, p, q, with_const):
+        # the full block of forcings, one filter pass per parameter, gives
+        # the same Jacobian bit for bit
+        rng = Xorshift64Star(23)
+        z = np.array(rng.normals(120))
+        params = np.array(rng.normals(p + q + with_const, sd=0.3))
+        e, jac = _innovations_and_jacobian(z, params, p, q, with_const)
+        ma = params[p + with_const:]
+        forcing = np.hstack([np.ones((e.size, int(with_const))), _lags(z, p),
+                             _lags(np.r_[np.zeros(q), e], q)])
+        assert np.array_equal(jac, -_ma_filter(ma, forcing).T)
 
 
 def test_contaminated_panels_give_finite_invertible_fits(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -88,6 +89,9 @@ class TestIntegrals:
             assert np.array_equal(np.array(scalar).view(np.uint64), ufunc.view(np.uint64))
             scalar = [changepoint._betaln(ai, ci) for ai, ci in zip(a, c)]
             assert np.array_equal(np.array(scalar).view(np.uint64), betaln(a, c).view(np.uint64))
+        # the first call bound both names to the C routines themselves
+        assert not inspect.isfunction(changepoint._betainc)
+        assert not inspect.isfunction(changepoint._betaln)
 
     def test_degenerate_within_sums(self):
         # W = 0 with a divergent exponent: overwhelming evidence for a split

@@ -87,8 +87,11 @@ GOLDEN = {
         "71f9ea518874b5f4473b7fee5f983649dd670a8aab70218169b7b4357ecb8fab",
     "forest_shallow":
         "809bd0b0fd09b5baa3f53e733fae84286a9170a0e226ea2e66f1b28d92641d14",
+    # the MA filter runs in Python floats, which round each product where
+    # the BLAS band solve it replaced fused them: the coefficients moved by
+    # at most 8.4e-14
     "arima_211":
-        "d36bf1e2927331576aa11e8be99346b90b221f7face433c03b94700f34fc8cf3",
+        "a02bfb2b2ea0ab9e30f24fbc5a5226818e92f8cd1a84d55674243a112921a671",
     "arima_100":
         "264e2451b60258357b4594995e0d749b1a32214299d80739d23756048fb17ad0",
 }

@@ -61,15 +61,26 @@ def test_sample_without_replacement():
     assert sorted(rng.sample_without_replacement(5, 5)) == list(range(5))
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 259, 1000])
+@pytest.mark.parametrize("count", [0, 1, 2, 64, 259, 1000])
 def test_randoms_equal_single_draws(count):
-    # the change-point sampler draws a sweep's uniforms in one call
-    for seed in (0, 5, derive_seed(9, 3)):
+    # the change-point sampler draws a sweep's uniforms in one call, and
+    # each call continues the stream where the last one stopped
+    for seed in (0, 5, 2**64 - 1, derive_seed(9, 3), derive_seed(4, 11)):
         batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
-        draws = batch.randoms(count)
-        assert draws == [single.random() for _ in range(count)]
-        assert all(type(d) is float for d in draws)
+        for _ in range(3):
+            draws = batch.randoms(count)
+            assert draws == [single.random() for _ in range(count)]
+            assert all(type(d) is float for d in draws)
         assert batch.next_u64() == single.next_u64()  # same state after
+
+
+def test_randoms_mixed_counts_continue_the_stream():
+    # the jump table grows to the longest count yet and shorter counts
+    # read a prefix of it, so any order of counts gives the same stream
+    batch, single = Xorshift64Star(77), Xorshift64Star(77)
+    for count in (3, 1500, 0, 259, 1, 1501, 64, 1500):
+        assert batch.randoms(count) == [single.random() for _ in range(count)]
+    assert batch.next_u64() == single.next_u64()
 
 
 RANDINT_BOUNDS = [1, 2, 56, 161, 2**32 - 1]
