@@ -10,7 +10,7 @@ Run:  python3 demos/04_ablation.py
 """
 
 from flunowcast import ModelSpec, ProxyConfig, SynthConfig, gen_flu, gen_proxy
-from flunowcast.evaluation import ablate, drop_labels
+from flunowcast.evaluation import backtest, drop_labels
 from flunowcast.features import SplitPlan
 from flunowcast.rng import derive_seed
 from flunowcast.series import ResourceKind, align
@@ -32,7 +32,7 @@ plan = SplitPlan.of(panel.start + 53, [(panel.start + 218, panel.start + 237)])
 
 print(f"{'dropped':10s} {'R^2':>8s} {'MAE':>10s} {'MAPE %':>8s}")
 for label in drop_labels():
-    result = ablate(panel, selected, ModelSpec("huber"), plan,
-                    drop=label, seed=0).results[0]
+    result = backtest(panel, selected, ModelSpec("huber"), plan,
+                      drop=label, seed=0)[0]
     m = result.metrics
     print(f"{label:10s} {m.r2:8.3f} {m.mae:10.1f} {m.mape:8.1f}")

@@ -21,7 +21,6 @@ from .evaluation import (
     BacktestResult,
     MetricReport,
     ModelSpec,
-    ablate,
     backtest,
     compute_metrics,
     mae,
@@ -56,7 +55,7 @@ __all__ = [
     "BcpConfig", "MatchReport", "PosteriorResult", "bcp_posterior", "detect",
     "match", "score_resource",
     "FluNowcastError",
-    "BacktestResult", "MetricReport", "ModelSpec", "ablate", "backtest",
+    "BacktestResult", "MetricReport", "ModelSpec", "backtest",
     "compute_metrics", "mae", "mape", "r2",
     "LagSpec", "SplitPlan", "SupervisedDataset", "build_dataset",
     "CandidateQuery", "SelectionConfig", "rank_frequency", "rank_tfidf",

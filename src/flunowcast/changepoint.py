@@ -227,7 +227,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     std = (x - x.mean()) / float(x.std())
 
     s1 = [0.0, *np.cumsum(std).tolist()]  # prefix sums of the series
-    total = float(std @ std)              # W + B for every partition
+    total = float(np.sum(std * std))      # W + B for every partition; not a BLAS dot
     zero_w = 1e-12 * total
     w0 = config.w0
     u = [False] * (n - 1)

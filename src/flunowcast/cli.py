@@ -23,10 +23,7 @@ from pathlib import Path
 from .changepoint import BcpConfig, score_resource
 from .errors import AlignmentError, DegenerateInput, EmptyIntersection, FluNowcastError
 from .evaluation import (
-    MODEL_KINDS,
-    AblationResult,
     ModelSpec,
-    ablate,
     backtest,
     check_type,
     drop_labels,
@@ -35,6 +32,7 @@ from .evaluation import (
     write_report_json,
 )
 from .features import DEFAULT_SIGNAL_LAG, LagSpec, SplitPlan
+from .models import MODELS
 from .rng import derive_seed
 from .selection import CandidateQuery, SelectionConfig, select_queries
 from .series import (
@@ -187,28 +185,30 @@ def _load_run_config(args) -> dict:
 
 def _build_panel_and_selection(config: dict):
     """Load the flu series and per-resource candidates, align everything,
-    and apply each resource's selection threshold (null = keep all)."""
+    and apply each resource's selection threshold (null = keep all). Every
+    key of ``resources`` and ``thresholds`` must be a UGC resource tag."""
+    tags = [kind.value for kind in UGC_RESOURCES]
+    for key in ("resources", "thresholds"):
+        unknown = sorted(set(config.get(key, {})) - set(tags))
+        if unknown:
+            raise ValueError(f"unknown resource tag(s) {unknown} in {key!r}; "
+                             f"accepted: {tags}")
+    thresholds = {**DEFAULT_THRESHOLDS, **config.get("thresholds", {})}
     flu = read_series_csv(config["flu"], name="flu",
                           resource=ResourceKind.FLU_PATIENTS)
-    series_list = [flu]
+    candidates = {kind: [read_series_csv(p, resource=kind)
+                         for p in config.get("resources", {}).get(kind.value, [])]
+                  for kind in UGC_RESOURCES}
+    panel = align([flu, *(s for group in candidates.values() for s in group)])
     per_resource: dict[ResourceKind, list[str]] = {}
-    thresholds = {**DEFAULT_THRESHOLDS, **config.get("thresholds", {})}
-    for kind in UGC_RESOURCES:
-        paths = config.get("resources", {}).get(kind.value, [])
-        for p in paths:
-            series_list.append(read_series_csv(p, resource=kind))
-    panel = align(series_list)
-    target = panel["flu"]
-    for kind in UGC_RESOURCES:
-        paths = config.get("resources", {}).get(kind.value, [])
-        names = [Path(p).stem for p in paths]
-        threshold = thresholds.get(kind.value)
+    for kind, group in candidates.items():
+        names = [s.name for s in group]
+        threshold = thresholds[kind.value]
         if threshold is None:
             per_resource[kind] = names
         else:
-            candidates = [CandidateQuery(term=n, volume=panel[n]) for n in names]
-            result = select_queries(candidates, target,
-                                    SelectionConfig(threshold=threshold))
+            result = select_queries([CandidateQuery(term=n, volume=panel[n]) for n in names],
+                                    panel["flu"], SelectionConfig(threshold=threshold))
             per_resource[kind] = result.terms()
     return panel, per_resource
 
@@ -234,12 +234,12 @@ def _model_spec(config: dict, kind: str) -> ModelSpec:
 
 
 def _run_each(key: str, names, run) -> tuple[list, list]:
-    """``run(name)`` for each name. A model failure becomes a failures.json
-    entry under ``key`` and the remaining names still run."""
+    """``(name, run(name))`` for each name. A model failure becomes a
+    failures.json entry under ``key`` and the remaining names still run."""
     done, failures = [], []
     for name in names:
         try:
-            done.append(run(name))
+            done.append((name, run(name)))
         except (FluNowcastError, ValueError) as exc:
             failures.append({key: name, "error": str(exc)})
     return done, failures
@@ -251,10 +251,10 @@ def _run_each(key: str, names, run) -> tuple[list, list]:
 
 def cmd_backtest(args) -> int:
     config, run_args = _load_run(args)
-    kinds = MODEL_KINDS if config["model"] == "all" else [config["model"]]
+    kinds = list(MODELS) if config["model"] == "all" else [config["model"]]
     runs, failures = _run_each(
         "model", kinds, lambda kind: backtest(spec=_model_spec(config, kind), **run_args))
-    results = [res for blocks in runs for res in blocks]
+    results = [res for _, blocks in runs for res in blocks]
 
     def write(out: Path) -> None:
         write_report_json(results, out / "backtest.json")
@@ -275,17 +275,17 @@ def cmd_ablate(args) -> int:
         return EXIT_BAD_DROP
     labels = drop_labels() if args.drop == "all" else [args.drop]
     config, run_args = _load_run(args)
-    # ARIMA reads no features, so one run of it is every label's row
-    arima = config["model"] == "arima"
-    results, failures = _run_each(
-        "dropped", labels[:1] if arima else labels,
-        lambda label: ablate(spec=_model_spec(config, config["model"]), drop=label,
-                             **run_args))
-    if arima:
-        results = [AblationResult(label, res.results) for res in results for label in labels]
+    model = config["model"]
+    # a kind that reads no features gives the same row under every label
+    once = model in MODELS and not MODELS[model].features
+    runs, failures = _run_each(
+        "dropped", labels[:1] if once else labels,
+        lambda label: backtest(spec=_model_spec(config, model), drop=label, **run_args))
+    if once:
+        runs = [(label, results) for _, results in runs for label in labels]
         failures = [{**fail, "dropped": label} for fail in failures for label in labels]
-    rows = [{"dropped": res.dropped, "windows": [result_to_dict(r) for r in res.results]}
-            for res in results]
+    rows = [{"dropped": label, "windows": [result_to_dict(r) for r in results]}
+            for label, results in runs]
     return _write_run(config["out"], lambda out: _dump_json(rows, out / "ablation.json"),
                       f"{len(rows)} ablation row(s)", failures, "ablation row(s)")
 
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_back = sub.add_parser("backtest", help="rolling-origin model evaluation")
     p_back.add_argument("--config", required=True)
-    p_back.add_argument("--model", choices=[*MODEL_KINDS, "all"])
+    p_back.add_argument("--model", choices=[*MODELS, "all"])
     p_back.add_argument("--seed", type=int)
     p_back.add_argument("--out")
     p_back.set_defaults(func=cmd_backtest)

@@ -1,5 +1,10 @@
-"""Accuracy metrics, rolling-origin backtests over season windows, and the
-leave-one-resource-out ablation.
+"""Accuracy metrics and rolling-origin backtests over season windows.
+
+One ``backtest`` serves every model kind and every row of the
+leave-one-resource-out ablation: its ``drop`` label names the feature block
+left out ("none" for the full model). Only the model table, ``MODELS``,
+knows which kinds read features; the past-only ARIMA baseline reads the flu
+history alone and gives the same rows under every label.
 
 Every backtest step refits the chosen model on all rows prior to the test
 week (expanding window), with feature standardization refit on exactly
@@ -16,7 +21,7 @@ import inspect
 import json
 import numbers
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -72,12 +77,6 @@ class BacktestResult:
     metrics: MetricReport
 
 
-@dataclass
-class AblationResult:
-    dropped: str  # "none", a resource tag, or "past"
-    results: list[BacktestResult]
-
-
 def _pair(predicted, actual, min_points: int) -> tuple[np.ndarray, np.ndarray]:
     """The (predicted, actual) pair as float arrays of one length, at least ``min_points``."""
     f = np.asarray(predicted, dtype=float)
@@ -124,9 +123,6 @@ def compute_metrics(predicted, actual) -> MetricReport:
     return MetricReport(r2=r2(predicted, actual), mae=mae(predicted, actual),
                         mape=mape_value, n=len(actual),
                         skipped_zero_actuals=skipped)
-
-
-MODEL_KINDS = tuple(MODELS)
 
 
 def _admits(hint, value) -> bool:
@@ -184,8 +180,8 @@ class ModelSpec:
             check_type(f"{self.kind} option {name!r}", hints[accepted[name]], value)
 
     def fit(self, *data, seed: int = 0):
-        """Fit this kind's model on ``data``: (X, y), or for ARIMA the
-        flu history."""
+        """Fit this kind's model on ``data``: (X, y), or the flu history
+        for a kind that reads no features."""
         entry = MODELS[self.kind]
         kwargs = {entry.options[name]: value for name, value in self.options.items()}
         if entry.seeded:
@@ -231,34 +227,6 @@ def _arima_rows(panel: SignalPanel, spec: ModelSpec, plan: SplitPlan,
             yield t, flu.value_at(t), float(forecast[-1])
 
 
-def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
-             plan: SplitPlan, lag_spec: LagSpec = LagSpec(),
-             signal_lag: int = DEFAULT_SIGNAL_LAG, seed: int = 0,
-             dataset: SupervisedDataset | None = None) -> list[BacktestResult]:
-    """One BacktestResult per eval window.
-
-    ARIMA ignores the exogenous features entirely (past-only protocol) and
-    forecasts ``lag_spec.min_lag`` weeks ahead so it sees exactly the same
-    information horizon as the lag-feature models.
-    """
-    if spec.kind == "arima":
-        rows = list(_arima_rows(panel, spec, plan, lag_spec))
-    else:
-        if dataset is None:
-            dataset = build_dataset(panel, selected, lag_spec, signal_lag,
-                                    start=plan.train_start, end=plan.last_week)
-        rows = list(_feature_rows(dataset, spec, plan, seed))
-    results = []
-    for win in plan.eval_windows:
-        preds = [row for row in rows if win[0] <= row[0] <= win[1]]
-        actual = [a for _, a, _ in preds]
-        predicted = [p for _, _, p in preds]
-        results.append(BacktestResult(window=win, model_kind=spec.kind,
-                                      predictions=preds,
-                                      metrics=compute_metrics(predicted, actual)))
-    return results
-
-
 def drop_labels() -> list[str]:
     """The six ablation rows: everything, then each droppable block."""
     return ["none", *(kind.value for kind in ResourceKind
@@ -272,27 +240,40 @@ def _block(column: str) -> str:
     return tag if sep else PAST_LAGS
 
 
-def ablate(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
-           plan: SplitPlan, drop: str = "none", lag_spec: LagSpec = LagSpec(),
-           signal_lag: int = DEFAULT_SIGNAL_LAG, seed: int = 0) -> AblationResult:
-    """Backtest on the columns that ``drop`` keeps of the full dataset.
+def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
+             plan: SplitPlan, lag_spec: LagSpec = LagSpec(),
+             signal_lag: int = DEFAULT_SIGNAL_LAG, seed: int = 0,
+             drop: str = "none") -> list[BacktestResult]:
+    """One BacktestResult per eval window, on the feature columns that the
+    ablation label ``drop`` keeps.
 
-    Every label is a column subset: "none" keeps every column, a UGC
-    resource tag drops that resource's query columns, and "past" drops the
-    lag block. Rows stay the same in each, and ARIMA, which reads no
-    features, runs its plain backtest under every label.
+    "none" keeps every column, a UGC resource tag drops that resource's
+    query columns, and "past" drops the lag block; the rows are the same
+    under every label. A kind that reads no features (ARIMA, the past-only
+    protocol) ignores the label and forecasts ``lag_spec.min_lag`` weeks
+    ahead, so it sees exactly the same information horizon as the
+    lag-feature models.
     """
     if drop not in drop_labels():
         raise ValueError(f"drop must be one of {drop_labels()}")
-    dataset = None
-    if spec.kind != "arima":
+    if MODELS[spec.kind].features:
         full = build_dataset(panel, selected, lag_spec, signal_lag,
                              start=plan.train_start, end=plan.last_week)
         keep = [i for i, name in enumerate(full.feature_names) if _block(name) != drop]
-        dataset = SupervisedDataset(start=full.start, X=full.X[:, keep], y=full.y,
-                                    feature_names=[full.feature_names[i] for i in keep])
-    return AblationResult(drop, backtest(panel, selected, spec, plan, lag_spec,
-                                         signal_lag, seed, dataset=dataset))
+        dataset = replace(full, X=full.X[:, keep],
+                          feature_names=[full.feature_names[i] for i in keep])
+        rows = list(_feature_rows(dataset, spec, plan, seed))
+    else:
+        rows = list(_arima_rows(panel, spec, plan, lag_spec))
+    results = []
+    for win in plan.eval_windows:
+        preds = [row for row in rows if win[0] <= row[0] <= win[1]]
+        actual = [a for _, a, _ in preds]
+        predicted = [p for _, _, p in preds]
+        results.append(BacktestResult(window=win, model_kind=spec.kind,
+                                      predictions=preds,
+                                      metrics=compute_metrics(predicted, actual)))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ class ModelEntry(typing.NamedTuple):
     fit: str                 # name of the fit function in this package
     options: dict[str, str]  # run-config option -> the fit keyword it sets
     seeded: bool = False     # the fit takes a per-split ``seed``
+    features: bool = True    # the fit reads the feature rows (X, y), not the flu history
 
 
 # The model kinds, in report order. Option defaults live in the fit
@@ -52,7 +53,7 @@ MODELS = {
                                         "min_leaf": "min_leaf", "bootstrap": "bootstrap",
                                         "max_features": "max_features"},
                          seeded=True),
-    "arima": ModelEntry("fit_arima", {"order": "order"}),
+    "arima": ModelEntry("fit_arima", {"order": "order"}, features=False),
 }
 
 # kind -> fitted-model class, the return type of the kind's fit; the JSON

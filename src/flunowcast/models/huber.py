@@ -89,9 +89,21 @@ def _weights(a: np.ndarray, delta: float, factor: float) -> np.ndarray:
     return factor * np.where(absa <= delta, 1.0, delta / np.maximum(absa, 1e-300))
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, bit for bit, without the
+    ``numpy.ma`` import that ``np.median`` makes on its first call. The
+    leading ``0.0 +`` is numpy's mean, whose sum starts at +0.0, so a
+    signed zero comes out the same."""
+    h = x.size // 2
+    if x.size % 2:
+        return 0.0 + float(np.partition(x, h)[h])
+    p = np.partition(x, (h - 1, h))
+    return (0.0 + float(p[h - 1]) + float(p[h])) / 2
+
+
 def _mad_scale(residuals: np.ndarray) -> float:
-    centered = residuals - np.median(residuals)
-    return MAD_TO_SIGMA * float(np.median(np.abs(centered)))
+    centered = residuals - _median(residuals)
+    return MAD_TO_SIGMA * _median(np.abs(centered))
 
 
 def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
@@ -120,7 +132,7 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
         return (sol[:-1], float(sol[-1])) if include_intercept else (sol, 0.0)
 
     beta = np.zeros(X.shape[1])
-    intercept = float(np.median(y)) if include_intercept else 0.0
+    intercept = _median(y) if include_intercept else 0.0
 
     if sigma is None:
         sigma = _mad_scale(y - X @ beta - intercept)

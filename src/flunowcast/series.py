@@ -236,9 +236,10 @@ def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
     y = unit_scale(y)
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = float(np.sqrt(np.dot(dx, dx)))
-    sy = float(np.sqrt(np.dot(dy, dy)))
-    return float(np.dot(dx, dy) / (sx * sy))
+    # numpy reductions, not BLAS dots, whose bits depend on the host's kernels
+    sx = float(np.sqrt(np.sum(dx * dx)))
+    sy = float(np.sqrt(np.sum(dy * dy)))
+    return float(np.sum(dx * dy) / (sx * sy))
 
 
 def pearson(x, y) -> float:

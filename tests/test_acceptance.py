@@ -10,7 +10,7 @@ import pytest
 
 from flunowcast.changepoint import BcpConfig, bcp_posterior, detect, match
 from flunowcast.cli import main as cli_main
-from flunowcast.evaluation import ModelSpec, ablate, backtest, mae, mape, r2
+from flunowcast.evaluation import ModelSpec, backtest, mae, mape, r2
 from flunowcast.features import SplitPlan
 from flunowcast.models import (
     dual_objective,
@@ -270,10 +270,10 @@ def test_criterion_10_end_to_end():
     noise_panel, noise_selected = _panel(seed=55, noise_proxies=True)
     plan_b = SplitPlan.of(noise_panel.start + 53,
                           [(noise_panel.start + 215, noise_panel.start + 234)])
-    full = ablate(noise_panel, noise_selected, ModelSpec("huber"), plan_b,
-                  drop="none", seed=1).results[0]
-    no_past = ablate(noise_panel, noise_selected, ModelSpec("huber"), plan_b,
-                     drop="past", seed=1).results[0]
+    full = backtest(noise_panel, noise_selected, ModelSpec("huber"), plan_b,
+                    drop="none", seed=1)[0]
+    no_past = backtest(noise_panel, noise_selected, ModelSpec("huber"), plan_b,
+                       drop="past", seed=1)[0]
     degradation = full.metrics.r2 - no_past.metrics.r2
     assert degradation >= 0.2, f"(b) degradation {degradation}"
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import platform
 import subprocess
 import sys
 import time
@@ -418,6 +420,15 @@ class TestAblate:
             ["none", "search", "social", "shopping", "qa", "past"]
         assert all("lasso option 'lambda'" in f["error"] for f in failures)
 
+    def test_unknown_model_fails_each_row_and_exits_4(self, synth_dir, tmp_path):
+        config = write_run_config(tmp_path / "run.json", synth_dir, model="prophet")
+        out = tmp_path / "results"
+        assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 4
+        assert json.loads((out / "ablation.json").read_text()) == []
+        failures = json.loads((out / "failures.json").read_text())
+        assert [f["dropped"] for f in failures] == drop_labels()
+        assert all("unknown model kind 'prophet'" in f["error"] for f in failures)
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{", encoding="utf-8")
@@ -437,8 +448,9 @@ class TestAblate:
         assert "usage" in capsys.readouterr().err
 
 
-# sha256 of changepoint.json for the run in test_report_bytes_are_pinned
-GOLDEN_CHANGEPOINT = "a19c27ee34407b408733143cc0c89c42a521013569d41dbbb7c2727d679376e9"
+# sha256 of changepoint.json for the run in test_report_bytes_are_pinned; the
+# correlations are numpy reductions, so the digest holds under any BLAS kernel
+GOLDEN_CHANGEPOINT = "8631cf4b9192618af3e997849734a01edc82434d4690a52dda149bc38dd3c29b"
 
 
 class TestChangepoint:
@@ -618,12 +630,35 @@ class TestConfigTypes:
         assert not out.exists()
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter
-    that imports this source tree's package."""
+    @pytest.mark.parametrize("command", ["backtest", "ablate"])
+    @pytest.mark.parametrize("key, typo", [("resources", "serach"), ("thresholds", "socail")])
+    def test_unknown_resource_tag_exits_2_and_writes_nothing(self, synth_dir, tmp_path,
+                                                             capsys, command, key, typo):
+        # a misspelled tag used to drop that resource's queries without a word
+        config = tmp_path / "config.json"
+        base = json.loads(write_run_config(config, synth_dir).read_text())
+        if key == "resources":
+            base["resources"][typo] = base["resources"].pop("search")
+        else:
+            base["thresholds"] = {typo: 0.9}
+        config.write_text(json.dumps(base), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(typo) in err[0] and repr(key) in err[0]
+        assert "accepted: ['search', 'social', 'shopping', 'qa']" in err[0]
+        assert not out.exists()
+
+
+def modules_after(code: str, *packages: str) -> list[str]:
+    """The modules of ``packages`` (and their submodules) loaded once
+    ``code`` has run in a fresh interpreter that imports this source tree's
+    package."""
     src = str(Path(flunowcast.__file__).resolve().parent.parent)
     code = (f"import json, sys; sys.path.insert(0, {src!r}); {code}; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            "print(json.dumps(sorted(m for m in sys.modules "
+            f"if any(m == p or m.startswith(p + '.') for p in {packages!r}))))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -632,7 +667,7 @@ def scipy_modules_after(code: str) -> list[str]:
 def test_import_leaves_scipy_unloaded():
     # scipy.linalg and scipy.special were most of every command's start-up
     # time and memory; only the change-point sampler needs scipy
-    assert scipy_modules_after("import flunowcast.cli") == []
+    assert modules_after("import flunowcast.cli", "scipy") == []
 
 
 def test_only_changepoint_loads_scipy(synth_dir, tmp_path):
@@ -648,14 +683,44 @@ def test_only_changepoint_loads_scipy(synth_dir, tmp_path):
         ["ablate", "--config", config, "--drop", "all", "--out", tmp_path / "ab"],
     ]
 
-    def loaded_by(argv):
-        return scipy_modules_after("from flunowcast.cli import main; "
-                                   f"assert main({[str(a) for a in argv]!r}) == 0")
+    def loaded_by(argv, *packages):
+        return modules_after("from flunowcast.cli import main; "
+                             f"assert main({[str(a) for a in argv]!r}) == 0", *packages)
 
+    # nor numpy.ma, which np.median imports on its first call
     for argv in commands:
-        assert loaded_by(argv) == [], argv[0]
+        assert loaded_by(argv, "scipy", "numpy.ma") == [], argv[0]
     loaded = loaded_by(["changepoint", "--flu", synth_dir / "flu.csv", "--queries",
                         synth_dir / "proxy_01.csv", "--iterations", "20", "--burn-in", "5",
-                        "--out", tmp_path / "cp"])
+                        "--out", tmp_path / "cp"], "scipy")
     assert "scipy.special" in loaded
     assert not any(m.startswith("scipy.linalg") for m in loaded)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS core types named here are x86-64 kernels")
+def test_changepoint_and_select_bytes_do_not_depend_on_blas_kernels(synth_dir, tmp_path):
+    # Prescott (SSE3) runs on any x86-64 host; the variable is set only in
+    # the children's environment
+    src = str(Path(flunowcast.__file__).resolve().parent.parent)
+    flu = synth_dir / "flu.csv"
+    queries = [synth_dir / f"proxy_{i:02d}.csv" for i in range(1, 5)]
+
+    def outputs(coretype):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        for argv in (["changepoint", "--flu", flu, "--queries", *queries, "--iterations", "40",
+                      "--burn-in", "5", "--seed", "7", "--out", out],
+                     ["select", "--target", flu, "--candidates", *queries,
+                      "--threshold", "0.01", "--out", out / "select.json"]):
+            subprocess.run([sys.executable, "-m", "flunowcast.cli", *map(str, argv)],
+                           env=env, capture_output=True, check=True)
+        return tree_bytes(out)
+
+    default = outputs(None)
+    assert sorted(default) == ["changepoint.json", "select.json"]
+    assert outputs("Prescott") == default

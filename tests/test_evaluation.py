@@ -10,7 +10,6 @@ from flunowcast import evaluation
 from flunowcast.evaluation import (
     MODELS,
     ModelSpec,
-    ablate,
     backtest,
     compute_metrics,
     drop_labels,
@@ -293,8 +292,8 @@ class TestAblate:
         panel, selected = informative_panel()
         plan = short_plan(panel, length=4)
         plain = backtest(panel, selected, ModelSpec("huber"), plan, seed=7)[0]
-        ablated = ablate(panel, selected, ModelSpec("huber"), plan,
-                         drop="none", seed=7).results[0]
+        ablated = backtest(panel, selected, ModelSpec("huber"), plan,
+                           drop="none", seed=7)[0]
         assert ablated.predictions == plain.predictions
 
     @pytest.mark.parametrize("spec", [ModelSpec("huber"),
@@ -305,8 +304,8 @@ class TestAblate:
         for kind in UGC:
             reduced = {k: terms for k, terms in selected.items() if k is not kind}
             expected = backtest(panel, reduced, spec, plan, seed=3)
-            row = ablate(panel, selected, spec, plan, drop=kind.value, seed=3)
-            assert report_text(row.results) == report_text(expected)
+            row = backtest(panel, selected, spec, plan, drop=kind.value, seed=3)
+            assert report_text(row) == report_text(expected)
 
     def test_past_row_is_a_backtest_on_the_query_columns(self):
         panel, selected = informative_panel()
@@ -316,10 +315,10 @@ class TestAblate:
         n_lags = LagSpec().n_lags
         queries = SupervisedDataset(start=plan.train_start, X=X[:, n_lags:], y=y,
                                     feature_names=[f"q{i}" for i in range(len(UGC))])
-        expected = backtest(panel, selected, ModelSpec("huber"), plan, seed=3,
-                            dataset=queries)
-        row = ablate(panel, selected, ModelSpec("huber"), plan, drop="past", seed=3)
-        assert report_text(row.results) == report_text(expected)
+        expected = list(evaluation._feature_rows(queries, ModelSpec("huber"), plan, 3))
+        row = backtest(panel, selected, ModelSpec("huber"), plan, drop="past", seed=3)
+        assert len(row) == 1 and len(expected) == 3
+        assert row[0].predictions == expected
 
     def test_arima_runs_its_plain_backtest_under_every_label(self):
         panel, selected = informative_panel()
@@ -327,7 +326,7 @@ class TestAblate:
         spec = ModelSpec("arima")
         expected = report_text(backtest(panel, selected, spec, plan))
         for label in drop_labels():
-            assert report_text(ablate(panel, selected, spec, plan, drop=label).results) \
+            assert report_text(backtest(panel, selected, spec, plan, drop=label)) \
                 == expected
 
     def test_drop_past_collapses_on_noise_proxies(self):
@@ -343,28 +342,29 @@ class TestAblate:
         selected = {kind: [f"q{i}"] for i, kind in enumerate(UGC)}
         plan = SplitPlan.of(panel.start + 53,
                             [(panel.start + 215, panel.start + 234)])
-        full = ablate(panel, selected, ModelSpec("huber"), plan, drop="none",
-                      seed=1).results[0]
-        no_past = ablate(panel, selected, ModelSpec("huber"), plan, drop="past",
-                         seed=1).results[0]
+        full = backtest(panel, selected, ModelSpec("huber"), plan, drop="none",
+                        seed=1)[0]
+        no_past = backtest(panel, selected, ModelSpec("huber"), plan, drop="past",
+                           seed=1)[0]
         assert full.metrics.r2 - no_past.metrics.r2 >= 0.2
 
     def test_drop_irrelevant_resource_barely_moves_r2(self):
         # window over the season-5 epidemic peak, where R^2 is well anchored
         panel, selected = informative_panel()
         plan = short_plan(panel, start_off=220, length=12)
-        full = ablate(panel, selected, ModelSpec("huber"), plan, drop="none",
-                      seed=2).results[0]
-        no_shop = ablate(panel, selected, ModelSpec("huber"), plan,
-                         drop="shopping", seed=2).results[0]
+        full = backtest(panel, selected, ModelSpec("huber"), plan, drop="none",
+                        seed=2)[0]
+        no_shop = backtest(panel, selected, ModelSpec("huber"), plan,
+                           drop="shopping", seed=2)[0]
         assert full.metrics.r2 > 0.8
         assert abs(full.metrics.r2 - no_shop.metrics.r2) < 0.05
 
     def test_unknown_label(self):
         panel, selected = informative_panel()
         plan = short_plan(panel, length=4)
-        with pytest.raises(ValueError, match=r"drop must be one of \['none', 'search'"):
-            ablate(panel, selected, ModelSpec("huber"), plan, drop="flu")
+        for kind in ("huber", "arima"):  # a kind that reads no features checks it too
+            with pytest.raises(ValueError, match=r"drop must be one of \['none', 'search'"):
+                backtest(panel, selected, ModelSpec(kind), plan, drop="flu")
 
 
 class TestReports:

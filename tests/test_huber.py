@@ -130,3 +130,20 @@ def test_json_round_trip_bitwise():
     assert np.array_equal(clone.beta, model.beta)
     assert clone.intercept == model.intercept
     assert clone.sigma == model.sigma and clone.delta == model.delta
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 160, 161, 398, 399])
+def test_median_matches_numpy_bitwise(size):
+    from flunowcast.models.huber import _median
+
+    rng = np.random.default_rng(size)
+    cases = [
+        rng.standard_normal(size),
+        rng.integers(-3, 4, size).astype(float),  # ties
+        rng.choice([0.0, -0.0], size),            # signed zeros only
+        rng.choice([0.0, -0.0, 1.0, -1.0], size),
+        rng.standard_normal(size) * 1e300,        # a middle pair that overflows
+        np.abs(rng.standard_normal(size)) * 1e-310,  # subnormals
+    ]
+    for x in cases:
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes(), x
