@@ -174,12 +174,16 @@ def cmd_select(args) -> int:
 # shared run loading for backtest/ablate
 # ---------------------------------------------------------------------------
 
-def _load_run_config(args) -> dict:
+def _load_run_config(args, models: list[str]) -> dict:
+    """The run config, with ``model`` one of ``models`` (the values the
+    command's own ``--model`` would take)."""
     config = _merged_options(args, RUN_KEYS)
     config.setdefault("out", ".")
     config.setdefault("seed", 0)
     config.setdefault("model", "huber")
     config.setdefault("signal_lag", DEFAULT_SIGNAL_LAG)
+    if config["model"] not in models:
+        raise ValueError(f"'model' must be one of {models}, got {config['model']!r}")
     return config
 
 
@@ -213,10 +217,11 @@ def _build_panel_and_selection(config: dict):
     return panel, per_resource
 
 
-def _load_run(args) -> tuple[dict, dict]:
-    """The run config of a backtest/ablate command and the keywords that
-    each of its ``backtest``/``ablate`` calls takes."""
-    config = _load_run_config(args)
+def _load_run(args, models: list[str]) -> tuple[dict, dict]:
+    """The run config of a backtest/ablate command, whose ``model`` must be
+    one of ``models``, and the keywords that each of its ``backtest`` calls
+    takes."""
+    config = _load_run_config(args, models)
     panel, selected = _build_panel_and_selection(config)
     plan = SplitPlan.of(WeekIndex.parse(config["train_start"]),
                         [(WeekIndex.parse(w["start"]), WeekIndex.parse(w["end"]))
@@ -250,7 +255,7 @@ def _run_each(key: str, names, run) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 def cmd_backtest(args) -> int:
-    config, run_args = _load_run(args)
+    config, run_args = _load_run(args, [*MODELS, "all"])
     kinds = list(MODELS) if config["model"] == "all" else [config["model"]]
     runs, failures = _run_each(
         "model", kinds, lambda kind: backtest(spec=_model_spec(config, kind), **run_args))
@@ -274,10 +279,10 @@ def cmd_ablate(args) -> int:
         print(f"usage: --drop must be one of {['all', *drop_labels()]}", file=sys.stderr)
         return EXIT_BAD_DROP
     labels = drop_labels() if args.drop == "all" else [args.drop]
-    config, run_args = _load_run(args)
+    config, run_args = _load_run(args, list(MODELS))
     model = config["model"]
     # a kind that reads no features gives the same row under every label
-    once = model in MODELS and not MODELS[model].features
+    once = not MODELS[model].features
     runs, failures = _run_each(
         "dropped", labels[:1] if once else labels,
         lambda label: backtest(spec=_model_spec(config, model), drop=label, **run_args))

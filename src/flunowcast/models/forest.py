@@ -11,16 +11,24 @@ A tree is the nested dict its JSON is: a leaf is ``{"value": v}`` and an
 internal node is ``{"feature": f, "threshold": t, "left": ..., "right":
 ...}``, where rows with ``x[f] <= t`` go left.
 
-All trees grow in lockstep, each exactly as the recursive builder grows it
-alone: depth first, left child before right, drawing from its own xorshift64*
-stream in that order (the bootstrap's n ``randint`` draws, then each split
-node's partial Fisher-Yates draws of its feature subset). The streams are one
-``uint64`` array, stepped together (``rng.next_u64s``). Each step takes the
-next node off every unfinished tree's stack. A node that is too small, too
-deep or has all targets equal becomes a leaf; every other node of the step
-draws its features and joins the step's split search. Each node sums its
-targets on its own unpadded rows, so leaf means and split scores use the
-pairwise sums of a node grown alone.
+Trees are independent, so a fit cuts ``range(n_trees)`` into contiguous
+chunks, one per CPU in the process's affinity mask but none of fewer than
+``_MIN_CHUNK_TREES`` trees (below that, a fork costs more than it saves).
+The rank keys are computed once; then a forked child grows each chunk but
+the first, which the calling process grows, and pickles its trees back
+through a pipe. The chunks are joined in tree order, so the trees do not
+depend on the CPU count.
+
+A chunk's trees grow in lockstep, each exactly as the recursive builder
+grows it alone: depth first, left child before right, drawing from its own
+xorshift64* stream in that order (the bootstrap's n ``randint`` draws, then
+each split node's partial Fisher-Yates draws of its feature subset). The
+streams are one ``uint64`` array, stepped together (``rng.next_u64s``). Each
+step takes the next node off every unfinished tree's stack. A node that is
+too small, too deep or has all targets equal becomes a leaf; every other
+node of the step draws its features and joins the step's split search.
+Each node sums its targets on its own unpadded rows, so leaf means and split
+scores use the pairwise sums of a node grown alone.
 
 The split search sorts each node's rows along each candidate column by
 per-fit sort keys: the value's dense rank within its column in the high bits
@@ -31,13 +39,21 @@ apart. Every split of every column is scored from cumulative sums along the
 sorted rows. The step's nodes, taken by ascending size, fill blocks of
 (node x column x row) keys, each node padded to the block's largest by a
 sentinel row that sorts last. A block holds at most ``_BLOCK_ELEMENTS`` keys
-(a lone node may hold more), which caps the search's working memory.
-Thresholds are read from ``X``.
+(a lone node may hold more), which caps the search's working memory. That
+memory is one workspace per process, allocated when its chunk starts: one
+flat array per block temporary (gather index, keys, row order, targets,
+their cumulative sums and sums of squares, right sums, SSE and the barred
+mask), each with room for the largest block. Every block writes its
+temporaries into views of them, so no step allocates, frees and faults in
+that memory again. Thresholds are read from ``X``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from itertools import compress
 
@@ -49,6 +65,7 @@ from .linear import fit_data, predict_rows
 _TIE_EPS = 1e-12
 _INF_BITS = np.int64(0x7FF0000000000000)  # bit pattern of +inf
 _BLOCK_ELEMENTS = 1 << 14  # (node x column x row) rank keys scored at once
+_MIN_CHUNK_TREES = 30  # fewer trees per child than this grow faster unforked
 
 
 def _leaf_value(tree: dict, x: np.ndarray) -> float:
@@ -142,8 +159,17 @@ def _all_equal(y_rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.
     return node_y.max(axis=1) == node_y.min(axis=1)
 
 
+def _workspace(size: int, key_dtype) -> dict[str, np.ndarray]:
+    """One flat work array of ``size`` elements per temporary of the
+    split search; each block's temporaries are views of their prefixes."""
+    kinds = {"index": np.int64, "keys": key_dtype, "order": key_dtype, "ys": np.float64,
+             "csum": np.float64, "csq": np.float64, "right": np.float64,
+             "sse": np.float64, "barred": np.bool_}
+    return {name: np.empty(size, dtype) for name, dtype in kinds.items()}
+
+
 def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
-                 min_leaf):
+                 min_leaf, work):
     """Best split of each node of a block, scored together.
 
     Node g holds slots ``starts[g]:starts[g] + sizes[g]`` of ``rows`` (its
@@ -156,6 +182,9 @@ def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
     ascending feature order and a later one wins only by strict improvement,
     which gives the tie rule (lowest feature, then lowest threshold).
 
+    Every (node, column, row) temporary is a view of the ``work`` arrays
+    (``_workspace``), written with ``out=``.
+
     Returns the block positions of the nodes that split, with their feature,
     left child size and threshold, and writes each split node's slots back
     in the chosen column's sorted order, so that each child holds a
@@ -164,27 +193,37 @@ def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
     count, k = features.shape
     slots, real = _positions(starts, sizes, len(rows) - 1)
     width = slots.shape[1]
-    node_rows = rows[slots]
-    node_y = y_rows[slots]
-    block = keys.reshape(-1)[features[:, :, None] * keys.shape[1] + node_rows[:, None, :]]
-    block |= np.arange(width, dtype=block.dtype)  # (node, column, row)
-    block.sort(axis=-1)  # keys are unique, so any sort is the stable one
-    order = block & ((1 << shift) - 1)
-    block >>= shift      # now the ranks, in sorted order
-    ys = node_y.reshape(-1)[order + (np.arange(count) * width)[:, None, None]]
-    csum = np.cumsum(ys, axis=-1)
-    ys *= ys
-    csq = np.cumsum(ys, axis=-1)
     # rows on the left of each split, as far as the largest node allows
     ks = np.arange(min_leaf, width - min_leaf + 1)
+    full, cut = (count, k, width), (count, k, ks.size)
+
+    def temp(name, shape):
+        return work[name][:math.prod(shape)].reshape(shape)
+
+    node_rows = rows[slots]
+    node_y = y_rows[slots]
+    index = temp("index", full)
+    np.multiply(features[:, :, None], keys.shape[1], out=index)
+    index += node_rows[:, None, :]
+    block = np.take(keys.reshape(-1), index, mode="clip", out=temp("keys", full))
+    block |= np.arange(width, dtype=block.dtype)  # (node, column, row)
+    block.sort(axis=-1)  # keys are unique, so any sort is the stable one
+    order = np.bitwise_and(block, (1 << shift) - 1, out=temp("order", full))
+    block >>= shift      # now the ranks, in sorted order
+    np.add(order, (np.arange(count) * width)[:, None, None], out=index)
+    ys = np.take(node_y.reshape(-1), index, mode="clip", out=temp("ys", full))
+    csum = np.cumsum(ys, axis=-1, out=temp("csum", full))
+    ys *= ys
+    csq = np.cumsum(ys, axis=-1, out=temp("csq", full))
     k_right = sizes[:, None, None] - ks
     left_sum = csum[..., min_leaf - 1:width - min_leaf]
     left_sq = csq[..., min_leaf - 1:width - min_leaf]
-    right_sum = totals[:, None, None] - left_sum
-    right_sq = csq[np.arange(count), :, sizes - 1][..., None] - left_sq
+    right_sum = np.subtract(totals[:, None, None], left_sum, out=temp("right", cut))
+    right_sq = np.subtract(csq[np.arange(count), :, sizes - 1][..., None], left_sq,
+                           out=temp("ys", cut))  # ys is spent
     # (left_sq - left_sum^2 / ks) + (right_sq - right_sum^2 / k_right), in place
     # but in this order, so that each SSE rounds as a lone node's does
-    sse = left_sum * left_sum
+    sse = np.multiply(left_sum, left_sum, out=temp("sse", cut))
     sse /= ks
     np.subtract(left_sq, sse, out=sse)
     right_sum *= right_sum
@@ -193,10 +232,14 @@ def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
     sse += right_sum
     # a threshold must separate distinct values, and both sides keep
     # min_leaf rows; other splits get +inf, added as the bits of 0.0 or inf
-    barred = block[..., min_leaf - 1:width - min_leaf] == block[..., min_leaf:width - min_leaf + 1]
+    barred = np.equal(block[..., min_leaf - 1:width - min_leaf],
+                      block[..., min_leaf:width - min_leaf + 1], out=temp("barred", cut))
     barred |= k_right < min_leaf
-    sse += (barred.view(np.uint8) * _INF_BITS).view(np.float64)
-    picks = np.argmax(sse <= sse.min(axis=-1, keepdims=True) + _TIE_EPS, axis=-1)
+    inf_bits = np.multiply(barred.view(np.uint8), _INF_BITS,
+                           out=temp("index", cut))  # the gathers are done
+    sse += inf_bits.view(np.float64)
+    near = np.less_equal(sse, sse.min(axis=-1, keepdims=True) + _TIE_EPS, out=barred)
+    picks = np.argmax(near, axis=-1)
     pick_sse = sse.reshape(-1, ks.size)[np.arange(count * k), picks.reshape(-1)]
     split, cols = [], []
     for g, values in enumerate(pick_sse.reshape(count, k).tolist()):
@@ -220,18 +263,21 @@ def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
     return split, f, n_left, threshold
 
 
-def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
-          min_leaf: int, bootstrap: bool, k: int, seed: int) -> list[dict]:
-    """All ``n_trees`` trees, grown in lockstep.
+def _grow(X: np.ndarray, y: np.ndarray, keys: np.ndarray, shift: int, chunk: range,
+          max_depth: int | None, min_leaf: int, bootstrap: bool, k: int,
+          seed: int) -> list[dict]:
+    """Trees ``chunk`` (a range of tree indices), grown in lockstep.
 
-    Tree t's rows fill slots ``t * n:(t + 1) * n`` of ``rows``, and each node
-    owns a contiguous run of its tree's slots; ``y_rows`` holds the slots'
-    targets. The last slot is the padding row n. Each tree keeps its own
-    depth-first stack of (node, start, end, depth).
+    The chunk's i-th tree has its rows in slots ``i * n:(i + 1) * n`` of
+    ``rows``, and each node owns a contiguous run of its tree's slots;
+    ``y_rows`` holds the slots' targets. The last slot is the padding row n.
+    Each tree keeps its own depth-first stack of (node, start, end, depth).
+    ``keys`` and ``shift`` are ``_rank_keys(X)``.
     """
     n, p = X.shape
-    keys, shift = _rank_keys(X)
-    states = stream_states([derive_seed(seed, t) for t in range(n_trees)])
+    n_trees = len(chunk)
+    work = _workspace(max(_BLOCK_ELEMENTS, k * (n + 1)), keys.dtype)
+    states = stream_states([derive_seed(seed, t) for t in chunk])
     if bootstrap:
         rows = multiply_shift(next_u64s(states, n), n).reshape(-1)
     else:
@@ -268,7 +314,7 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
                 run = np.array(run)
                 split, f, n_left, threshold = _score_block(
                     X, keys, shift, rows, y_rows, starts[run], sizes[run], totals[run],
-                    features[run], min_leaf)
+                    features[run], min_leaf, work)
                 for g in np.delete(run, split).tolist():
                     _, node, start, end, _, total = nodes[g]
                     _set_leaf(node, total, end - start)
@@ -279,6 +325,76 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
                     stacks[t].append((node["right"], start + left, end, depth + 1))
                     stacks[t].append((node["left"], start, start + left, depth + 1))
         live = [t for t in live if stacks[t]]
+    return trees
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _chunks(n_trees: int) -> list[range]:
+    """``range(n_trees)`` cut into contiguous chunks, one per CPU but none
+    of fewer than ``_MIN_CHUNK_TREES`` trees (so at least one chunk)."""
+    count = max(1, min(_cpus(), n_trees // _MIN_CHUNK_TREES))
+    return [range(n_trees * i // count, n_trees * (i + 1) // count) for i in range(count)]
+
+
+def _fork_chunk(grow, chunk: range, inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that pickles ``grow(chunk)`` to a pipe; return its pid
+    and the pipe's read end. The child first closes the read ends in
+    ``inherited`` (its elder siblings'), and leaves through ``os._exit``:
+    status 0 once its trees are written, 1 with a traceback on standard
+    error if anything fails."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        for fd in (read, *inherited):
+            os.close(fd)
+        with open(write, "wb") as pipe:
+            pickle.dump(grow(chunk), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _grow_chunks(grow, chunks: list[range]) -> list[dict]:
+    """The trees of every chunk, in tree order: chunk 0 grown here, each
+    other one in a forked child. Whatever happens here, every read end is
+    closed before any child is waited for, so a child blocked writing to a
+    pipe no one reads gets EPIPE and exits, and every child is reaped."""
+    children: list[tuple[int, int]] = []
+    sent = []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork_chunk(grow, chunk, [read for _, read in children]))
+        trees = grow(chunks[0])
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    finally:
+        for _, read in children:
+            os.close(read)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for chunk, code, data in zip(chunks[1:], codes, sent):
+        if code:
+            raise RuntimeError(f"the child growing trees {chunk.start}..{chunk.stop - 1} "
+                               f"exited with status {code}")
+        trees += pickle.loads(data)
     return trees
 
 
@@ -300,8 +416,10 @@ def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
     p = X.shape[1]
     if max_features is None:
         max_features = max(1, math.ceil(p / 3)) if p else 1
-    trees = _grow(X, y, n_trees, max_depth, min_leaf, bootstrap,
-                  min(max_features, p), seed)
+    keys, shift = _rank_keys(X)
+    k = min(max_features, p)
+    trees = _grow_chunks(lambda chunk: _grow(X, y, keys, shift, chunk, max_depth, min_leaf,
+                                             bootstrap, k, seed), _chunks(n_trees))
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        min_leaf=min_leaf, max_features=max_features,
                        bootstrap=bootstrap, seed=seed, n_features=p)

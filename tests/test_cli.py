@@ -420,14 +420,17 @@ class TestAblate:
             ["none", "search", "social", "shopping", "qa", "past"]
         assert all("lasso option 'lambda'" in f["error"] for f in failures)
 
-    def test_unknown_model_fails_each_row_and_exits_4(self, synth_dir, tmp_path):
-        config = write_run_config(tmp_path / "run.json", synth_dir, model="prophet")
-        out = tmp_path / "results"
-        assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 4
-        assert json.loads((out / "ablation.json").read_text()) == []
-        failures = json.loads((out / "failures.json").read_text())
-        assert [f["dropped"] for f in failures] == drop_labels()
-        assert all("unknown model kind 'prophet'" in f["error"] for f in failures)
+    def test_unknown_model_exits_2_and_writes_nothing(self, synth_dir, tmp_path, capsys):
+        # a config model that the command's own --model would refuse
+        for command, model in (("backtest", "prophet"), ("ablate", "prophet"),
+                               ("ablate", "all")):
+            config = write_run_config(tmp_path / "run.json", synth_dir, model=model)
+            out = tmp_path / "results"
+            assert run([command, "--config", config, "--out", out]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "'model' must be one of" in err[0] and repr(model) in err[0]
+            assert not out.exists()
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"

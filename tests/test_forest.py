@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+import os
+import pickle
 import random
+import signal
 
 import numpy as np
 import pytest
 
 from flunowcast.errors import NoData, ShapeMismatch
-from flunowcast.models import ForestModel, fit_forest, model_from_json, model_to_json
+from flunowcast.models import ForestModel, fit_forest, forest, model_from_json, model_to_json
 
 from oracles import reference_forest_trees
 
@@ -194,3 +197,81 @@ def test_lockstep_trees_match_recursive_oracle(n, p):
                                        model.max_features, seed)
         assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees)), \
             (n, p, min_leaf, max_depth, bootstrap, features, n_trees, seed)
+
+
+# Chunked fits: the trees are cut into contiguous chunks, one per CPU, and
+# every chunk but the first grows in a forked child. The break-even is
+# patched to 1 so that even two trees fork.
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_chunked_fits_match_serial_fit_and_oracle(monkeypatch, bootstrap):
+    X, y = seeded_dataset(21, n=30, p=4)
+    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
+    for n_trees in (1, 2, 61, 100):
+        texts = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(forest, "_cpus", lambda: cpus)
+            assert len(forest._chunks(n_trees)) == min(cpus, n_trees)
+            model = fit_forest(X, y, n_trees=n_trees, bootstrap=bootstrap, seed=5)
+            texts.add(model_to_json(model))
+        trees = reference_forest_trees(X, y, n_trees, None, 2, bootstrap,
+                                       model.max_features, 5)
+        assert texts == {model_to_json(dataclasses.replace(model, trees=trees))}, n_trees
+
+
+def test_chunks_are_contiguous_and_hold_the_break_even(monkeypatch):
+    least = forest._MIN_CHUNK_TREES
+    monkeypatch.setattr(forest, "_cpus", lambda: 3)
+    assert forest._chunks(100) == [range(0, 33), range(33, 66), range(66, 100)]
+    assert forest._chunks(2 * least) == [range(0, least), range(least, 2 * least)]
+    assert forest._chunks(2 * least - 1) == [range(2 * least - 1)]
+    monkeypatch.setattr(forest, "_cpus", lambda: 1)
+    assert forest._chunks(100) == [range(100)]
+
+
+def failing_in(where, monkeypatch):
+    """Patch ``_grow`` to raise in the parent or in the forked child, and
+    make a fit fork one child."""
+    parent, grow = os.getpid(), forest._grow
+
+    def patched(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError(f"injected in the {where}")
+        return grow(*args)
+
+    monkeypatch.setattr(forest, "_grow", patched)
+    monkeypatch.setattr(forest, "_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
+
+
+def test_child_failure_raises_in_parent(monkeypatch, capfd):
+    X, y = seeded_dataset(4)
+    failing_in("child", monkeypatch)
+    with pytest.raises(RuntimeError, match=r"growing trees 2\.\.3 exited with status 1"):
+        fit_forest(X, y, n_trees=4)
+    assert "ValueError: injected in the child" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parent_failure_reaps_child_blocked_on_a_full_pipe(monkeypatch):
+    X, y = seeded_dataset(4, n=200)
+    # the child's trees overflow the pipe, so it blocks writing until the
+    # parent closes the read end
+    trees = fit_forest(X, y, n_trees=50).trees
+    assert len(pickle.dumps(trees, pickle.HIGHEST_PROTOCOL)) > 1 << 16
+    failing_in("parent", monkeypatch)
+
+    def deadlocked(*_):
+        raise TimeoutError("the parent waited for a child that cannot exit")
+
+    previous = signal.signal(signal.SIGALRM, deadlocked)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ValueError, match="injected in the parent"):
+            fit_forest(X, y, n_trees=100)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
