@@ -27,6 +27,7 @@ from .evaluation import (
     backtest,
     check_type,
     drop_labels,
+    dump_json as _dump_json,
     result_to_dict,
     write_plot_csv,
     write_report_json,
@@ -53,11 +54,6 @@ EXIT_BAD_DROP = 5
 EXIT_DEGENERATE = 6
 
 DEFAULT_THRESHOLDS = {"search": 0.70, "social": 0.75, "shopping": None, "qa": None}
-
-
-def _dump_json(payload, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _fail(code: int, message: str) -> int:
@@ -176,8 +172,16 @@ def cmd_select(args) -> int:
 
 def _load_run_config(args, models: list[str]) -> dict:
     """The run config, with ``model`` one of ``models`` (the values the
-    command's own ``--model`` would take)."""
+    command's own ``--model`` would take). Every key of ``resources`` and
+    ``thresholds`` must be a UGC resource tag, every key of ``lag`` ``min``
+    or ``max``, and every key of ``model_options`` a model kind."""
     config = _merged_options(args, RUN_KEYS)
+    tags = [kind.value for kind in UGC_RESOURCES]
+    for key, accepted in (("resources", tags), ("thresholds", tags),
+                          ("lag", ["min", "max"]), ("model_options", list(MODELS))):
+        unknown = sorted(set(config.get(key, {})) - set(accepted))
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown} in {key!r}; accepted: {accepted}")
     config.setdefault("out", ".")
     config.setdefault("seed", 0)
     config.setdefault("model", "huber")
@@ -189,14 +193,7 @@ def _load_run_config(args, models: list[str]) -> dict:
 
 def _build_panel_and_selection(config: dict):
     """Load the flu series and per-resource candidates, align everything,
-    and apply each resource's selection threshold (null = keep all). Every
-    key of ``resources`` and ``thresholds`` must be a UGC resource tag."""
-    tags = [kind.value for kind in UGC_RESOURCES]
-    for key in ("resources", "thresholds"):
-        unknown = sorted(set(config.get(key, {})) - set(tags))
-        if unknown:
-            raise ValueError(f"unknown resource tag(s) {unknown} in {key!r}; "
-                             f"accepted: {tags}")
+    and apply each resource's selection threshold (null = keep all)."""
     thresholds = {**DEFAULT_THRESHOLDS, **config.get("thresholds", {})}
     flu = read_series_csv(config["flu"], name="flu",
                           resource=ResourceKind.FLU_PATIENTS)

@@ -297,10 +297,15 @@ def result_to_dict(result: BacktestResult) -> dict:
     }
 
 
-def write_report_json(results: Sequence[BacktestResult], path) -> None:
-    payload = [result_to_dict(r) for r in results]
+def dump_json(payload, path) -> None:
+    """The one JSON writer of every report: sorted keys, a two-space indent
+    and a trailing newline, in UTF-8, so reruns give the same bytes."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
+
+
+def write_report_json(results: Sequence[BacktestResult], path) -> None:
+    dump_json([result_to_dict(r) for r in results], path)
 
 
 def write_plot_csv(result: BacktestResult, path) -> None:

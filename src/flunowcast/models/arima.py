@@ -240,7 +240,6 @@ def forecast_arima(model: ArimaModel, last_observations, horizon: int) -> np.nda
             idx = t - 1 - j
             acc += model.ma[j] * (e_ext[idx] if idx < z.size else 0.0)
         z_ext.append(acc)
-        e_ext.append(0.0)
         level = acc
         for order_tail in range(d - 1, -1, -1):
             level = tails[order_tail] + level

@@ -15,9 +15,10 @@ Trees are independent, so a fit cuts ``range(n_trees)`` into contiguous
 chunks, one per CPU in the process's affinity mask but none of fewer than
 ``_MIN_CHUNK_TREES`` trees (below that, a fork costs more than it saves).
 The rank keys are computed once; then a forked child grows each chunk but
-the first, which the calling process grows, and pickles its trees back
-through a pipe. The chunks are joined in tree order, so the trees do not
-depend on the CPU count.
+the first, which the calling process grows, and pickles its trees into an
+anonymous in-memory file (``os.memfd_create``) that the caller reads once
+the child has exited. The chunks are joined in tree order, so the trees do
+not depend on the CPU count.
 
 A chunk's trees grow in lockstep, each exactly as the recursive builder
 grows it alone: depth first, left child before right, drawing from its own
@@ -329,8 +330,9 @@ def _grow(X: np.ndarray, y: np.ndarray, keys: np.ndarray, shift: int, chunk: ran
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    """The CPUs this process may run on, or 1 where it cannot fork or make
+    an anonymous in-memory file."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -342,54 +344,37 @@ def _chunks(n_trees: int) -> list[range]:
     return [range(n_trees * i // count, n_trees * (i + 1) // count) for i in range(count)]
 
 
-def _fork_chunk(grow, chunk: range, inherited: list[int]) -> tuple[int, int]:
-    """Fork a child that pickles ``grow(chunk)`` to a pipe; return its pid
-    and the pipe's read end. The child first closes the read ends in
-    ``inherited`` (its elder siblings'), and leaves through ``os._exit``:
-    status 0 once its trees are written, 1 with a traceback on standard
-    error if anything fails."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        for fd in (read, *inherited):
-            os.close(fd)
-        with open(write, "wb") as pipe:
-            pickle.dump(grow(chunk), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
 def _grow_chunks(grow, chunks: list[range]) -> list[dict]:
     """The trees of every chunk, in tree order: chunk 0 grown here, each
-    other one in a forked child. Whatever happens here, every read end is
-    closed before any child is waited for, so a child blocked writing to a
-    pipe no one reads gets EPIPE and exits, and every child is reaped."""
-    children: list[tuple[int, int]] = []
-    sent = []
+    other one in a forked child that pickles them into its own in-memory
+    file and leaves through ``os._exit``: status 0 once they are written, 1
+    with a traceback on standard error. A file never blocks its writer, so
+    however this ends, every child is reaped and every file closed."""
+    files, pids = [], []  # a file's descriptor, and the pid of the child writing it
     try:
         for chunk in chunks[1:]:
-            children.append(_fork_chunk(grow, chunk, [read for _, read in children]))
+            files.append(os.memfd_create("forest-chunk"))
+            pid = os.fork()
+            if not pid:
+                status = 1
+                try:
+                    with open(files[-1], "wb") as file:
+                        pickle.dump(grow(chunk), file, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
         trees = grow(chunks[0])
-        for _, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
     finally:
-        for _, read in children:
-            os.close(read)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        try:
+            sent = [os.pread(fd, os.fstat(fd).st_size, 0) for fd in files[:len(pids)]]
+        finally:
+            for fd in files:
+                os.close(fd)
     for chunk, code, data in zip(chunks[1:], codes, sent):
         if code:
             raise RuntimeError(f"the child growing trees {chunk.start}..{chunk.stop - 1} "

@@ -4,17 +4,40 @@ import os
 
 import pytest
 
+FD_DIR = "/proc/self/fd"
+
+
+def open_files() -> dict[int, str]:
+    """Each open file descriptor of this process, with its link target.
+    The descriptor that lists the directory is closed by the time its link
+    is read, so it is left out."""
+    files = {}
+    for name in os.listdir(FD_DIR):
+        try:
+            files[int(name)] = os.readlink(f"{FD_DIR}/{name}")
+        except FileNotFoundError:
+            pass
+    return files
+
 
 @pytest.fixture(autouse=True)
-def no_child_left_behind():
-    """Fail a test that leaves a child process behind, running or unreaped:
-    a forest fit must reap every child it forks, however it ends."""
+def nothing_left_behind():
+    """Fail a test that leaves a child process behind, running or unreaped,
+    or a file descriptor open that was not open before it: a forest fit
+    must reap every child it forks and close every file it makes, however
+    it ends."""
+    before = open_files() if os.path.isdir(FD_DIR) else None
     yield
-    if not hasattr(os, "WNOHANG"):
-        return
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail("the test left a running child process" if pid == 0 else
-                f"the test left child process {pid} unreaped")
+    if hasattr(os, "WNOHANG"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            pass
+        else:
+            pytest.fail("the test left a running child process" if pid == 0 else
+                        f"the test left child process {pid} unreaped")
+    if before is not None:
+        leaked = [f"{fd} -> {target}" for fd, target in sorted(open_files().items())
+                  if before.get(fd) != target]
+        if leaked:
+            pytest.fail(f"the test left file descriptor(s) open: {leaked}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import flunowcast
-from flunowcast import evaluation
+from flunowcast import cli, evaluation
 from flunowcast.cli import main
 from flunowcast.evaluation import MODELS, drop_labels
 
@@ -561,7 +561,6 @@ class TestChangepoint:
 
     def test_degenerate_sampler_input_exits_6(self, synth_dir, tmp_path, monkeypatch,
                                               capsys):
-        from flunowcast import cli
         from flunowcast.errors import DegenerateInput
 
         def degenerate(*args, **kwargs):
@@ -651,6 +650,31 @@ class TestConfigTypes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert repr(typo) in err[0] and repr(key) in err[0]
         assert "accepted: ['search', 'social', 'shopping', 'qa']" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "ablate"])
+    @pytest.mark.parametrize("entry, typo, accepted", [
+        ({"lag": {"minimum": 4}}, "minimum", "accepted: ['min', 'max']"),
+        ({"model_options": {"frest": {"n_trees": 5}}}, "frest",
+         "accepted: ['lasso', 'huber', 'svr', 'forest', 'arima']"),
+    ])
+    def test_unknown_lag_or_model_options_key_exits_2_and_writes_nothing(
+            self, synth_dir, tmp_path, capsys, monkeypatch, command, entry, typo, accepted):
+        # both typos used to run with the defaults and exit 0
+        config = tmp_path / "config.json"
+        base = json.loads(write_run_config(config, synth_dir).read_text())
+        config.write_text(json.dumps({**base, **entry}), encoding="utf-8")
+
+        def unread(*_):
+            raise AssertionError("the run read a series before checking its config")
+
+        monkeypatch.setattr(cli, "read_series_csv", unread)
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(typo) in err[0] and repr(next(iter(entry))) in err[0]
+        assert accepted in err[0]
         assert not out.exists()
 
 

@@ -254,10 +254,9 @@ def test_child_failure_raises_in_parent(monkeypatch, capfd):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_parent_failure_reaps_child_blocked_on_a_full_pipe(monkeypatch):
+def test_parent_failure_reaps_child(monkeypatch):
     X, y = seeded_dataset(4, n=200)
-    # the child's trees overflow the pipe, so it blocks writing until the
-    # parent closes the read end
+    # the child's trees take over 64 KiB, and writing them must not block it
     trees = fit_forest(X, y, n_trees=50).trees
     assert len(pickle.dumps(trees, pickle.HIGHEST_PROTOCOL)) > 1 << 16
     failing_in("parent", monkeypatch)
@@ -275,3 +274,25 @@ def test_parent_failure_reaps_child_blocked_on_a_full_pipe(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_closes_its_file(monkeypatch):
+    X, y = seeded_dataset(4)
+
+    def no_fork():
+        raise OSError("injected fork failure")
+
+    monkeypatch.setattr(forest, "_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError, match="injected fork failure"):
+        fit_forest(X, y, n_trees=4)
+
+
+def test_fit_without_memfd_grows_serially(monkeypatch):
+    X, y = seeded_dataset(4)
+    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
+    forked = model_to_json(fit_forest(X, y, n_trees=4))
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    assert forest._cpus() == 1
+    assert model_to_json(fit_forest(X, y, n_trees=4)) == forked
