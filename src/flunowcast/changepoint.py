@@ -46,10 +46,20 @@ parameter corners where the regularized incomplete beta under- or
 overflows. The closed forms call ``betainc`` and ``betaln`` through
 ``scipy.special.cython_special``, the scalar entry points of the same C
 routines, which skip the ufunc's per-call dispatch. They are bound on
-their first call, so importing this module (and so every CLI command)
-loads no scipy, and the ``changepoint`` command pays for
-``scipy.special`` once, when the sampler first needs it. Tests
-cross-check both routes against direct quadrature of the raw integrands.
+their first call, or by ``score_resource`` before it forks, so importing
+this module (and so every CLI command) loads no scipy, and the
+``changepoint`` command pays for ``scipy.special`` once, in the calling
+process; forked children inherit the binding. Tests cross-check both
+routes against direct quadrature of the raw integrands.
+
+The posteriors of ``score_resource`` are independent: each series samples
+its own stream, seeded by ``derive_seed(config.seed, series index)``. So
+the flu series and its chosen queries are cut into contiguous chunks, one
+per CPU in the process's affinity mask and never more chunks than series;
+the calling process samples the first chunk and a forked child each other
+one (``parallel.run_chunks``). Every posterior, and so every output, is
+the same at any CPU count, and a sampler error reaches the caller as the
+same exception.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from math import log
 
 import numpy as np
 
+from . import parallel
 from .errors import AlignmentError, DegenerateInput
 from .rng import Xorshift64Star, derive_seed
 from .series import WeeklySeries, pearson, unit_scale
@@ -360,8 +371,10 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
     most correlated with the target.
 
     Each series gets its own sampler stream derived from (config.seed,
-    series index); pooled TP/FP/FN counts form the aggregate rates. Needs
-    ``top_k >= 0`` and ``window >= 0``; otherwise ``ValueError``.
+    series index), so the posteriors run in chunks, one per CPU, with the
+    same results at any CPU count. Pooled TP/FP/FN counts form the
+    aggregate rates. Needs ``top_k >= 0`` and ``window >= 0``; otherwise
+    ``ValueError``.
     """
     if top_k < 0 or window < 0:
         raise ValueError(f"need top_k >= 0 and window >= 0, got {top_k} and {window}")
@@ -382,9 +395,15 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
     ranked.sort(key=lambda item: (-item[0], item[1]))
     chosen = ranked[:top_k]
 
-    flu_probs, *query_probs = [
-        bcp_posterior(s, replace(config, seed=derive_seed(config.seed, idx))).probabilities
-        for idx, s in enumerate([flu, *(q for _, _, q in chosen)])]
+    series = [flu, *(q for _, _, q in chosen)]
+
+    def posteriors(chunk: range) -> list[np.ndarray]:
+        return [bcp_posterior(series[idx],
+                              replace(config, seed=derive_seed(config.seed, idx))).probabilities
+                for idx in chunk]
+
+    _bind_special()  # before any fork, so that no child imports scipy.special again
+    flu_probs, *query_probs = parallel.run_chunks(posteriors, parallel.chunks(len(series)))
     flu_cps = detect(flu_probs, threshold)
     scores: list[QueryScore] = []
     for (r, name, _), probs in zip(chosen, query_probs):

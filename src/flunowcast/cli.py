@@ -28,6 +28,7 @@ from .evaluation import (
     check_type,
     drop_labels,
     dump_json as _dump_json,
+    report_text,
     result_to_dict,
     write_plot_csv,
     write_report_json,
@@ -162,7 +163,7 @@ def cmd_select(args) -> int:
     if opts.get("out"):
         _dump_json(payload, Path(opts["out"]))
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(report_text(payload))
     return EXIT_OK
 
 
@@ -329,7 +330,7 @@ def cmd_changepoint(args) -> int:
         return _write_run(args.out,
                           lambda out: _dump_json(payload, out / "changepoint.json"),
                           "change-point report")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(report_text(payload))
     return EXIT_OK
 
 

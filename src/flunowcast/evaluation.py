@@ -297,11 +297,16 @@ def result_to_dict(result: BacktestResult) -> dict:
     }
 
 
+def report_text(payload) -> str:
+    """The one JSON text of every report, written to a file or printed:
+    sorted keys, a two-space indent and a trailing newline, so reruns give
+    the same bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def dump_json(payload, path) -> None:
-    """The one JSON writer of every report: sorted keys, a two-space indent
-    and a trailing newline, in UTF-8, so reruns give the same bytes."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    """Write ``report_text(payload)`` to ``path`` in UTF-8."""
+    Path(path).write_text(report_text(payload), encoding="utf-8")
 
 
 def write_report_json(results: Sequence[BacktestResult], path) -> None:

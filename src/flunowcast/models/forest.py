@@ -14,11 +14,10 @@ internal node is ``{"feature": f, "threshold": t, "left": ..., "right":
 Trees are independent, so a fit cuts ``range(n_trees)`` into contiguous
 chunks, one per CPU in the process's affinity mask but none of fewer than
 ``_MIN_CHUNK_TREES`` trees (below that, a fork costs more than it saves).
-The rank keys are computed once; then a forked child grows each chunk but
-the first, which the calling process grows, and pickles its trees into an
-anonymous in-memory file (``os.memfd_create``) that the caller reads once
-the child has exited. The chunks are joined in tree order, so the trees do
-not depend on the CPU count.
+The rank keys are computed once; then ``parallel.run_chunks`` grows the
+first chunk in the calling process and each other chunk in a forked child,
+and joins the chunks in tree order, so the trees do not depend on the CPU
+count.
 
 A chunk's trees grow in lockstep, each exactly as the recursive builder
 grows it alone: depth first, left child before right, drawing from its own
@@ -52,14 +51,12 @@ that memory again. Thresholds are read from ``X``.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
+from .. import parallel
 from ..rng import derive_seed, multiply_shift, next_u64s, stream_states
 from .linear import fit_data, predict_rows
 
@@ -329,60 +326,6 @@ def _grow(X: np.ndarray, y: np.ndarray, keys: np.ndarray, shift: int, chunk: ran
     return trees
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork or make
-    an anonymous in-memory file."""
-    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _chunks(n_trees: int) -> list[range]:
-    """``range(n_trees)`` cut into contiguous chunks, one per CPU but none
-    of fewer than ``_MIN_CHUNK_TREES`` trees (so at least one chunk)."""
-    count = max(1, min(_cpus(), n_trees // _MIN_CHUNK_TREES))
-    return [range(n_trees * i // count, n_trees * (i + 1) // count) for i in range(count)]
-
-
-def _grow_chunks(grow, chunks: list[range]) -> list[dict]:
-    """The trees of every chunk, in tree order: chunk 0 grown here, each
-    other one in a forked child that pickles them into its own in-memory
-    file and leaves through ``os._exit``: status 0 once they are written, 1
-    with a traceback on standard error. A file never blocks its writer, so
-    however this ends, every child is reaped and every file closed."""
-    files, pids = [], []  # a file's descriptor, and the pid of the child writing it
-    try:
-        for chunk in chunks[1:]:
-            files.append(os.memfd_create("forest-chunk"))
-            pid = os.fork()
-            if not pid:
-                status = 1
-                try:
-                    with open(files[-1], "wb") as file:
-                        pickle.dump(grow(chunk), file, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                except BaseException:
-                    sys.excepthook(*sys.exc_info())
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        trees = grow(chunks[0])
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        try:
-            sent = [os.pread(fd, os.fstat(fd).st_size, 0) for fd in files[:len(pids)]]
-        finally:
-            for fd in files:
-                os.close(fd)
-    for chunk, code, data in zip(chunks[1:], codes, sent):
-        if code:
-            raise RuntimeError(f"the child growing trees {chunk.start}..{chunk.stop - 1} "
-                               f"exited with status {code}")
-        trees += pickle.loads(data)
-    return trees
-
-
 def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
                min_leaf: int = 2, bootstrap: bool = True,
                max_features: int | None = None, seed: int = 0) -> ForestModel:
@@ -403,8 +346,9 @@ def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
         max_features = max(1, math.ceil(p / 3)) if p else 1
     keys, shift = _rank_keys(X)
     k = min(max_features, p)
-    trees = _grow_chunks(lambda chunk: _grow(X, y, keys, shift, chunk, max_depth, min_leaf,
-                                             bootstrap, k, seed), _chunks(n_trees))
+    trees = parallel.run_chunks(
+        lambda chunk: _grow(X, y, keys, shift, chunk, max_depth, min_leaf, bootstrap, k, seed),
+        parallel.chunks(n_trees, _MIN_CHUNK_TREES))
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        min_leaf=min_leaf, max_features=max_features,
                        bootstrap=bootstrap, seed=seed, n_features=p)

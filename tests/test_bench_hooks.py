@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from flunowcast import parallel
 from flunowcast.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -78,15 +79,35 @@ def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
     assert metrics["svr.gap_rel_max"] < 1e-6
 
 
-def test_changepoint_calls_every_required_hook(tracing, data_dir, tmp_path):
+def traced_changepoint(tracing, data_dir, tmp_path):
+    """The tracer of a 20-sweep changepoint run on the flu series and two
+    queries, after its replay, and the number of W-integrals one posterior
+    computes: one per position per sweep, plus the start."""
     code, tracer = traced(tracing, [
         "changepoint", "--flu", data_dir / "flu.csv",
         "--queries", data_dir / "proxy_01.csv", data_dir / "proxy_02.csv",
         "--iterations", "20", "--burn-in", "2", "--out", tmp_path / "cp"])
     assert code == 0
     tracer.replay_counts()
+    n = len((data_dir / "flu.csv").read_text(encoding="utf-8").splitlines()) - 1
+    return tracer, 20 * (n - 1) + 1
+
+
+def test_changepoint_calls_every_required_hook(tracing, data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
+    tracer, per_posterior = traced_changepoint(tracing, data_dir, tmp_path)
     tracer.check_required("changepoint")
     # the replay counts every W-integral, not only the sampler's fallbacks:
-    # flu and both queries, one per position per sweep plus the start
-    n = len((data_dir / "flu.csv").read_text(encoding="utf-8").splitlines()) - 1
-    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == 3 * (20 * (n - 1) + 1)
+    # flu and both queries
+    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == 3 * per_posterior
+
+
+def test_changepoint_traces_only_the_calling_process_chunk(tracing, data_dir, tmp_path,
+                                                          monkeypatch):
+    # the hooks live in this process, so on 2 CPUs they see chunk 0 (the flu
+    # series) and not the queries sampled in the forked child
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    tracer, per_posterior = traced_changepoint(tracing, data_dir, tmp_path)
+    tracer.check_required("changepoint")
+    assert tracer.calls["flunowcast.changepoint:bcp_posterior"] == 1
+    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == per_posterior

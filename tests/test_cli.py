@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import flunowcast
-from flunowcast import cli, evaluation
+from flunowcast import changepoint, cli, evaluation, parallel
 from flunowcast.cli import main
+from flunowcast.errors import DegenerateInput
 from flunowcast.evaluation import MODELS, drop_labels
 
 
@@ -498,6 +499,57 @@ class TestChangepoint:
         digest = hashlib.sha256((out / "changepoint.json").read_bytes()).hexdigest()
         assert digest == GOLDEN_CHANGEPOINT
 
+    def test_report_bytes_do_not_depend_on_cpu_count(self, synth_dir, tmp_path, monkeypatch):
+        # the flu series and its three queries, cut into 1, 2, 3 and 4 chunks
+        queries = [synth_dir / f"proxy_{i:02d}.csv" for i in range(1, 5)]
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"cp{cpus}"
+            assert run(["changepoint", "--flu", synth_dir / "flu.csv", "--queries", *queries,
+                        "--iterations", "100", "--burn-in", "10", "--seed", "7",
+                        "--out", out]) == 0
+            digest = hashlib.sha256((out / "changepoint.json").read_bytes()).hexdigest()
+            assert digest == GOLDEN_CHANGEPOINT, cpus
+
+    def test_top_k_zero_samples_the_flu_series_without_forking(self, synth_dir, tmp_path,
+                                                               monkeypatch):
+        def no_fork():
+            raise AssertionError("one series forked a child")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        reports = set()
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"cp{cpus}"
+            assert run(["changepoint", "--flu", synth_dir / "flu.csv",
+                        "--queries", synth_dir / "proxy_01.csv", "--top-k", "0",
+                        "--iterations", "60", "--burn-in", "10", "--out", out]) == 0
+            reports.add((out / "changepoint.json").read_bytes())
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sampler_error_in_any_chunk_exits_6(self, synth_dir, tmp_path, monkeypatch,
+                                                capfd, cpus):
+        # with --top-k 1 the query is the second of two series: on 2 CPUs a
+        # forked child samples it, and its error must still exit 6
+        parent, sample = os.getpid(), changepoint.bcp_posterior
+
+        def failing(series, config):
+            if series.name != "flu":
+                where = "parent" if os.getpid() == parent else "child"
+                raise DegenerateInput(f"injected for a query in the {where}")
+            return sample(series, config)
+
+        monkeypatch.setattr(changepoint, "bcp_posterior", failing)
+        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+        out = tmp_path / "cp"
+        assert run(["changepoint", "--flu", synth_dir / "flu.csv",
+                    "--queries", synth_dir / "proxy_01.csv", "--top-k", "1",
+                    "--iterations", "20", "--burn-in", "2", "--out", out]) == 6
+        where = "parent" if cpus == 1 else "child"
+        assert f"error: injected for a query in the {where}\n" in capfd.readouterr().err
+        assert not out.exists()
+
     def test_schema(self, synth_dir, tmp_path):
         out = tmp_path / "cp"
         assert run(["changepoint", "--flu", synth_dir / "flu.csv",
@@ -676,6 +728,20 @@ class TestConfigTypes:
         assert repr(typo) in err[0] and repr(next(iter(entry))) in err[0]
         assert accepted in err[0]
         assert not out.exists()
+
+
+def test_printed_report_is_the_out_file(synth_dir, tmp_path, capsysbinary):
+    flu = synth_dir / "flu.csv"
+    queries = [synth_dir / "proxy_01.csv", synth_dir / "proxy_02.csv"]
+    for argv, out, written in (
+            (["select", "--target", flu, "--candidates", *queries, "--threshold", "0.01"],
+             tmp_path / "select.json", tmp_path / "select.json"),
+            (["changepoint", "--flu", flu, "--queries", *queries, "--iterations", "20",
+              "--burn-in", "2"], tmp_path / "cp", tmp_path / "cp" / "changepoint.json")):
+        assert run(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert run([*argv, "--out", out]) == 0
+        assert printed == written.read_bytes(), argv[0]
 
 
 def modules_after(code: str, *packages: str) -> list[str]:

@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from flunowcast import parallel
 from flunowcast.errors import NoData, ShapeMismatch
 from flunowcast.models import ForestModel, fit_forest, forest, model_from_json, model_to_json
 
@@ -210,8 +211,8 @@ def test_chunked_fits_match_serial_fit_and_oracle(monkeypatch, bootstrap):
     for n_trees in (1, 2, 61, 100):
         texts = set()
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(forest, "_cpus", lambda: cpus)
-            assert len(forest._chunks(n_trees)) == min(cpus, n_trees)
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            assert len(parallel.chunks(n_trees, forest._MIN_CHUNK_TREES)) == min(cpus, n_trees)
             model = fit_forest(X, y, n_trees=n_trees, bootstrap=bootstrap, seed=5)
             texts.add(model_to_json(model))
         trees = reference_forest_trees(X, y, n_trees, None, 2, bootstrap,
@@ -221,35 +222,49 @@ def test_chunked_fits_match_serial_fit_and_oracle(monkeypatch, bootstrap):
 
 def test_chunks_are_contiguous_and_hold_the_break_even(monkeypatch):
     least = forest._MIN_CHUNK_TREES
-    monkeypatch.setattr(forest, "_cpus", lambda: 3)
-    assert forest._chunks(100) == [range(0, 33), range(33, 66), range(66, 100)]
-    assert forest._chunks(2 * least) == [range(0, least), range(least, 2 * least)]
-    assert forest._chunks(2 * least - 1) == [range(2 * least - 1)]
-    monkeypatch.setattr(forest, "_cpus", lambda: 1)
-    assert forest._chunks(100) == [range(100)]
+    monkeypatch.setattr(parallel, "cpus", lambda: 3)
+    assert parallel.chunks(100, least) == [range(0, 33), range(33, 66), range(66, 100)]
+    assert parallel.chunks(2 * least, least) == [range(0, least), range(least, 2 * least)]
+    assert parallel.chunks(2 * least - 1, least) == [range(2 * least - 1)]
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
+    assert parallel.chunks(100, least) == [range(100)]
 
 
-def failing_in(where, monkeypatch):
-    """Patch ``_grow`` to raise in the parent or in the forked child, and
-    make a fit fork one child."""
+def failing_in(where, monkeypatch, fail=None):
+    """Patch ``_grow`` to fail in the parent or in the forked child, and
+    make a fit fork one child. The failure raises ``ValueError`` unless
+    ``fail`` is given."""
     parent, grow = os.getpid(), forest._grow
+
+    def raise_value_error():
+        raise ValueError(f"injected in the {where}")
 
     def patched(*args):
         if (os.getpid() == parent) == (where == "parent"):
-            raise ValueError(f"injected in the {where}")
+            (fail or raise_value_error)()
         return grow(*args)
 
     monkeypatch.setattr(forest, "_grow", patched)
-    monkeypatch.setattr(forest, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
     monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
 
 
 def test_child_failure_raises_in_parent(monkeypatch, capfd):
+    # the child's own exception, as a serial fit would raise it
     X, y = seeded_dataset(4)
     failing_in("child", monkeypatch)
-    with pytest.raises(RuntimeError, match=r"growing trees 2\.\.3 exited with status 1"):
+    with pytest.raises(ValueError, match="injected in the child"):
         fit_forest(X, y, n_trees=4)
     assert "ValueError: injected in the child" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_without_result_raises_runtime_error(monkeypatch):
+    X, y = seeded_dataset(4)
+    failing_in("child", monkeypatch, fail=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"chunk 2\.\.3 exited with status 3"):
+        fit_forest(X, y, n_trees=4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -282,7 +297,7 @@ def test_failed_fork_closes_its_file(monkeypatch):
     def no_fork():
         raise OSError("injected fork failure")
 
-    monkeypatch.setattr(forest, "_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
     monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(OSError, match="injected fork failure"):
@@ -294,5 +309,5 @@ def test_fit_without_memfd_grows_serially(monkeypatch):
     monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
     forked = model_to_json(fit_forest(X, y, n_trees=4))
     monkeypatch.delattr(os, "memfd_create", raising=False)
-    assert forest._cpus() == 1
+    assert parallel.cpus() == 1
     assert model_to_json(fit_forest(X, y, n_trees=4)) == forked
