@@ -28,7 +28,22 @@ W-integral as running values:
 - The conditional odds at a position compare the partitions with and
   without a boundary there; one of them is the current partition, whose
   W-integral f((blocks - 1)/2, W) was computed at the previous position (or
-  before the first sweep). So each position computes one integral.
+  before the first sweep). So a position lacks at most the other one.
+- Most draws keep the position as it was, and a bound settles those
+  without the lacking integral. Where that integral takes its incomplete
+  beta route (W > 0, B > 0, c = m - d - 1 > 0 with m = (n-1)/2, and x
+  outside the small-x branch), I_x(a, c) <= 1 gives
+      f(d, W) <= (d - m + 1) log W - (d + 1) log B + log B(a, c),
+  with log B(a, c) cached by block count. A position without a boundary
+  keeps none when its draw is at least the bound's probability plus a
+  margin; one with a boundary keeps it when its draw is below the bound's
+  probability minus the margin. The bound is the integral's own sum with
+  log I_x dropped, so after rounding it is still at or above the integral,
+  and the margin (1e-12, at ``_MARGIN``) covers the few ulps by which exp
+  and the division can order probabilities against their log-odds. Every
+  other draw (a flip, an undecided draw, an infinite current integral, a
+  branch the bound does not cover) computes the integral as before, so the
+  carried integral is always exact and every posterior keeps its bits.
 - A W at or below 1e-12 times the total sum of squares counts as exactly
   zero. A partition into noiseless blocks has W = 0, but the running sums
   land near 1e-16 instead, and the W = 0 branches of the integral must not
@@ -66,6 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from math import log
 
 import numpy as np
@@ -172,23 +188,37 @@ def _quad_log_inc_beta(a: float, c: float, x: float) -> float:
     # 0.4 s of start-up, and only these parameter corners need it
     from scipy.integrate import quad
 
-    def g(t: float) -> float:
-        if t <= 0.0:
-            return 0.0 if a == 1.0 else -np.inf
-        if t >= 1.0:
-            return -np.inf
-        return (a - 1.0) * math.log(t) + (c - 1.0) * math.log1p(-t)
+    if c <= 0.0:
+        # The integrand grows toward x, and for x near 1 nearly all of it
+        # lies within a few (1 - x) of x, which quad on [0, x] never
+        # samples. In s = -log(1 - t) it is (1 - e^-s)^(a-1) e^(-c s) on
+        # [0, -log(1 - x)]: non-decreasing, so it peaks at the upper limit,
+        # and no steeper than e^(-c s) there.
+        def g(s: float) -> float:
+            if s <= 0.0:
+                return 0.0 if a == 1.0 else -np.inf
+            return (a - 1.0) * math.log(-math.expm1(-s)) - c * s
 
-    # peak of the log-integrand on (0, x]
-    peak = x
-    if a + c > 2.0 and a > 1.0:
-        mode = (a - 1.0) / (a + c - 2.0)
-        if 0.0 < mode < x:
-            peak = mode
-    m_val = max(g(x), g(peak), g(min(x, 1e-12)) if a == 1.0 else -np.inf)
+        upper = -math.log1p(-x)
+        m_val = g(upper)
+    else:
+        def g(t: float) -> float:
+            if t <= 0.0:
+                return 0.0 if a == 1.0 else -np.inf
+            if t >= 1.0:
+                return -np.inf
+            return (a - 1.0) * math.log(t) + (c - 1.0) * math.log1p(-t)
+
+        # peak of the log-integrand on (0, x]
+        upper = peak = x
+        if a + c > 2.0 and a > 1.0:
+            mode = (a - 1.0) / (a + c - 2.0)
+            if 0.0 < mode < x:
+                peak = mode
+        m_val = max(g(x), g(peak), g(min(x, 1e-12)) if a == 1.0 else -np.inf)
     if not np.isfinite(m_val):
         return _LOG_ZERO
-    val, _ = quad(lambda t: math.exp(g(t) - m_val), 0.0, x,
+    val, _ = quad(lambda t: math.exp(g(t) - m_val), 0.0, upper,
                   epsabs=1e-13, epsrel=1e-11, limit=200)
     if val <= 0.0:
         return _LOG_ZERO
@@ -219,6 +249,29 @@ def log_w_integral(d: float, w_within: float, b_between: float,
 # The Gibbs sampler
 # ---------------------------------------------------------------------------
 
+# How far a draw must clear the bound's probability before the bound settles
+# it. The bound sums the lacking integral's own terms in the same order, with
+# log B(a, c) where the integral adds log B(a, c) + log I_x(a, c), and
+# betainc's I_x never exceeds 1; rounding is monotone, so the bound is never
+# below the integral as computed, and the log-odds that add it keep their
+# order too. Reassociating that sum would cost up to an ulp of its terms,
+# which reach a few thousand at n = 260: a few 1e-13 in log-odds, a quarter
+# of that in probability. What is not monotone is exp and the division, each
+# within an ulp: adjacent log-odds can give probabilities up to 2.2e-16 in
+# the wrong order. 1e-12 clears both.
+_MARGIN = 1e-12
+
+
+def _probability(log_odds: float) -> float:
+    """The change probability of a position from its log-odds."""
+    if log_odds > 700.0:
+        return 1.0
+    if log_odds < -700.0:
+        return 0.0
+    odds = math.exp(log_odds)
+    return odds / (1.0 + odds)
+
+
 def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     """Posterior change probabilities at every interior position.
 
@@ -241,6 +294,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     total = float(np.sum(std * std))      # W + B for every partition; not a BLAS dot
     zero_w = 1e-12 * total
     w0 = config.w0
+    m = (n - 1) / 2.0
     u = [False] * (n - 1)
     w_within = total                      # W of the current partition
     blocks = 1
@@ -248,7 +302,24 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     counts = np.zeros(n - 1)
     current = log_w_integral(0.0, w_within, total - w_within, w0, n)  # f((blocks - 1)/2, W)
 
-    log_p_ratios: dict[int, float] = {}  # by block count b, on first need
+    @cache  # by block count b
+    def log_p_ratio(b: int) -> float:
+        return (log_inc_beta(b + 1.0, float(n - b), config.p0)
+                - log_inc_beta(float(b), float(n - b + 1), config.p0))
+
+    @cache  # by block count k of the partition a position lacks
+    def bound_terms(k: int) -> tuple[float, float, float, float]:
+        # log_w_integral's exponents and log B(a, c) for a partition of k
+        # blocks, and the least B at which the bound applies (none where
+        # c <= 0): with W + B w0 <= W + B = total, B >= 2e-10 total /
+        # (w0 (|c - 1| + 1)) keeps log_inc_beta's x clear of its small-x
+        # branch, rounding included
+        d = (k - 1) / 2.0
+        c = m - d - 1.0
+        if c <= 0.0:
+            return 0.0, 0.0, 0.0, math.inf
+        return (d - m + 1.0, d + 1.0, _betaln(d + 1.0, c),
+                2e-10 * total / (w0 * (abs(c - 1.0) + 1.0)))
 
     for sweep in range(config.iterations):
         cuts = np.flatnonzero(u)
@@ -268,15 +339,27 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 w_0, w_1 = w_within + gain, w_within
                 if w_0 <= zero_w:
                     w_0 = 0.0
-                num = current
-                den = log_w_integral((b - 1) / 2.0, w_0, total - w_0, w0, n)
+                lacking, k = w_0, b
             else:
                 b = blocks
                 w_0, w_1 = w_within, w_within - gain
                 if w_1 <= zero_w:
                     w_1 = 0.0
-                num = log_w_integral(b / 2.0, w_1, total - w_1, w0, n)
-                den = current
+                lacking, k = w_1, b + 1
+            between = total - lacking
+            # a stay that the bound on the lacking integral settles (module
+            # docstring) computes no integral; a flip or an undecided draw does
+            e_w, e_b, log_beta, least_between = bound_terms(k)
+            if lacking > 0.0 and between >= least_between and current != math.inf:
+                bound = e_w * log(lacking) - e_b * log(between) + log_beta
+                if u[i]:
+                    if draw < _probability(log_p_ratio(b) + current - bound) - _MARGIN:
+                        lo = i + 1
+                        continue
+                elif draw >= _probability(log_p_ratio(b) + bound - current) + _MARGIN:
+                    continue
+            other = log_w_integral((k - 1) / 2.0, lacking, between, w0, n)
+            num, den = (current, other) if u[i] else (other, current)
             if num == math.inf:
                 # both infinite: W1 = W0 = 0, an extra boundary inside an
                 # already-constant block; the numerator diverges strictly
@@ -284,19 +367,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 # blocks are exactly constant.
                 prob = 0.0 if den == math.inf else 1.0
             else:
-                log_p = log_p_ratios.get(b)
-                if log_p is None:
-                    log_p = log_p_ratios[b] = (
-                        log_inc_beta(b + 1.0, float(n - b), config.p0)
-                        - log_inc_beta(float(b), float(n - b + 1), config.p0))
-                log_odds = log_p + num - den
-                if log_odds > 700.0:
-                    prob = 1.0
-                elif log_odds < -700.0:
-                    prob = 0.0
-                else:
-                    odds = math.exp(log_odds)
-                    prob = odds / (1.0 + odds)
+                prob = _probability(log_p_ratio(b) + num - den)
             if draw < prob:
                 u[i] = True
                 w_within, blocks, current, lo = w_1, b + 1, num, i + 1
@@ -373,11 +444,13 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
     Each series gets its own sampler stream derived from (config.seed,
     series index), so the posteriors run in chunks, one per CPU, with the
     same results at any CPU count. Pooled TP/FP/FN counts form the
-    aggregate rates. Needs ``top_k >= 0`` and ``window >= 0``; otherwise
-    ``ValueError``.
+    aggregate rates. Needs ``top_k >= 0``, ``window >= 0`` and
+    ``0 <= threshold <= 1``; otherwise ``ValueError``, before any sampling.
     """
     if top_k < 0 or window < 0:
         raise ValueError(f"need top_k >= 0 and window >= 0, got {top_k} and {window}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"need 0 <= threshold <= 1, got {threshold}")
     queries = list(resource_queries)
     for q in queries:
         if q.start != flu.start or q.end != flu.end:

@@ -176,23 +176,29 @@ def lapack_ma_filter(ma, u) -> np.ndarray:
 def quad_log_w_integral(d: float, w_within: float, b_between: float,
                         w0: float, n: int) -> float:
     """Direct adaptive quadrature of int_0^w0 w^d (W + B w)^(-(n-1)/2) dw,
-    log-scaled at the integrand's peak so tiny magnitudes stay accurate."""
+    W > 0, in v = log w, log-scaled at the integrand's peak.
+
+    In v the integrand is exp((d+1) v - m log(W + B e^v)): it rises as
+    e^((d+1) v) below v = log(W/B), as e^((d+1-m) v) above, and peaks at
+    log((d+1) W / (B (m-d-1))) when m > d + 1. So its features are O(1)
+    wide in v whatever W/B, where in w they are W/B wide: quad on [0, w0]
+    misses them once W/B is far below w0."""
     m = (n - 1) / 2.0
     W, B = w_within, b_between
+    top = math.log(w0)
 
-    def g(w: float) -> float:
-        if w <= 0.0:
-            return -math.inf if d > 0 else -m * math.log(W)
-        return d * math.log(w) - m * math.log(W + B * w)
+    def h(v: float) -> float:
+        return (d + 1.0) * v - m * np.logaddexp(math.log(W), math.log(B) + v)
 
-    interior = []
-    if B > 0 and m > d:
-        w_peak = d * W / (B * (m - d))
-        if 0.0 < w_peak < w0:
-            interior = [w_peak]
-    scale = max(g(p) for p in [*interior, w0])
-    val, _ = quad(lambda w: math.exp(g(w) - scale), 0.0, w0,
-                  points=interior or None, epsabs=1e-13, epsrel=1e-11, limit=300)
+    knees = [math.log(W / B)]
+    if m > d + 1.0:
+        knees.append(math.log((d + 1.0) * W / (B * (m - d - 1.0))))
+    knees = sorted(v for v in knees if v < top)
+    # far below the lowest knee the integrand falls as e^((d+1) v)
+    lowest = min([top, *knees]) - 50.0 / (d + 1.0)
+    scale = max(h(v) for v in [*knees, top])
+    val, _ = quad(lambda v: math.exp(h(v) - scale), lowest, top,
+                  points=knees or None, epsabs=1e-13, epsrel=1e-11, limit=300)
     return scale + math.log(val)
 
 
@@ -222,16 +228,21 @@ def reference_bcp_posterior(series, config):
     at every position (no incremental bookkeeping) and spans found by
     scanning the indicator vector. Shares the integral code and the RNG
     consumption pattern with the production sampler, so agreement checks
-    the partition bookkeeping in isolation."""
+    the partition bookkeeping in isolation. It keeps the sampler's model
+    rules: the series is first scaled by a power of two so that its largest
+    magnitude lies in [0.5, 1), and a within-block sum at or below 1e-12
+    times the total sum of squares counts as exactly zero."""
     from flunowcast.changepoint import log_inc_beta, log_w_integral
     from flunowcast.rng import Xorshift64Star
 
     x = np.asarray(series, dtype=float)
     n = x.size
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     sd = x.std()
     if sd == 0.0:
         return np.zeros(n - 1)
     x = (x - x.mean()) / sd
+    zero_w = 1e-12 * float(np.sum(x * x))
     u = np.zeros(n - 1, dtype=bool)
     rng = Xorshift64Star(config.seed)
     counts = np.zeros(n - 1)
@@ -241,6 +252,8 @@ def reference_bcp_posterior(series, config):
             w0s, b0s, blocks0 = scratch_block_sums(x, u)
             u[i] = True
             w1s, b1s, _ = scratch_block_sums(x, u)
+            w0s = 0.0 if w0s <= zero_w else w0s
+            w1s = 0.0 if w1s <= zero_w else w1s
             num = log_w_integral(blocks0 / 2.0, w1s, b1s, config.w0, n)
             den = log_w_integral((blocks0 - 1) / 2.0, w0s, b0s, config.w0, n)
             if num == math.inf and den == math.inf:

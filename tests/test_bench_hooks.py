@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from flunowcast import parallel
+from flunowcast import changepoint, parallel
 from flunowcast.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -81,25 +81,50 @@ def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
 
 def traced_changepoint(tracing, data_dir, tmp_path):
     """The tracer of a 20-sweep changepoint run on the flu series and two
-    queries, after its replay, and the number of W-integrals one posterior
-    computes: one per position per sweep, plus the start."""
+    queries, after its replay."""
     code, tracer = traced(tracing, [
         "changepoint", "--flu", data_dir / "flu.csv",
         "--queries", data_dir / "proxy_01.csv", data_dir / "proxy_02.csv",
         "--iterations", "20", "--burn-in", "2", "--out", tmp_path / "cp"])
     assert code == 0
     tracer.replay_counts()
-    n = len((data_dir / "flu.csv").read_text(encoding="utf-8").splitlines()) - 1
-    return tracer, 20 * (n - 1) + 1
+    return tracer
+
+
+def w_integrals(posteriors, monkeypatch):
+    """The W-integrals that direct ``bcp_posterior`` calls on these
+    (series, config) pairs compute, counted at the name the sampler looks
+    up: the start, plus each draw that the bound does not settle."""
+    calls = []
+    original = changepoint.log_w_integral
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(changepoint, "log_w_integral", counted)
+        for series, config in posteriors:
+            changepoint.bcp_posterior(series, config)
+    return len(calls)
+
+
+def sampled(tracer):
+    """The (series, config) of each recorded bcp_posterior call."""
+    return [(args[0], args[1]) for _, args, _ in tracer.replays]
 
 
 def test_changepoint_calls_every_required_hook(tracing, data_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "cpus", lambda: 1)
-    tracer, per_posterior = traced_changepoint(tracing, data_dir, tmp_path)
+    tracer = traced_changepoint(tracing, data_dir, tmp_path)
     tracer.check_required("changepoint")
-    # the replay counts every W-integral, not only the sampler's fallbacks:
-    # flu and both queries
-    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == 3 * per_posterior
+    # the replay counts every W-integral the sampler computes: flu and both
+    # queries, each with its own stream
+    posteriors = sampled(tracer)
+    assert posteriors[0][0].name == "flu"
+    assert len({config.seed for _, config in posteriors}) == len(posteriors) == 3
+    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == \
+        w_integrals(posteriors, monkeypatch)
 
 
 def test_changepoint_traces_only_the_calling_process_chunk(tracing, data_dir, tmp_path,
@@ -107,7 +132,10 @@ def test_changepoint_traces_only_the_calling_process_chunk(tracing, data_dir, tm
     # the hooks live in this process, so on 2 CPUs they see chunk 0 (the flu
     # series) and not the queries sampled in the forked child
     monkeypatch.setattr(parallel, "cpus", lambda: 2)
-    tracer, per_posterior = traced_changepoint(tracing, data_dir, tmp_path)
+    tracer = traced_changepoint(tracing, data_dir, tmp_path)
     tracer.check_required("changepoint")
     assert tracer.calls["flunowcast.changepoint:bcp_posterior"] == 1
-    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == per_posterior
+    posteriors = sampled(tracer)
+    assert [series.name for series, _ in posteriors] == ["flu"]
+    assert tracer.calls["flunowcast.changepoint:log_w_integral"] == \
+        w_integrals(posteriors, monkeypatch)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flunowcast import changepoint
@@ -92,6 +92,36 @@ class TestIntegrals:
         # the first call bound both names to the C routines themselves
         assert not inspect.isfunction(changepoint._betainc)
         assert not inspect.isfunction(changepoint._betaln)
+
+    @pytest.mark.parametrize("a, closed_form", [
+        (1.5, lambda x: 2.0 * math.sqrt(x / (1.0 - x)) - 2.0 * math.asin(math.sqrt(x))),
+        (2.0, lambda x: 2.0 / math.sqrt(1.0 - x) + 2.0 * math.sqrt(1.0 - x) - 4.0),
+    ])
+    def test_negative_c_matches_closed_form_up_to_the_endpoint(self, a, closed_form):
+        # c = -1/2: the integrand (1-t)^(-3/2) peaks at x, and within a few
+        # (1 - x) of it for x near 1 (the quadrature fallback's corner)
+        for x in [0.1, 0.5, 0.9, 1 - 4.4e-9,
+                  *(1.0 - 10.0 ** -k for k in range(2, 16))]:
+            assert log_inc_beta(a, -0.5, x) == pytest.approx(
+                math.log(closed_form(x)), rel=1e-12, abs=1e-12), x
+
+    def test_w_integral_with_tiny_within_sum_matches_quadrature_oracle(self):
+        # W down to the sampler's zero threshold, 1e-12 n, and up to n - 1
+        # blocks, where c = m - d - 1 <= 0 sends log_inc_beta to quadrature.
+        # x = B w0 / (W + B w0) is rounded near 1, which moves 1 - x, and so
+        # the integral's log, by up to |c| ulp / (1 - x), with |c| <= 1.
+        assert log_w_integral(0.5, 8.8e-10, 2.0, 0.1, 3) == pytest.approx(-1.15139674, abs=1e-7)
+        for n in (3, 4, 5, 7, 12):
+            for b in range(1, n):
+                for d in (b / 2.0, (b - 1) / 2.0):
+                    for w_sum in (1e-12 * n, 1e-9 * n, 1e-5 * n, 0.5 * n):
+                        for w0 in (1e-3, 0.1, 1.0):
+                            b_sum = n - w_sum
+                            x = b_sum * w0 / (w_sum + b_sum * w0)
+                            tol = 1e-9 + 4.0 * 2.0 ** -53 / (1.0 - x)
+                            mine = log_w_integral(d, w_sum, b_sum, w0, n)
+                            ref = quad_log_w_integral(d, w_sum, b_sum, w0, n)
+                            assert abs(mine - ref) <= tol, (n, b, d, w_sum, w0)
 
     def test_degenerate_within_sums(self):
         # W = 0 with a divergent exponent: overwhelming evidence for a split
@@ -190,19 +220,85 @@ class TestPosterior:
                                    np.array([1.3] * 8 + [2.9] * 8)])
     def test_one_w_integral_per_position(self, monkeypatch, x):
         # the current partition's integral is carried from the previous
-        # draw, across sweeps too, so each position computes only the other
-        # side's, looked up by its module-global name
+        # draw, across sweeps too, so a position computes at most the other
+        # side's, looked up by its module-global name; most stays are
+        # settled by the bound and compute none
+        calls = []
+        sweeps = []
+
+        def counted(*args):
+            calls.append(len(sweeps))
+            return log_w_integral(*args)
+
+        class Stream(Xorshift64Star):
+            def randoms(self, k):
+                sweeps.append(k)
+                return super().randoms(k)
+
+        cfg = BcpConfig(iterations=30, burn_in=5, seed=2)
+        expected = reference_bcp_posterior(x, cfg)
+        monkeypatch.setattr(changepoint, "log_w_integral", counted)
+        monkeypatch.setattr(changepoint, "Xorshift64Star", Stream)
+        assert np.array_equal(bcp_posterior(x, cfg).probabilities, expected)
+        assert sweeps == [x.size - 1] * cfg.iterations
+        assert calls.count(0) == 1  # the empty partition's, before the first sweep
+        assert max(calls.count(s) for s in range(1, cfg.iterations + 1)) <= x.size - 1
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(3, 12), st.sampled_from(["normal", "integers", "blocks", "steps"]),
+           st.sampled_from([1.0, 1e300]), st.sampled_from([1e-3, 0.1, 0.5, 1.0]),
+           st.sampled_from([1e-14, 1e-9, 1e-3, 0.1, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @example(6, "steps", 1.0, 0.5, 1.0, 10)
+    @example(7, "steps", 1.0, 1.0, 1.0, 11)
+    def test_bound_keeps_every_posterior_bit(self, n, kind, scale, p0, w0, seed):
+        # The reference computes both integrals at every position: the bound
+        # may skip an integral, never change a draw. Short series put
+        # c = m - d - 1 at or below 1 (and below 0); at k = n - 3 blocks
+        # c = 1/2 and log B(a, c) > 0, which the explicit examples reach.
+        # Noiseless blocks take the W = 0 branches, w0 = 1e-14 the small-x
+        # branch.
+        rs = np.random.RandomState(seed)
+        if kind == "normal":
+            x = rs.standard_normal(n)
+        elif kind == "integers":  # duplicated values
+            x = rs.randint(0, 3, n).astype(float)
+        else:  # constant blocks, or blocks with a little noise
+            cuts = np.sort(rs.choice(np.arange(1, n), rs.randint(1, n), replace=False))
+            x = np.repeat(rs.randint(-3, 4, cuts.size + 1), np.diff([0, *cuts, n])) * 1.3
+            if kind == "steps":
+                x = x + 0.1 * rs.standard_normal(n)
+        assume(x.min() < x.max())
+        cfg = BcpConfig(iterations=20, burn_in=2, p0=p0, w0=w0, seed=seed)
+        x = x * scale
+        assert np.array_equal(bcp_posterior(x, cfg).probabilities,
+                              reference_bcp_posterior(x, cfg))
+
+    def test_bound_settles_most_positions_of_the_flu_curve(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(args)
             return log_w_integral(*args)
 
-        cfg = BcpConfig(iterations=30, burn_in=5, seed=2)
-        expected = bcp_posterior(x, cfg).probabilities
+        flu = gen_flu(SynthConfig(years=5, seed=42)).values
+        cfg = BcpConfig(seed=1)
         monkeypatch.setattr(changepoint, "log_w_integral", counted)
-        assert np.array_equal(bcp_posterior(x, cfg).probabilities, expected)
-        assert len(calls) == cfg.iterations * (x.size - 1) + 1
+        bcp_posterior(flu, cfg)
+        assert len(calls) <= 0.1 * cfg.iterations * (flu.size - 1)
+
+    def test_margin_covers_the_rounding_of_the_probability(self):
+        # exp and the division are not jointly monotone: adjacent log-odds
+        # can give probabilities an ulp apart in the wrong order. A bound
+        # compared without the margin would then settle a draw that the
+        # exact probability flips.
+        rs = np.random.RandomState(0)
+        drops = []
+        for log_odds in rs.uniform(-40.0, 40.0, 20000):
+            above = math.nextafter(log_odds, math.inf)
+            drops.append(changepoint._probability(log_odds)
+                         - changepoint._probability(above))
+        assert max(drops) > 0.0
+        assert max(drops) < changepoint._MARGIN
 
 
 class TestDetect:
@@ -297,6 +393,14 @@ class TestScoreResource:
         with pytest.raises(ValueError, match="top_k >= 0 and window >= 0"):
             score_resource(flu, [self.weekly(x, "q")], flu,
                            BcpConfig(iterations=10, burn_in=1), **kwargs)
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-9, 1.5, 2.0, math.nan, math.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        x = step_series(n_left=10, n_right=10, seed=1)
+        flu = self.weekly(x, "flu", ResourceKind.FLU_PATIENTS)
+        with pytest.raises(ValueError, match="0 <= threshold <= 1"):
+            score_resource(flu, [self.weekly(x, "q")], flu,
+                           BcpConfig(iterations=10, burn_in=1), threshold=threshold)
 
     def test_flat_flu_undefined_sensitivity(self):
         rng = Xorshift64Star(8)

@@ -580,6 +580,9 @@ class TestChangepoint:
         ["--w0", "-0.1"],
         ["--top-k", "-1"],
         ["--window", "-1"],
+        ["--threshold", "-1"],
+        ["--threshold", "2"],
+        ["--threshold", "nan"],
     ])
     def test_bad_flag_exits_2(self, synth_dir, tmp_path, capsys, flags):
         out = tmp_path / "cp"
