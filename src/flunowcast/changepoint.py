@@ -55,17 +55,17 @@ The series is first divided by the power of two that brings its largest
 magnitude into [0.5, 1). That is exact, so ordinary inputs keep their bits,
 and a finite series of any magnitude standardizes without overflow.
 
-The two one-dimensional integrals reduce to incomplete-beta closed forms
-(evaluated in log space); a log-scaled adaptive quadrature covers the
-parameter corners where the regularized incomplete beta under- or
-overflows. The closed forms call ``betainc`` and ``betaln`` through
-``scipy.special.cython_special``, the scalar entry points of the same C
-routines, which skip the ufunc's per-call dispatch. They are bound on
-their first call, or by ``score_resource`` before it forks, so importing
-this module (and so every CLI command) loads no scipy, and the
-``changepoint`` command pays for ``scipy.special`` once, in the calling
-process; forked children inherit the binding. Tests cross-check both
-routes against direct quadrature of the raw integrands.
+The two one-dimensional integrals reduce to incomplete-beta closed forms,
+evaluated in log space in plain Python floats: log B(a, c) from
+``math.lgamma``, and the regularized incomplete beta from its continued
+fraction by modified Lentz, with the x > (a+1)/(a+c+2) symmetry swap (Press
+et al., Numerical Recipes 3rd ed., section 6.4). The caller hands over
+1 - x as well as x, so an x that rounds near 1 costs no accuracy. A fixed
+tanh-sinh rule in s = -log(1 - t) covers the corners the closed form does
+not: c <= 0, and a continued fraction that does not converge. So the
+sampler needs no scipy and no BLAS, and its numbers do not depend on the
+BLAS kernels. Tests cross-check both routes against mpmath and against
+direct quadrature of the raw integrands.
 
 The posteriors of ``score_resource`` are independent: each series samples
 its own stream, seeded by ``derive_seed(config.seed, series index)``. So
@@ -82,7 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
-from math import log
+from math import lgamma, log
 
 import numpy as np
 
@@ -92,27 +92,6 @@ from .rng import Xorshift64Star, derive_seed
 from .series import WeeklySeries, pearson, unit_scale
 
 _LOG_ZERO = -np.inf
-
-
-def _bind_special() -> None:
-    """Bind ``_betainc`` and ``_betaln`` to the scalar entry points of the
-    ufuncs betainc and betaln: the same C routines (bit for bit, tests pin
-    it) without the ufunc's per-call dispatch; the double specialization of
-    betainc also takes ints. Later calls go straight to C."""
-    global _betainc, _betaln
-    from scipy.special import cython_special
-    _betainc = cython_special.betainc["double"]
-    _betaln = cython_special.betaln
-
-
-def _betainc(a, c, x):
-    _bind_special()
-    return _betainc(a, c, x)
-
-
-def _betaln(a, c):
-    _bind_special()
-    return _betaln(a, c)
 
 
 @dataclass(frozen=True)
@@ -160,69 +139,153 @@ class MatchReport:
 # Log-space incomplete-beta machinery
 # ---------------------------------------------------------------------------
 
-def log_inc_beta(a: float, c: float, x: float) -> float:
+def _betaln(a: float, c: float) -> float:
+    """log B(a, c) for a, c > 0."""
+    return lgamma(a) + lgamma(c) - lgamma(a + c)
+
+
+# Lentz's floor for a vanishing partial denominator, the convergence test on
+# the last step's factor, and the most terms before quadrature stands in
+_CF_TINY = 1e-300
+_CF_EPS = 1e-15
+_CF_TERMS = 1000
+
+
+def _log_cf(a: float, c: float, x: float) -> float | None:
+    """log of the continued fraction in I_x(a, c) = x^a (1-x)^c cf / (a B(a, c)),
+    by modified Lentz (Press et al., Numerical Recipes 3rd ed., section 6.4).
+    It converges fast for x < (a+1)/(a+c+2): a few dozen terms at the
+    sampler's a, c. None if it has not converged after _CF_TERMS terms."""
+    qab, qap, qam = a + c, a + 1.0, a - 1.0
+    num = 1.0
+    den = 1.0 - qab * x / qap
+    if abs(den) < _CF_TINY:
+        den = _CF_TINY
+    den = 1.0 / den
+    frac = den
+    for k in range(1, _CF_TERMS + 1):
+        k2 = 2 * k
+        coef = k * (c - k) * x / ((qam + k2) * (a + k2))  # the even step
+        den = 1.0 + coef * den
+        if abs(den) < _CF_TINY:
+            den = _CF_TINY
+        num = 1.0 + coef / num
+        if abs(num) < _CF_TINY:
+            num = _CF_TINY
+        den = 1.0 / den
+        frac *= den * num
+        coef = -(a + k) * (qab + k) * x / ((a + k2) * (qap + k2))  # the odd step
+        den = 1.0 + coef * den
+        if abs(den) < _CF_TINY:
+            den = _CF_TINY
+        num = 1.0 + coef / num
+        if abs(num) < _CF_TINY:
+            num = _CF_TINY
+        den = 1.0 / den
+        step = den * num
+        frac *= step
+        if abs(step - 1.0) < _CF_EPS:
+            return log(frac) if frac > 0.0 else None
+    return None
+
+
+def _log_reg_inc_beta(a: float, c: float, x: float, y: float, beta: float) -> float:
+    """log I_x(a, c) for c > 0, with y = 1 - x and beta = log B(a, c).
+
+    Past x = (a+1)/(a+c+2) it takes the symmetry I_x(a, c) = 1 - I_y(c, a)
+    and reads 1 - x from y alone, so x rounding near 1 costs nothing. Where
+    the continued fraction does not converge, or 1 - I_y(c, a) is not
+    representable, quadrature stands in.
+    """
+    if x > (a + 1.0) / (a + c + 2.0):
+        if y == 0.0:
+            return 0.0
+        cf = _log_cf(c, a, y)
+        if cf is not None:
+            tail = math.exp(c * log(y) + a * log(x) - log(c) - beta + cf)
+            if tail < 1.0:
+                return math.log1p(-tail)
+    else:
+        cf = _log_cf(a, c, x)
+        if cf is not None:
+            return a * log(x) + c * log(y) - log(a) - beta + cf
+    return _quad_log_inc_beta(a, c, x, y) - beta
+
+
+def log_inc_beta(a: float, c: float, x: float, y: float | None = None) -> float:
     """log of int_0^x t^(a-1) (1-t)^(c-1) dt for a >= 1, x in [0, 1].
 
-    c may be zero or negative provided x < 1 (the integral stays finite).
-    Uses the regularized incomplete beta where it is representable, a
-    small-x power expansion, and log-scaled quadrature otherwise.
+    y is 1 - x, computed by the caller without the subtraction where x is
+    itself a rounded ratio near 1; by default 1 - x. c may be zero or
+    negative provided y > 0 (the integral stays finite). For c > 0 the
+    result is log B(a, c) + min(0, log I_x(a, c)), so it is never above
+    ``_betaln(a, c)``, which the sampler's bound relies on. A small-x power
+    expansion and log-scaled quadrature cover the rest.
     """
     if x <= 0.0:
         return _LOG_ZERO
     if x > 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if x == 1.0 and c <= 0.0:
+    if y is None:
+        y = 1.0 - x
+    if y <= 0.0 and c <= 0.0:
         return math.inf  # divergent tail
     # Small upper limit: (1-t)^(c-1) == 1 to working precision on [0, x].
     if x * (abs(c - 1.0) + 1.0) < 1e-10:
         return a * log(x) - log(a)
-    if c > 0.0:
-        reg = _betainc(a, c, x)
-        if reg > 0.0:
-            return _betaln(a, c) + log(reg)
-    return _quad_log_inc_beta(a, c, x)
-
-
-def _quad_log_inc_beta(a: float, c: float, x: float) -> float:
-    # imported on first use: scipy.integrate pulls in scipy.optimize, about
-    # 0.4 s of start-up, and only these parameter corners need it
-    from scipy.integrate import quad
-
     if c <= 0.0:
-        # The integrand grows toward x, and for x near 1 nearly all of it
-        # lies within a few (1 - x) of x, which quad on [0, x] never
-        # samples. In s = -log(1 - t) it is (1 - e^-s)^(a-1) e^(-c s) on
-        # [0, -log(1 - x)]: non-decreasing, so it peaks at the upper limit,
-        # and no steeper than e^(-c s) there.
-        def g(s: float) -> float:
-            if s <= 0.0:
-                return 0.0 if a == 1.0 else -np.inf
-            return (a - 1.0) * math.log(-math.expm1(-s)) - c * s
+        return _quad_log_inc_beta(a, c, x, y)
+    beta = _betaln(a, c)
+    return beta + min(0.0, _log_reg_inc_beta(a, c, x, y, beta))
 
-        upper = -math.log1p(-x)
-        m_val = g(upper)
-    else:
-        def g(t: float) -> float:
-            if t <= 0.0:
-                return 0.0 if a == 1.0 else -np.inf
-            if t >= 1.0:
-                return -np.inf
-            return (a - 1.0) * math.log(t) + (c - 1.0) * math.log1p(-t)
 
-        # peak of the log-integrand on (0, x]
-        upper = peak = x
-        if a + c > 2.0 and a > 1.0:
-            mode = (a - 1.0) / (a + c - 2.0)
-            if 0.0 < mode < x:
-                peak = mode
-        m_val = max(g(x), g(peak), g(min(x, 1e-12)) if a == 1.0 else -np.inf)
-    if not np.isfinite(m_val):
-        return _LOG_ZERO
-    val, _ = quad(lambda t: math.exp(g(t) - m_val), 0.0, upper,
-                  epsabs=1e-13, epsrel=1e-11, limit=200)
-    if val <= 0.0:
-        return _LOG_ZERO
-    return m_val + math.log(val)
+@cache
+def _tanh_sinh_rule() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the tanh-sinh rule (Takahasi & Mori, 1974) for
+    int_0^1: node 1/(1 + e^(-2v)) and weight (pi/4) h cosh(u) / cosh(v)^2
+    with v = (pi/2) sinh(u), at u = j h over |u| <= 3.5, where the weights
+    fall below 1e-22. Plain floats, so the rule is the same under any BLAS."""
+    h = 1.0 / 32.0
+    rule = []
+    for j in range(-112, 113):
+        u = j * h
+        v = 0.5 * math.pi * math.sinh(u)
+        rule.append((1.0 / (1.0 + math.exp(-2.0 * v)),
+                     0.25 * math.pi * h * math.cosh(u) / math.cosh(v) ** 2))
+    return tuple(rule)
+
+
+def _quad_log_inc_beta(a: float, c: float, x: float, y: float) -> float:
+    """log of int_0^x t^(a-1) (1-t)^(c-1) dt with 1 - x = y > 0, by quadrature.
+
+    In s = -log(1 - t) the integral is int_0^top g with top = -log(1 - x),
+    from whichever of x and y is the smaller, and
+    log g(s) = (a-1) log(1 - e^-s) - c s: concave, peaked at top for c <= 0
+    and at log1p((a-1)/c) (or top) for c > 0. Each side of the peak, cut
+    where log g falls 50 below its peak, takes the tanh-sinh rule, whose
+    nodes crowd both ends: the peak, and the t^(a-1) singularity at s = 0.
+    """
+    top = -math.log1p(-x) if x < 0.5 else -log(y)
+
+    def log_g(s: float) -> float:
+        if s <= 0.0:
+            return 0.0 if a == 1.0 else _LOG_ZERO
+        return (a - 1.0) * log(-math.expm1(-s)) - c * s
+
+    peak = top if c <= 0.0 else min(top, math.log1p((a - 1.0) / c))
+    highest = log_g(peak)
+    total = 0.0
+    for end in (0.0, top):
+        # from the peak toward this end, in doubling steps, to the cut
+        far, step = peak, 1.0
+        while far != end and log_g(far) >= highest - 50.0:
+            far = max(end, peak - step) if end < peak else min(end, peak + step)
+            step *= 2.0
+        width = far - peak
+        if width:
+            total += abs(width) * sum(weight * math.exp(log_g(peak + width * node) - highest)
+                                      for node, weight in _tanh_sinh_rule())
+    return highest + log(total)
 
 
 def log_w_integral(d: float, w_within: float, b_between: float,
@@ -230,9 +293,11 @@ def log_w_integral(d: float, w_within: float, b_between: float,
     """log of int_0^w0 w^d (W + B w)^(-(n-1)/2) dw, W >= 0, B >= 0."""
     m = (n - 1) / 2.0
     if w_within > 0.0 and b_between > 0.0:  # the sampler's common case
-        t_upper = b_between * w0 / (w_within + b_between * w0)
+        # t = B w / (W + B w) at w0, and 1 - t from W itself, not by subtraction
+        scale = w_within + b_between * w0
         return ((d - m + 1.0) * log(w_within) - (d + 1.0) * log(b_between)
-                + log_inc_beta(d + 1.0, m - d - 1.0, t_upper))
+                + log_inc_beta(d + 1.0, m - d - 1.0, b_between * w0 / scale,
+                               w_within / scale))
     w_within = max(0.0, w_within)
     b_between = max(0.0, b_between)
     if w_within == 0.0 and b_between == 0.0:
@@ -251,14 +316,14 @@ def log_w_integral(d: float, w_within: float, b_between: float,
 
 # How far a draw must clear the bound's probability before the bound settles
 # it. The bound sums the lacking integral's own terms in the same order, with
-# log B(a, c) where the integral adds log B(a, c) + log I_x(a, c), and
-# betainc's I_x never exceeds 1; rounding is monotone, so the bound is never
-# below the integral as computed, and the log-odds that add it keep their
-# order too. Reassociating that sum would cost up to an ulp of its terms,
-# which reach a few thousand at n = 260: a few 1e-13 in log-odds, a quarter
-# of that in probability. What is not monotone is exp and the division, each
-# within an ulp: adjacent log-odds can give probabilities up to 2.2e-16 in
-# the wrong order. 1e-12 clears both.
+# log B(a, c) where the integral (``log_inc_beta``) adds log B(a, c) and
+# min(0, log I_x(a, c)), a term never above 0; rounding is monotone, so the
+# bound is never below the integral as computed, and the log-odds that add it
+# keep their order too. Reassociating that sum would cost up to an ulp of its
+# terms, which reach a few thousand at n = 260: a few 1e-13 in log-odds, a
+# quarter of that in probability. What is not monotone is exp and the
+# division, each within an ulp: adjacent log-odds can give probabilities up
+# to 2.2e-16 in the wrong order. 1e-12 clears both.
 _MARGIN = 1e-12
 
 
@@ -475,7 +540,6 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
                               replace(config, seed=derive_seed(config.seed, idx))).probabilities
                 for idx in chunk]
 
-    _bind_special()  # before any fork, so that no child imports scipy.special again
     flu_probs, *query_probs = parallel.run_chunks(posteriors, parallel.chunks(len(series)))
     flu_cps = detect(flu_probs, threshold)
     scores: list[QueryScore] = []

@@ -762,11 +762,11 @@ def modules_after(code: str, *packages: str) -> list[str]:
 
 def test_import_leaves_scipy_unloaded():
     # scipy.linalg and scipy.special were most of every command's start-up
-    # time and memory; only the change-point sampler needs scipy
+    # time and memory
     assert modules_after("import flunowcast.cli", "scipy") == []
 
 
-def test_only_changepoint_loads_scipy(synth_dir, tmp_path):
+def test_no_command_loads_scipy(synth_dir, tmp_path):
     config = write_run_config(
         tmp_path / "run.json", synth_dir,
         windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
@@ -777,6 +777,9 @@ def test_only_changepoint_loads_scipy(synth_dir, tmp_path):
          synth_dir / "proxy_01.csv", synth_dir / "proxy_02.csv", "--out", tmp_path / "sel.json"],
         ["backtest", "--config", config, "--model", "all", "--out", tmp_path / "bt"],
         ["ablate", "--config", config, "--drop", "all", "--out", tmp_path / "ab"],
+        ["changepoint", "--flu", synth_dir / "flu.csv", "--queries",
+         synth_dir / "proxy_01.csv", "--iterations", "20", "--burn-in", "5",
+         "--out", tmp_path / "cp"],
     ]
 
     def loaded_by(argv, *packages):
@@ -786,11 +789,20 @@ def test_only_changepoint_loads_scipy(synth_dir, tmp_path):
     # nor numpy.ma, which np.median imports on its first call
     for argv in commands:
         assert loaded_by(argv, "scipy", "numpy.ma") == [], argv[0]
-    loaded = loaded_by(["changepoint", "--flu", synth_dir / "flu.csv", "--queries",
-                        synth_dir / "proxy_01.csv", "--iterations", "20", "--burn-in", "5",
-                        "--out", tmp_path / "cp"], "scipy")
-    assert "scipy.special" in loaded
-    assert not any(m.startswith("scipy.linalg") for m in loaded)
+
+
+def test_changepoint_bytes_are_pinned_without_scipy(synth_dir, tmp_path):
+    # the change-point sampler's special functions are plain Python: with
+    # scipy unimportable, the pinned report comes out byte for byte
+    out = tmp_path / "cp"
+    queries = [synth_dir / f"proxy_{i:02d}.csv" for i in range(1, 5)]
+    argv = ["changepoint", "--flu", synth_dir / "flu.csv", "--queries", *queries,
+            "--iterations", "100", "--burn-in", "10", "--seed", "7", "--out", out]
+    # the one scipy entry left is the None that blocks its import
+    assert modules_after("sys.modules['scipy'] = None; from flunowcast.cli import main; "
+                         f"assert main({[str(a) for a in argv]!r}) == 0", "scipy") == ["scipy"]
+    digest = hashlib.sha256((out / "changepoint.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CHANGEPOINT
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
