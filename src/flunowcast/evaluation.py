@@ -9,9 +9,12 @@ history alone and gives the same rows under every label.
 Every backtest step refits the chosen model on all rows prior to the test
 week (expanding window), with feature standardization refit on exactly
 those training rows so nothing leaks from the future. Splits are fully
-independent of each other -- no state is carried between them -- so a
-concurrent evaluation reassembled in week order is bitwise identical to
-the sequential one.
+independent of each other -- no state is carried between them, and each
+feature fit draws from its split's own seed, ``derive_seed(seed,
+split_no)`` -- so a backtest cuts its splits into contiguous chunks, one
+per CPU, runs them concurrently (``parallel.run_chunks``) and reassembles
+the rows in week order, bitwise identical to the sequential run at any CPU
+count. A split's error is raised as the sequential run would raise it.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import numbers
 import types
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import models
+from . import models, parallel
 from .errors import AllActualsZero, DegenerateActuals, InsufficientHistory
 from .features import (
     DEFAULT_SIGNAL_LAG,
@@ -193,29 +196,41 @@ Row = tuple[WeekIndex, float, float]  # (week, actual, predicted)
 
 
 def _feature_rows(dataset: SupervisedDataset, spec: ModelSpec, plan: SplitPlan,
-                  seed: int) -> Iterator[Row]:
+                  seed: int) -> list[Row]:
     """Expanding-window fits on the features, standardized on each split's
-    training rows."""
-    for split_no, split in enumerate(expanding_splits(dataset, plan)):
-        x_train = dataset.X[split.train_idx]
-        params = standardize_fit(x_train)
-        x_train_std = standardize_apply(x_train, params)
-        x_test_std = standardize_apply(dataset.X[split.test_idx][None, :], params)[0]
-        model = spec.fit(x_train_std, dataset.y[split.train_idx],
-                         seed=derive_seed(seed, split_no))
-        yield (split.test_week, float(dataset.y[split.test_idx]),
-               float(model.predict(x_test_std)))
+    training rows, in split order."""
+    splits = list(expanding_splits(dataset, plan))
+
+    def fit_chunk(chunk: range) -> list[Row]:
+        rows = []
+        for split_no in chunk:
+            split = splits[split_no]
+            x_train = dataset.X[split.train_idx]
+            params = standardize_fit(x_train)
+            x_train_std = standardize_apply(x_train, params)
+            x_test_std = standardize_apply(dataset.X[split.test_idx][None, :], params)[0]
+            model = spec.fit(x_train_std, dataset.y[split.train_idx],
+                             seed=derive_seed(seed, split_no))
+            rows.append((split.test_week, float(dataset.y[split.test_idx]),
+                         float(model.predict(x_test_std))))
+        return rows
+
+    return parallel.run_chunks(fit_chunk, parallel.chunks(len(splits)))
 
 
 def _arima_rows(panel: SignalPanel, spec: ModelSpec, plan: SplitPlan,
-                lag_spec: LagSpec) -> Iterator[Row]:
+                lag_spec: LagSpec) -> list[Row]:
     """Past-only baseline: refit on the flu series up to (test week -
-    min_lag) and forecast ``min_lag`` steps ahead."""
+    min_lag) and forecast ``min_lag`` steps ahead, in week order."""
     flu = panel.flu()
     horizon = lag_spec.min_lag
     history_start = max(flu.start, plan.train_start - lag_spec.max_lag)
-    for win_start, win_end in plan.eval_windows:
-        for t in week_range(win_start, win_end):
+    weeks = [t for win_start, win_end in plan.eval_windows
+             for t in week_range(win_start, win_end)]
+
+    def forecast_chunk(chunk: range) -> list[Row]:
+        rows = []
+        for t in weeks[chunk.start:chunk.stop]:
             cutoff = t - horizon
             if not flu.covers(t):
                 raise InsufficientHistory(f"target week {t} outside the panel")
@@ -224,7 +239,10 @@ def _arima_rows(panel: SignalPanel, spec: ModelSpec, plan: SplitPlan,
             history = flu.slice(history_start, cutoff)
             model = spec.fit(history)
             forecast = forecast_arima(model, history, horizon)
-            yield t, flu.value_at(t), float(forecast[-1])
+            rows.append((t, flu.value_at(t), float(forecast[-1])))
+        return rows
+
+    return parallel.run_chunks(forecast_chunk, parallel.chunks(len(weeks)))
 
 
 def drop_labels() -> list[str]:
@@ -262,9 +280,9 @@ def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
         keep = [i for i, name in enumerate(full.feature_names) if _block(name) != drop]
         dataset = replace(full, X=full.X[:, keep],
                           feature_names=[full.feature_names[i] for i in keep])
-        rows = list(_feature_rows(dataset, spec, plan, seed))
+        rows = _feature_rows(dataset, spec, plan, seed)
     else:
-        rows = list(_arima_rows(panel, spec, plan, lag_spec))
+        rows = _arima_rows(panel, spec, plan, lag_spec)
     results = []
     for win in plan.eval_windows:
         preds = [row for row in rows if win[0] <= row[0] <= win[1]]

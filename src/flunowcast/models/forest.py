@@ -17,7 +17,8 @@ chunks, one per CPU in the process's affinity mask but none of fewer than
 The rank keys are computed once; then ``parallel.run_chunks`` grows the
 first chunk in the calling process and each other chunk in a forked child,
 and joins the chunks in tree order, so the trees do not depend on the CPU
-count.
+count. A fit that itself runs in a chunk of a ``run_chunks`` call (a
+backtest split's, say) grows all its trees in one chunk.
 
 A chunk's trees grow in lockstep, each exactly as the recursive builder
 grows it alone: depth first, left child before right, drawing from its own

@@ -18,6 +18,21 @@ meets first. A child that leaves no exception (killed, another exit status,
 or an exception that does not pickle) raises ``RuntimeError`` naming its
 chunk and status.
 
+Only the outermost call forks. While a ``run_chunks`` call has forked
+children, the caller running chunk 0 and every child are marked, and a
+marked process's ``chunks`` gives one chunk, so work nested inside a chunk
+(a forest fit inside a backtest's split, say) runs where it is called. A
+call over one chunk forks and marks nothing.
+
+While chunks run, the BLAS runs one thread. Forked workers already use
+every CPU, and a BLAS pool of one thread per CPU in each of them would
+have its threads spin against each other. So before it forks,
+``run_chunks`` sets the thread count of the OpenBLAS that numpy's LAPACK
+module links to 1 (through its ``openblas_set_num_threads`` symbol, by
+``ctypes``), the children inherit it, and the caller restores the old
+count once every child is reaped, however the call ends. Where numpy links
+another BLAS, nothing changes.
+
 Where ``fork``, ``sched_getaffinity`` or ``memfd_create`` is missing,
 ``cpus()`` is 1, so ``chunks`` gives one chunk and nothing forks. The CPUs
 are those of the process's affinity mask; ``taskset`` restricts them.
@@ -25,9 +40,15 @@ are those of the process's affinity mask; ``taskset`` restricts them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import itertools
 import os
 import pickle
 import sys
+
+_nested = False  # whether this process runs a chunk of a run_chunks call that forked
 
 
 def cpus() -> int:
@@ -41,8 +62,9 @@ def cpus() -> int:
 def chunks(n: int, least: int = 1) -> list[range]:
     """``range(n)`` cut into contiguous chunks, one per CPU but none of
     fewer than ``least`` items (so at least one chunk, and never more
-    chunks than items)."""
-    count = max(1, min(cpus(), n // least))
+    chunks than items), or one chunk inside a chunk of a ``run_chunks``
+    call that forked."""
+    count = 1 if _nested else max(1, min(cpus(), n // least))
     return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
@@ -50,28 +72,69 @@ def run_chunks(work, parts: list[range]) -> list:
     """The lists ``work(chunk)`` returns for every chunk, concatenated in
     chunk order: chunk 0 runs here and each other chunk in a forked child.
     A child's exception is raised here once every child is reaped and every
-    file closed."""
+    file closed. A single chunk runs here, with nothing marked."""
+    if len(parts) == 1:
+        return work(parts[0])
     files, pids = [], []  # a file's descriptor, and the pid of the child writing it
-    try:
-        for chunk in parts[1:]:
-            files.append(os.memfd_create("chunk"))
-            pid = os.fork()
-            if not pid:
-                _run_child(work, chunk, files[-1])
-            pids.append(pid)
-        results = work(parts[0])
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    with _marked_with_one_blas_thread():
         try:
-            sent = [os.pread(fd, os.fstat(fd).st_size, 0) for fd in files[:len(pids)]]
+            for chunk in parts[1:]:
+                files.append(os.memfd_create("chunk"))
+                pid = os.fork()
+                if not pid:
+                    _run_child(work, chunk, files[-1])
+                pids.append(pid)
+            results = work(parts[0])
         finally:
-            for fd in files:
-                os.close(fd)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            try:
+                sent = [os.pread(fd, os.fstat(fd).st_size, 0) for fd in files[:len(pids)]]
+            finally:
+                for fd in files:
+                    os.close(fd)
     for chunk, code, data in zip(parts[1:], codes, sent):
         if code:
             raise _child_failure(chunk, code, data)
         results += pickle.loads(data)
     return results
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    LAPACK module links, found once per process, or None where it links
+    none."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)  # its symbols and those it links
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64_")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get and put:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _marked_with_one_blas_thread():
+    """Mark this process as running a chunk and run OpenBLAS on one thread;
+    restore both on the way out."""
+    global _nested
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else None
+    outer, _nested = _nested, True
+    if blas:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        _nested = outer
+        if blas:
+            blas[1](threads)
 
 
 def _run_child(work, chunk: range, fd: int) -> None:

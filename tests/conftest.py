@@ -23,9 +23,10 @@ def open_files() -> dict[int, str]:
 @pytest.fixture(autouse=True)
 def nothing_left_behind():
     """Fail a test that leaves a child process behind, running or unreaped,
-    or a file descriptor open that was not open before it: a forest fit
-    must reap every child it forks and close every file it makes, however
-    it ends."""
+    or a file descriptor open that was not open before it: every caller of
+    ``parallel.run_chunks`` (a backtest's feature and ARIMA splits, a
+    forest fit's trees, the change-point posteriors) must reap every child
+    it forks and close every file it makes, however it ends."""
     before = open_files() if os.path.isdir(FD_DIR) else None
     yield
     if hasattr(os, "WNOHANG"):
@@ -41,3 +42,20 @@ def nothing_left_behind():
                   if before.get(fd) != target]
         if leaked:
             pytest.fail(f"the test left file descriptor(s) open: {leaked}")
+
+
+@pytest.fixture()
+def fork_log(tmp_path, monkeypatch):
+    """A file that gets one byte for each ``os.fork`` call, made in this
+    process or in any child it forks."""
+    path = tmp_path / "forks"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    fork = os.fork
+
+    def logged():
+        os.write(fd, b"f")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    yield path
+    os.close(fd)

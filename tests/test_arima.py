@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flunowcast import evaluation
+from flunowcast import evaluation, parallel
 from flunowcast.errors import InsufficientHistory, SeriesTooShort
 from flunowcast.evaluation import ModelSpec, backtest
 from flunowcast.features import SplitPlan
@@ -177,7 +177,9 @@ class TestMaFilter:
 
 
 def test_contaminated_panels_give_finite_invertible_fits(monkeypatch):
-    # criterion 10(c)'s panels: reporting-glitch spikes in the training era
+    # criterion 10(c)'s panels: reporting-glitch spikes in the training era;
+    # one CPU, so that every fit runs in this process, where it is recorded
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
     fitted = []
 
     def recording_fit(*args, **kwargs):

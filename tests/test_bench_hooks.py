@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from flunowcast import changepoint, parallel
+from flunowcast import changepoint, evaluation, parallel
 from flunowcast.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -52,7 +52,8 @@ def traced(tracing, argv):
     return code, tracer
 
 
-def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
+def traced_backtest(tracing, data_dir, tmp_path):
+    """The tracer of a 2-split ``backtest --model all`` run."""
     config = {
         "flu": str(data_dir / "flu.csv"),
         "resources": {kind: [str(data_dir / f"proxy_{i + 1:02d}.csv")]
@@ -68,6 +69,12 @@ def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
                                     "--out", tmp_path / "out"])
     assert code == 0
     tracer.check_required("backtest")
+    return tracer
+
+
+def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
+    tracer = traced_backtest(tracing, data_dir, tmp_path)
     metrics, _ = tracer.metrics()
     assert metrics["forest.nodes"] > 0
     assert metrics["lasso.fits"] == metrics["huber.fits"] == metrics["svr.fits"] == 2
@@ -77,6 +84,23 @@ def test_backtest_all_calls_every_required_hook(tracing, data_dir, tmp_path):
     assert metrics["lasso.kkt_rel_max"] < 1e-8
     assert metrics["huber.grad_rel_max"] < 1e-6
     assert metrics["svr.gap_rel_max"] < 1e-6
+
+
+def test_backtest_traces_only_the_calling_process_chunk(tracing, data_dir, tmp_path,
+                                                        monkeypatch):
+    # the hooks live in this process, so on 2 CPUs they see chunk 0 (split 0)
+    # of each model and not split 1, which a forked child fits
+    monkeypatch.setattr(parallel, "cpus", lambda: 2)
+    splits = []
+    derive_seed = evaluation.derive_seed
+    monkeypatch.setattr(evaluation, "derive_seed",
+                        lambda seed, split_no: splits.append(split_no) or
+                        derive_seed(seed, split_no))
+    tracer = traced_backtest(tracing, data_dir, tmp_path)
+    assert splits == [0, 0, 0, 0]  # one split of each feature model
+    metrics, _ = tracer.metrics()
+    for kind in ("lasso", "huber", "svr", "forest", "arima"):
+        assert metrics[f"{kind}.fits"] == 1, kind
 
 
 def traced_changepoint(tracing, data_dir, tmp_path):

@@ -13,8 +13,10 @@ import pytest
 import flunowcast
 from flunowcast import changepoint, cli, evaluation, parallel
 from flunowcast.cli import main
-from flunowcast.errors import DegenerateInput
+from flunowcast.errors import DegenerateInput, InsufficientHistory
 from flunowcast.evaluation import MODELS, drop_labels
+from flunowcast.features import LagSpec
+from flunowcast.series import WeekIndex
 
 
 def run(argv):
@@ -165,6 +167,32 @@ GOLDEN_BACKTEST = "c2a4774256660ff07c95d4e1bc4cb66c2669e426a3a025cc11765631ba1c7
 GOLDEN_ABLATION = "ad1bd1ee13e9573736f8bc67fd5ad21c086e15a639a6925d9c5e646780e96289"
 
 
+CPU_COUNTS = (1, 2, 3, 5)  # the pinned window's 3 splits cut into 1, 2, 3 and 3 chunks
+
+
+def fail_after_first_split(monkeypatch, kind, error):
+    """Make ``kind``'s fit raise ``error`` on every split after the first
+    of a window that starts 2017-10-30, in whichever process fits it."""
+    split = [0]  # the split this process fits last, by the seed it derives
+    derive_seed = evaluation.derive_seed
+
+    def recorded(seed, split_no):
+        split[0] = split_no
+        return derive_seed(seed, split_no)
+
+    fit = getattr(evaluation, MODELS[kind].fit)
+    first_cutoff = WeekIndex.parse("2017-10-30") - LagSpec().min_lag
+
+    def failing(*data, **kwargs):
+        # ARIMA derives no seed; its history ends min_lag weeks before the test week
+        if (data[0].end > first_cutoff) if kind == "arima" else split[0] >= 1:
+            raise error
+        return fit(*data, **kwargs)
+
+    monkeypatch.setattr(evaluation, "derive_seed", recorded)
+    monkeypatch.setattr(evaluation, MODELS[kind].fit, failing)
+
+
 class TestBacktest:
     def test_report_schema(self, synth_dir, tmp_path):
         config = write_run_config(tmp_path / "run.json", synth_dir)
@@ -188,18 +216,66 @@ class TestBacktest:
         assert [r["model"] for r in report] == \
             ["lasso", "huber", "svr", "forest", "arima"]
 
-    def test_report_bytes_are_pinned(self, synth_dir, tmp_path):
-        # every model's fits and the report's layout fix every byte; a
-        # change to how the design matrix is built must reproduce them
+    def test_report_bytes_are_pinned(self, synth_dir, tmp_path, monkeypatch):
+        # every model's fits and the report's layout fix every byte, at any
+        # CPU count; a change to how the design matrix is built must
+        # reproduce them
         config = write_run_config(
             tmp_path / "run.json", synth_dir,
             windows=[{"start": "2017-10-30", "end": "2017-11-13"}],
             model_options={"forest": {"n_trees": 5}})
-        out = tmp_path / "results"
+        outputs = []
+        for cpus in CPU_COUNTS:
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"r{cpus}"
+            assert run(["backtest", "--config", config, "--model", "all",
+                        "--out", out]) == 0
+            digest = hashlib.sha256((out / "backtest.json").read_bytes()).hexdigest()
+            assert digest == GOLDEN_BACKTEST, cpus
+            outputs.append(tree_bytes(out))
+        assert all(files == outputs[0] for files in outputs)
+
+    def test_forks_once_per_model_and_never_inside_a_chunk(self, synth_dir, tmp_path,
+                                                          monkeypatch, fork_log):
+        # 60 trees would fork on 2 CPUs, but a forest inside a split's chunk
+        # grows its trees where it runs
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
+            model_options={"forest": {"n_trees": 60}})
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
         assert run(["backtest", "--config", config, "--model", "all",
-                    "--out", out]) == 0
-        digest = hashlib.sha256((out / "backtest.json").read_bytes()).hexdigest()
-        assert digest == GOLDEN_BACKTEST
+                    "--out", tmp_path / "r"]) == 0
+        assert fork_log.read_bytes() == b"f" * len(MODELS)
+
+    @pytest.mark.parametrize("kind, error", [
+        ("lasso", ValueError("injected lasso failure")),
+        ("huber", ValueError("injected huber failure")),
+        ("svr", ValueError("injected svr failure")),
+        ("forest", ValueError("injected forest failure")),
+        ("arima", InsufficientHistory("injected arima failure")),
+    ])
+    def test_fit_error_on_a_later_split_reads_the_same_at_any_cpu_count(
+            self, synth_dir, tmp_path, monkeypatch, kind, error):
+        # on 2 CPUs split 0 runs here and splits 1 and 2 in a forked child,
+        # which meets the error
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-13"}],
+            model_options={"forest": {"n_trees": 5}})
+        fail_after_first_split(monkeypatch, kind, error)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"r{cpus}"
+            assert run(["backtest", "--config", config, "--model", "all",
+                        "--out", out]) == 4
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["failures.json"]) == \
+            [{"model": kind, "error": str(error)}]
+        report = json.loads(outputs[0]["backtest.json"])
+        assert [r["model"] for r in report] == [k for k in MODELS if k != kind]
 
     def test_rerun_byte_identical(self, synth_dir, tmp_path):
         config = write_run_config(tmp_path / "run.json", synth_dir)
@@ -239,6 +315,24 @@ class TestBacktest:
         failures = json.loads((out / "failures.json").read_text())
         assert [f["model"] for f in failures] == ["arima"]
         assert "outside the panel" in failures[0]["error"]
+
+    def test_arima_week_past_panel_in_a_child_reads_the_same(self, synth_dir, tmp_path,
+                                                            monkeypatch):
+        # of the window's 3 weeks only the last lies past the panel; on 2
+        # CPUs a forked child forecasts it
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir, model="arima",
+            windows=[{"start": "2018-09-10", "end": "2018-09-24"}])
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"r{cpus}"
+            assert run(["backtest", "--config", config, "--out", out]) == 4
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1]
+        failures = json.loads(outputs[0]["failures.json"])
+        assert failures == [{"model": "arima",
+                             "error": "target week 2018-09-24 outside the panel"}]
 
     def test_mistyped_model_option_exits_4(self, synth_dir, tmp_path):
         config = write_run_config(
@@ -341,14 +435,33 @@ class TestAblate:
         assert [r["dropped"] for r in rows] == \
             ["none", "search", "social", "shopping", "qa", "past"]
 
-    def test_report_bytes_are_pinned(self, synth_dir, tmp_path):
+    def test_report_bytes_are_pinned(self, synth_dir, tmp_path, monkeypatch):
         config = write_run_config(
             tmp_path / "run.json", synth_dir,
             windows=[{"start": "2017-10-30", "end": "2017-11-13"}])
-        out = tmp_path / "results"
-        assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 0
-        digest = hashlib.sha256((out / "ablation.json").read_bytes()).hexdigest()
-        assert digest == GOLDEN_ABLATION
+        for cpus in CPU_COUNTS:
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"r{cpus}"
+            assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 0
+            digest = hashlib.sha256((out / "ablation.json").read_bytes()).hexdigest()
+            assert digest == GOLDEN_ABLATION, cpus
+
+    def test_fit_error_on_a_later_split_reads_the_same_at_any_cpu_count(
+            self, synth_dir, tmp_path, monkeypatch):
+        config = write_run_config(
+            tmp_path / "run.json", synth_dir,
+            windows=[{"start": "2017-10-30", "end": "2017-11-13"}])
+        fail_after_first_split(monkeypatch, "huber", ValueError("injected huber failure"))
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            out = tmp_path / f"r{cpus}"
+            assert run(["ablate", "--config", config, "--drop", "all", "--out", out]) == 4
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["ablation.json"]) == []
+        assert json.loads(outputs[0]["failures.json"]) == \
+            [{"dropped": label, "error": "injected huber failure"} for label in drop_labels()]
 
     def test_none_row_equals_plain_backtest(self, synth_dir, tmp_path):
         config = write_run_config(
@@ -383,6 +496,8 @@ class TestAblate:
             windows=[{"start": "2017-10-30", "end": "2017-11-06"}])
         back_out, abl_out = tmp_path / "back", tmp_path / "abl"
         assert run(["backtest", "--config", config, "--out", back_out]) == 0
+        # one CPU, so that every fit runs in this process, where it is counted
+        monkeypatch.setattr(parallel, "cpus", lambda: 1)
         fits = []
         fit_arima = evaluation.fit_arima
         monkeypatch.setattr(evaluation, "fit_arima",
@@ -616,7 +731,7 @@ class TestChangepoint:
 
     def test_degenerate_sampler_input_exits_6(self, synth_dir, tmp_path, monkeypatch,
                                               capsys):
-        from flunowcast.errors import DegenerateInput
+        from flunowcast.errors import DegenerateInput, InsufficientHistory
 
         def degenerate(*args, **kwargs):
             raise DegenerateInput("both block sums vanish")

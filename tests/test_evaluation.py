@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flunowcast.errors import AllActualsZero, DegenerateActuals, InsufficientHistory
-from flunowcast import evaluation
+from flunowcast import evaluation, parallel
 from flunowcast.evaluation import (
     MODELS,
     ModelSpec,
@@ -202,6 +202,18 @@ def short_plan(panel, start_off=210, length=8):
                         [(panel.start + start_off, panel.start + start_off + length - 1)])
 
 
+def one_split_rows(panel, selected, kind):
+    """The backtest rows of ``kind`` (a forest of 60 trees) over a one-week
+    window, which no metric can score."""
+    plan = short_plan(panel, length=1)
+    spec = ModelSpec(kind, {"n_trees": 60} if kind == "forest" else {})
+    if not MODELS[kind].features:
+        return evaluation._arima_rows(panel, spec, plan, LagSpec())
+    dataset = build_dataset(panel, selected, LagSpec(), 2,
+                            start=plan.train_start, end=plan.last_week)
+    return evaluation._feature_rows(dataset, spec, plan, 3)
+
+
 class TestBacktest:
     def test_lag_only_huber_has_signal(self):
         panel, _ = informative_panel()
@@ -251,6 +263,24 @@ class TestBacktest:
             out[split.test_week] = float(model.predict(x_test))
         reassembled = [out[w] for w, _, _ in sequential.predictions]
         assert reassembled == [p for _, _, p in sequential.predictions]
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_one_split_rows_do_not_depend_on_cpu_count(self, monkeypatch, kind):
+        # a window of one week has one split, which runs here at any CPU count
+        panel, selected = informative_panel()
+        rows = set()
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            rows.add(tuple(one_split_rows(panel, selected, kind)))
+        assert len(rows) == 1 and len(next(iter(rows))) == 1
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_one_split_forks_only_the_forest_trees(self, monkeypatch, fork_log, kind):
+        # nothing forks at the split level, so 60 trees are cut into 2 chunks
+        panel, selected = informative_panel()
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        one_split_rows(panel, selected, kind)
+        assert fork_log.read_bytes() == (b"f" if kind == "forest" else b"")
 
     def test_arima_window_outside_panel_fails(self):
         panel, _ = informative_panel()
