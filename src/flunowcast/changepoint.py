@@ -20,11 +20,18 @@ W-integral as running values:
 - W + B is the series' total sum of squares for every partition, so B
   follows from W.
 - A boundary at i splits its merged block [lo, hi] into n_l and n_r
-  observations and lowers W by n_l n_r / (n_l + n_r) (mean_l - mean_r)^2,
-  read from the prefix sums of the series.
+  observations and lowers W by the gain n_l n_r / (n_l + n_r)
+  (mean_l - mean_r)^2, read from the prefix sums of the series.
 - Positions right of i are redrawn only after i, so hi is the first
   boundary past i as the sweep began; lo is a running index that moves to
-  i + 1 whenever a boundary is drawn at i.
+  i + 1 whenever a draw leaves a boundary at i.
+- So the gains come from the partition as the sweep begins, in numpy, once
+  per sweep, with lo one past the last boundary left of i.
+  The block sizes go over as floats, which is exact, and elementwise
+  + - * / round as the scalar formula does (its int/int division too), so
+  every gain has the scalar's bits. A flip at i moves lo for
+  the block (i, hi] only; the sweep recomputes those gains one by one with
+  the running lo as it reaches them.
 - The conditional odds at a position compare the partitions with and
   without a boundary there; one of them is the current partition, whose
   W-integral f((blocks - 1)/2, W) was computed at the previous position (or
@@ -34,7 +41,7 @@ W-integral as running values:
   beta route (W > 0, B > 0, c = m - d - 1 > 0 with m = (n-1)/2, and x
   outside the small-x branch), I_x(a, c) <= 1 gives
       f(d, W) <= (d - m + 1) log W - (d + 1) log B + log B(a, c),
-  with log B(a, c) cached by block count. A position without a boundary
+  with log B(a, c) tabulated by block count. A position without a boundary
   keeps none when its draw is at least the bound's probability plus a
   margin; one with a boundary keeps it when its draw is below the bound's
   probability minus the margin. The bound is the integral's own sum with
@@ -44,6 +51,31 @@ W-integral as running values:
   other draw (a flip, an undecided draw, an infinite current integral, a
   branch the bound does not cover) computes the integral as before, so the
   carried integral is always exact and every posterior keeps its bits.
+- Most of those stays are settled before any log, by a first-order form of
+  the same bound. Take W and B = total - W of the current partition, and
+  at a position of gain g the bound's lacking = W - g without a boundary
+  (W + g with one) and between = total - lacking. Then log t >= 1 - 1/t
+  gives, for the exponents e_w < 0 < e_b of the bound,
+      e_w log(lacking) <= e_w log W - e_w (W / lacking - 1),
+      e_b log(between) >= e_b log B + e_b (1 - B / between),
+  so the bound's log-odds are at most A_f - e_w W / lacking + e_b B /
+  between at a position without a boundary, and at least A_t + e_w' W /
+  lacking - e_b' B / between at one with a boundary. A_f and A_t (at k = blocks + 1
+  and blocks - 1) take two logs per partition, at each flip, and add
+  log_p_ratio once a position needs it, so the log_p_ratio tables fill as
+  before. Both forms hold for any positive W and B, and they read between
+  itself, not B + g, which rounds at the scale of total. A draw settles
+  when its log-odds bound is at or below logit(draw - 2 margin) - slack, or
+  at or above logit(draw + 2 margin) + slack; numpy computes those
+  thresholds once per sweep, as -inf or NaN where draw -+ 2 margin leaves
+  (0, 1), which settles nothing. The test's terms stay below about 100 n
+  wherever it could pass, so its sums round by under 1e-12 n, and numpy's
+  log differs from math.log by a few ulps, a few 1e-14 at a logit below 40:
+  the slack, 1e-9 or 1e-12 n (``_SLACK``), covers both, whatever kernels
+  numpy's log runs. The margin covers exp and the division as before. So
+  the test settles only draws that the bound settles; a draw that fails it
+  goes on to the bound and then to the integral, and the same integrals
+  are computed.
 - A W at or below 1e-12 times the total sum of squares counts as exactly
   zero. A partition into noiseless blocks has W = 0, but the running sums
   land near 1e-16 instead, and the W = 0 branches of the integral must not
@@ -326,6 +358,11 @@ def log_w_integral(d: float, w_within: float, b_between: float,
 # to 2.2e-16 in the wrong order. 1e-12 clears both.
 _MARGIN = 1e-12
 
+# How far the first-order test's log-odds must clear the logit of a draw
+# moved by 2 * _MARGIN, per 1000 observations and at least this: the rounding
+# of the test's sums and of numpy's logit (module docstring).
+_SLACK = 1e-9
+
 
 def _probability(log_odds: float) -> float:
     """The change probability of a position from its log-odds."""
@@ -355,24 +392,32 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     x = unit_scale(x)  # exact, and x.std() cannot overflow
     std = (x - x.mean()) / float(x.std())
 
-    s1 = [0.0, *np.cumsum(std).tolist()]  # prefix sums of the series
+    prefix = np.concatenate(([0.0], np.cumsum(std)))  # prefix sums of the series
+    sums = prefix.tolist()
+    through = prefix[1:-1]                # the sum through each position
     total = float(np.sum(std * std))      # W + B for every partition; not a BLAS dot
     zero_w = 1e-12 * total
+    slack = _SLACK * max(1.0, n / 1000.0)
     w0 = config.w0
     m = (n - 1) / 2.0
-    u = [False] * (n - 1)
+    positions = np.arange(n - 1)
+    sizes = np.arange(float(n))           # a block size k as the float k
+    u = bytearray(n - 1)                  # the partition: 1 where a boundary is held
+    held = np.frombuffer(u, dtype=np.bool_)  # a view of u
     w_within = total                      # W of the current partition
     blocks = 1
     rng = Xorshift64Star(config.seed)
     counts = np.zeros(n - 1)
     current = log_w_integral(0.0, w_within, total - w_within, w0, n)  # f((blocks - 1)/2, W)
 
-    @cache  # by block count b
-    def log_p_ratio(b: int) -> float:
-        return (log_inc_beta(b + 1.0, float(n - b), config.p0)
-                - log_inc_beta(float(b), float(n - b + 1), config.p0))
+    p_ratios: list[float | None] = [None] * n  # by block count b, filled on first use
 
-    @cache  # by block count k of the partition a position lacks
+    def log_p_ratio(b: int) -> float:
+        if p_ratios[b] is None:
+            p_ratios[b] = (log_inc_beta(b + 1.0, float(n - b), config.p0)
+                           - log_inc_beta(float(b), float(n - b + 1), config.p0))
+        return p_ratios[b]
+
     def bound_terms(k: int) -> tuple[float, float, float, float]:
         # log_w_integral's exponents and log B(a, c) for a partition of k
         # blocks, and the least B at which the bound applies (none where
@@ -386,43 +431,106 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         return (d - m + 1.0, d + 1.0, _betaln(d + 1.0, c),
                 2e-10 * total / (w0 * (abs(c - 1.0) + 1.0)))
 
+    terms = [None, *(bound_terms(k) for k in range(1, n + 1))]  # by block count k
+
+    def first_order(w_within: float, blocks: int, current: float) -> list[tuple]:
+        # the log-free test's constants for the partition (module
+        # docstring), for a position without a boundary (k = blocks + 1)
+        # and one with (k = blocks - 1): the least B at which the bound
+        # applies, and base, w and b of its log-odds bound log_p_ratio +
+        # base + w / lacking + b / between. A base of +inf (-inf) settles
+        # nothing.
+        between = total - w_within
+        logs = w_within > 0.0 and between > 0.0
+        log_w, log_b = (log(w_within), log(between)) if logs else (0.0, 0.0)
+        sides = []
+        for k, sign in ((blocks + 1, 1.0), (blocks - 1, -1.0)):
+            if not 1 <= k <= n or current == math.inf:
+                sides.append((math.inf, 0.0, 0.0, 0.0))
+                continue
+            e_w, e_b, log_beta, least = terms[k]
+            base = (sign * (e_w * log_w - e_b * log_b + log_beta - current + e_w - e_b)
+                    if logs else sign * math.inf)
+            sides.append((least, base, -sign * e_w * w_within, sign * e_b * between))
+        return sides
+
+    (least_f, base_f, w_f, b_f), (least_t, base_t, w_t, b_t) = first_order(
+        w_within, blocks, current)
+    a_f = a_t = None  # log_p_ratio + base, once a position needs it
+
     for sweep in range(config.iterations):
-        cuts = np.flatnonzero(u)
-        # right edge of the merged block around each position
-        right = np.append(cuts, n - 1)[
-            np.searchsorted(cuts, np.arange(n - 1), side="right")].tolist()
+        # the merged block [left, right] around each position as the sweep
+        # begins, and the gain W0 - W1 of a boundary at each position
+        cuts = np.flatnonzero(held)
+        # (left is one past the last cut before i; where there is none,
+        # index -1 reads the appended -1)
+        left = np.append(cuts, -1)[np.searchsorted(cuts, positions) - 1] + 1
+        right = np.append(cuts, n - 1)[np.searchsorted(cuts, positions, side="right")]
+        n_l = sizes[positions + 1 - left]  # as floats, exactly
+        n_r = sizes[right - positions]
+        diff = (through - prefix[left]) / n_l - (prefix[right + 1] - through) / n_r
+        gains = (n_l * n_r / (n_l + n_r) * diff * diff).tolist()
+        # the log-odds at which the first-order bound settles each draw: at
+        # or below logit(draw - 2 margin) - slack where no boundary is held,
+        # at or above logit(draw + 2 margin) + slack = -(logit(1 - draw -
+        # 2 margin) - slack) where one is. Where draw -+ 2 margin leaves
+        # (0, 1), the logit is -inf or NaN, and no log-odds settles the draw
+        draws = rng.randoms(n - 1)
+        drawn = np.array(draws)
+        q = np.where(held, (1.0 - 2.0 * _MARGIN) - drawn, drawn - 2.0 * _MARGIN)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logit = np.log(q / (1.0 - q)) - slack
+        settle = np.where(held, -logit, logit).tolist()
         lo = 0  # left edge of the merged block
-        for i, hi, draw in zip(range(n - 1), right, rng.randoms(n - 1)):
-            n_l = i + 1 - lo
-            n_r = hi - i
-            diff = (s1[i + 1] - s1[lo]) / n_l - (s1[hi + 1] - s1[i + 1]) / n_r
-            gain = n_l * n_r / (n_l + n_r) * diff * diff
+        patched = -1  # positions up to here lie in a block that a flip changed
+        for i, hi, draw, gain, settle_at in zip(
+                range(n - 1), right.tolist(), draws, gains, settle):
+            if i <= patched:
+                n_l = i + 1 - lo
+                n_r = hi - i
+                diff = (sums[i + 1] - sums[lo]) / n_l - (sums[hi + 1] - sums[i + 1]) / n_r
+                gain = n_l * n_r / (n_l + n_r) * diff * diff
             # w_within is already clamped; only the other side's W can fall
-            # to zero up to the rounding of the sums (noiseless blocks)
+            # to zero up to the rounding of the sums (noiseless blocks). A
+            # stay that the log-free test or the bound on the lacking integral
+            # settles (module docstring) computes no integral; a flip or an
+            # undecided draw does
             if u[i]:
-                b = blocks - 1
-                w_0, w_1 = w_within + gain, w_within
-                if w_0 <= zero_w:
-                    w_0 = 0.0
-                lacking, k = w_0, b
+                b = k = blocks - 1
+                lacking = w_within + gain
+                if lacking > zero_w:
+                    between = total - lacking
+                    if between >= least_t:
+                        if a_t is None:
+                            a_t = log_p_ratio(b) + base_t
+                        if a_t + w_t / lacking + b_t / between >= settle_at:
+                            lo = i + 1
+                            continue
+                        e_w, e_b, log_beta, _ = terms[k]
+                        bound = e_w * log(lacking) - e_b * log(between) + log_beta
+                        if draw < _probability(log_p_ratio(b) + current - bound) - _MARGIN:
+                            lo = i + 1
+                            continue
+                else:
+                    lacking, between = 0.0, total
+                w_0, w_1 = lacking, w_within
             else:
-                b = blocks
-                w_0, w_1 = w_within, w_within - gain
-                if w_1 <= zero_w:
-                    w_1 = 0.0
-                lacking, k = w_1, b + 1
-            between = total - lacking
-            # a stay that the bound on the lacking integral settles (module
-            # docstring) computes no integral; a flip or an undecided draw does
-            e_w, e_b, log_beta, least_between = bound_terms(k)
-            if lacking > 0.0 and between >= least_between and current != math.inf:
-                bound = e_w * log(lacking) - e_b * log(between) + log_beta
-                if u[i]:
-                    if draw < _probability(log_p_ratio(b) + current - bound) - _MARGIN:
-                        lo = i + 1
-                        continue
-                elif draw >= _probability(log_p_ratio(b) + bound - current) + _MARGIN:
-                    continue
+                b, k = blocks, blocks + 1
+                lacking = w_within - gain
+                if lacking > zero_w:
+                    between = total - lacking
+                    if between >= least_f:
+                        if a_f is None:
+                            a_f = log_p_ratio(b) + base_f
+                        if a_f + w_f / lacking + b_f / between <= settle_at:
+                            continue
+                        e_w, e_b, log_beta, _ = terms[k]
+                        bound = e_w * log(lacking) - e_b * log(between) + log_beta
+                        if draw >= _probability(log_p_ratio(b) + bound - current) + _MARGIN:
+                            continue
+                else:
+                    lacking, between = 0.0, total
+                w_0, w_1 = w_within, lacking
             other = log_w_integral((k - 1) / 2.0, lacking, between, w0, n)
             num, den = (current, other) if u[i] else (other, current)
             if num == math.inf:
@@ -433,14 +541,20 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 prob = 0.0 if den == math.inf else 1.0
             else:
                 prob = _probability(log_p_ratio(b) + num - den)
+            flip = (draw < prob) != u[i]
             if draw < prob:
                 u[i] = True
                 w_within, blocks, current, lo = w_1, b + 1, num, i + 1
             else:
                 u[i] = False
                 w_within, blocks, current = w_0, b, den
+            if flip:
+                (least_f, base_f, w_f, b_f), (least_t, base_t, w_t, b_t) = first_order(
+                    w_within, blocks, current)
+                a_f = a_t = None
+                patched = hi
         if sweep >= config.burn_in:
-            counts += u
+            counts += held
     return PosteriorResult(probabilities=counts / (config.iterations - config.burn_in))
 
 

@@ -15,6 +15,9 @@ split_no)`` -- so a backtest cuts its splits into contiguous chunks, one
 per CPU, runs them concurrently (``parallel.run_chunks``) and reassembles
 the rows in week order, bitwise identical to the sequential run at any CPU
 count. A split's error is raised as the sequential run would raise it.
+Whether a window can be scored depends on its actual counts alone, so a
+window that cannot (one week, or zero counts only) raises the scoring
+error before any fit.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .series import (
     ResourceKind,
     SignalPanel,
     WeekIndex,
+    WeeklySeries,
     standardize_apply,
     standardize_fit,
     week_range,
@@ -245,6 +249,17 @@ def _arima_rows(panel: SignalPanel, spec: ModelSpec, plan: SplitPlan,
     return parallel.run_chunks(forecast_chunk, parallel.chunks(len(weeks)))
 
 
+def _score_actuals(plan: SplitPlan, flu: WeeklySeries) -> None:
+    """Raise what scoring the windows would raise once every split is fit,
+    before any fit. The metrics read the predictions only as values, so
+    scoring each window's actuals against themselves fails where, and as,
+    scoring the predictions would: a window of one week, say, or of zero
+    counts only."""
+    for win in plan.eval_windows:
+        actual = [flu.value_at(t) for t in week_range(*win)]
+        compute_metrics(actual, actual)
+
+
 def drop_labels() -> list[str]:
     """The six ablation rows: everything, then each droppable block."""
     return ["none", *(kind.value for kind in ResourceKind
@@ -274,14 +289,21 @@ def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
     """
     if drop not in drop_labels():
         raise ValueError(f"drop must be one of {drop_labels()}")
+    flu = panel.flu()
     if MODELS[spec.kind].features:
         full = build_dataset(panel, selected, lag_spec, signal_lag,
                              start=plan.train_start, end=plan.last_week)
+        _score_actuals(plan, flu)
         keep = [i for i, name in enumerate(full.feature_names) if _block(name) != drop]
         dataset = replace(full, X=full.X[:, keep],
                           feature_names=[full.feature_names[i] for i in keep])
         rows = _feature_rows(dataset, spec, plan, seed)
     else:
+        weeks = [t for win in plan.eval_windows for t in week_range(*win)]
+        # where a week or its history cutoff lies outside the panel, its row
+        # raises InsufficientHistory first, as before
+        if all(flu.covers(t) and flu.covers(t - lag_spec.min_lag) for t in weeks):
+            _score_actuals(plan, flu)
         rows = _arima_rows(panel, spec, plan, lag_spec)
     results = []
     for win in plan.eval_windows:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import parallel
 from ..errors import NonConvergence
 from .linear import fit_data, linear_predict
 
@@ -66,7 +67,8 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrMod
     X, y = fit_data(X, y, "fit_svr_linear", 1)
     n = X.shape[0]
 
-    K = X @ X.T
+    with parallel.one_blas_thread():  # the same Gram bytes under any BLAS pool
+        K = X @ X.T
     diag = np.diag(K).copy()
     alpha = np.zeros(n)
     alpha_star = np.zeros(n)

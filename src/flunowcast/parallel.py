@@ -31,7 +31,9 @@ have its threads spin against each other. So before it forks,
 module links to 1 (through its ``openblas_set_num_threads`` symbol, by
 ``ctypes``), the children inherit it, and the caller restores the old
 count once every child is reaped, however the call ends. Where numpy links
-another BLAS, nothing changes.
+another BLAS, nothing changes. ``one_blas_thread()`` is that setting alone,
+as a context: the SVR fit forms its Gram matrix under it, because OpenBLAS
+rounds ``X @ X.T`` differently with its thread count.
 
 Where ``fork``, ``sched_getaffinity`` or ``memfd_create`` is missing,
 ``cpus()`` is 1, so ``chunks`` gives one chunk and nothing forks. The CPUs
@@ -120,21 +122,32 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
+def one_blas_thread():
+    """Run OpenBLAS on one thread, and restore its thread count on the way
+    out; where numpy links another BLAS, change nothing."""
+    blas = _openblas_threads()
+    if not blas:
+        yield
+        return
+    threads = blas[0]()
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](threads)
+
+
+@contextlib.contextmanager
 def _marked_with_one_blas_thread():
     """Mark this process as running a chunk and run OpenBLAS on one thread;
     restore both on the way out."""
     global _nested
-    blas = _openblas_threads()
-    threads = blas[0]() if blas else None
     outer, _nested = _nested, True
-    if blas:
-        blas[1](1)
     try:
-        yield
+        with one_blas_thread():
+            yield
     finally:
         _nested = outer
-        if blas:
-            blas[1](threads)
 
 
 def _run_child(work, chunk: range, fd: int) -> None:

@@ -223,7 +223,7 @@ def scratch_block_sums(x: np.ndarray, u: np.ndarray):
     return w_sum, b_sum, len(edges) - 1
 
 
-def reference_bcp_posterior(series, config):
+def reference_bcp_posterior(series, config, flips=None):
     """Same Gibbs sampler, but with all block sums recomputed from scratch
     at every position (no incremental bookkeeping) and spans found by
     scanning the indicator vector. Shares the integral code and the RNG
@@ -231,7 +231,9 @@ def reference_bcp_posterior(series, config):
     the partition bookkeeping in isolation. It keeps the sampler's model
     rules: the series is first scaled by a power of two so that its largest
     magnitude lies in [0.5, 1), and a within-block sum at or below 1e-12
-    times the total sum of squares counts as exactly zero."""
+    times the total sum of squares counts as exactly zero. Where ``flips``
+    is a list, each draw that changes u[i] appends i and the indicator
+    vector before the draw."""
     from flunowcast.changepoint import log_inc_beta, log_w_integral
     from flunowcast.rng import Xorshift64Star
 
@@ -248,6 +250,7 @@ def reference_bcp_posterior(series, config):
     counts = np.zeros(n - 1)
     for sweep in range(config.iterations):
         for i in range(n - 1):
+            held = bool(u[i])
             u[i] = False
             w0s, b0s, blocks0 = scratch_block_sums(x, u)
             u[i] = True
@@ -272,6 +275,10 @@ def reference_bcp_posterior(series, config):
                     odds = math.exp(log_odds)
                     prob = odds / (1.0 + odds)
             u[i] = rng.random() < prob
+            if flips is not None and u[i] != held:
+                before = u.copy()
+                before[i] = held
+                flips.append((i, before))
         if sweep >= config.burn_in:
             counts += u
     return counts / (config.iterations - config.burn_in)

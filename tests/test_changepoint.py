@@ -320,6 +320,72 @@ class TestPosterior:
         assert np.array_equal(bcp_posterior(x, cfg).probabilities,
                               reference_bcp_posterior(x, cfg))
 
+    def test_block_geometry_keeps_every_posterior_bit(self):
+        # A sweep takes its gains from the partition as it began, and a flip
+        # at i recomputes the gains of (i, hi] with the new left edge. Series
+        # up to 40 long hold blocks long enough for flips inside them; the
+        # cases also flip the last position and positions next to a boundary.
+        rs = np.random.RandomState(23)
+        inside = last = beside = 0
+        for case in range(24):
+            n = int(rs.randint(13, 41))
+            cuts = np.sort(rs.choice(np.arange(1, n), rs.randint(1, 5), replace=False))
+            x = np.repeat(rs.randint(-3, 4, cuts.size + 1), np.diff([0, *cuts, n])) * 1.3
+            x = x + rs.choice([0.05, 0.3, 1.0]) * rs.standard_normal(n)
+            cfg = BcpConfig(iterations=20, burn_in=2, p0=float(rs.choice([0.1, 0.5])),
+                            w0=float(rs.choice([0.1, 1.0])), seed=case)
+            flips = []
+            assert np.array_equal(bcp_posterior(x, cfg).probabilities,
+                                  reference_bcp_posterior(x, cfg, flips)), f"case {case}"
+            for i, before in flips:
+                left = i > 0 and before[i - 1]
+                right = i + 2 < n and before[i + 1]
+                inside += i + 2 < n and not (left or right)
+                last += i == n - 2
+                beside += bool(left or right)
+        assert inside and last and beside
+
+    def test_draws_near_0_and_1_keep_every_posterior_bit(self, monkeypatch):
+        # every fifth draw lies within a few margins of 0 or 1, where the
+        # log-odds thresholds are infinite or nearly so; the thresholds are
+        # computed without a RuntimeWarning, which the test settings make an
+        # error
+        edges = [0.0, 5e-324, 1e-12, 2e-12, 3e-12, 1.0 - 3e-12, 1.0 - 2e-12,
+                 1.0 - 1e-12, 1.0 - 2.0 ** -53]
+
+        class Edges(Xorshift64Star):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.drawn = 0
+
+            def random(self):
+                value = super().random()
+                self.drawn += 1
+                return edges[self.drawn // 5 % len(edges)] if self.drawn % 5 == 0 else value
+
+            def randoms(self, k):
+                return [self.random() for _ in range(k)]
+
+        monkeypatch.setattr(changepoint, "Xorshift64Star", Edges)
+        monkeypatch.setattr("flunowcast.rng.Xorshift64Star", Edges)  # the reference's
+        for x in (step_series(n_left=12, n_right=9, seed=4), np.array([1.3] * 8 + [2.9] * 8)):
+            cfg = BcpConfig(iterations=40, burn_in=5, seed=3)
+            assert np.array_equal(bcp_posterior(x, cfg).probabilities,
+                                  reference_bcp_posterior(x, cfg))
+
+    def test_flu_curve_computes_the_same_integrals(self, monkeypatch):
+        # the log-free test settles only draws that the bound settles, so
+        # the flu curve computes the 3480 W-integrals it computed before
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_w_integral(*args)
+
+        monkeypatch.setattr(changepoint, "log_w_integral", counted)
+        bcp_posterior(gen_flu(SynthConfig(years=5, seed=42)).values, BcpConfig(seed=1))
+        assert len(calls) == 3480
+
     def test_bound_settles_most_positions_of_the_flu_curve(self, monkeypatch):
         calls = []
 

@@ -32,6 +32,7 @@ from flunowcast.series import (
     ResourceKind,
     SignalPanel,
     WeekIndex,
+    WeeklySeries,
     standardize_apply,
     standardize_fit,
 )
@@ -281,6 +282,30 @@ class TestBacktest:
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         one_split_rows(panel, selected, kind)
         assert fork_log.read_bytes() == (b"f" if kind == "forest" else b"")
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_unscorable_window_fails_before_any_fit(self, monkeypatch, kind):
+        # R^2 needs 2 points, and MAPE a nonzero count: the backtest raises
+        # what scoring would raise, and fits nothing first
+        panel, selected = informative_panel()
+        plan = short_plan(panel, length=1)
+        week = plan.last_week
+        flu = panel.flu()
+        zero = flu.values.copy()
+        zero[week - flu.start] = 0.0
+        zeroed = SignalPanel([WeeklySeries(flu.name, flu.resource, flu.start, zero),
+                              *(s for s in panel.members() if s is not flu)])
+        fits = []
+        monkeypatch.setattr(evaluation, MODELS[kind].fit, lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match="^need at least 2 points$"):
+            backtest(panel, selected, ModelSpec(kind), plan, seed=0)
+        with pytest.raises(AllActualsZero, match="^every actual value is zero$"):
+            backtest(zeroed, selected, ModelSpec(kind), plan, seed=0)
+        # a later window's one week fails too, after an earlier scorable one
+        two = SplitPlan.of(plan.train_start, [(week - 3, week - 2), (week, week)])
+        with pytest.raises(ValueError, match="^need at least 2 points$"):
+            backtest(panel, selected, ModelSpec(kind), two, seed=0)
+        assert fits == []
 
     def test_arima_window_outside_panel_fails(self):
         panel, _ = informative_panel()

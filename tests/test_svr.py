@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flunowcast import parallel
 from flunowcast.errors import NoData, ShapeMismatch
 from flunowcast.models import (
     dual_objective,
@@ -181,3 +182,28 @@ def test_json_round_trip_bitwise():
     assert clone.bias == model.bias
     assert np.array_equal(clone.alphas, model.alphas)
     assert np.array_equal(clone.alpha_stars, model.alpha_stars)
+
+
+BLAS = parallel._openblas_threads()
+
+
+@pytest.mark.skipif(BLAS is None, reason="numpy links no OpenBLAS")
+def test_fit_bytes_do_not_depend_on_the_blas_pool():
+    # OpenBLAS rounds X @ X.T of these shapes differently on one thread and
+    # on two, and these fits carry that into their bytes unless the fit forms
+    # its Gram matrix on one thread under any pool
+    get, put = BLAS
+    problems = []
+    for seed, n in enumerate((150, 161, 190)):
+        rs = np.random.RandomState(seed)
+        problems.append((rs.normal(size=(n, 56)), 100.0 * rs.normal(size=n)))
+    before = get()
+    fits = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            fits.append([model_to_json(fit_svr_linear(X, y)) for X, y in problems])
+            assert get() == threads
+    finally:
+        put(before)
+    assert fits[0] == fits[1]
