@@ -475,8 +475,8 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         # at or above logit(draw + 2 margin) + slack = -(logit(1 - draw -
         # 2 margin) - slack) where one is. Where draw -+ 2 margin leaves
         # (0, 1), the logit is -inf or NaN, and no log-odds settles the draw
-        draws = rng.randoms(n - 1)
-        drawn = np.array(draws)
+        drawn = np.asarray(rng.randoms(n - 1))
+        draws = drawn.tolist()
         q = np.where(held, (1.0 - 2.0 * _MARGIN) - drawn, drawn - 2.0 * _MARGIN)
         with np.errstate(divide="ignore", invalid="ignore"):
             logit = np.log(q / (1.0 - q)) - slack

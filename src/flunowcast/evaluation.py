@@ -15,9 +15,11 @@ split_no)`` -- so a backtest cuts its splits into contiguous chunks, one
 per CPU, runs them concurrently (``parallel.run_chunks``) and reassembles
 the rows in week order, bitwise identical to the sequential run at any CPU
 count. A split's error is raised as the sequential run would raise it.
-Whether a window can be scored depends on its actual counts alone, so a
-window that cannot (one week, or zero counts only) raises the scoring
-error before any fit.
+This is the backtest's only parallelism: each fit in a chunk runs in that
+chunk's process and forks nothing, a forest's trees included. Whether a
+window can be scored depends on its actual counts alone, so a window that
+cannot (one week, or zero counts only) raises the scoring error before any
+fit.
 """
 
 from __future__ import annotations

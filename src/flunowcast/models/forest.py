@@ -11,17 +11,12 @@ A tree is the nested dict its JSON is: a leaf is ``{"value": v}`` and an
 internal node is ``{"feature": f, "threshold": t, "left": ..., "right":
 ...}``, where rows with ``x[f] <= t`` go left.
 
-Trees are independent, so a fit cuts ``range(n_trees)`` into contiguous
-chunks, one per CPU in the process's affinity mask but none of fewer than
-``_MIN_CHUNK_TREES`` trees (below that, a fork costs more than it saves).
-The rank keys are computed once; then ``parallel.run_chunks`` grows the
-first chunk in the calling process and each other chunk in a forked child,
-and joins the chunks in tree order, so the trees do not depend on the CPU
-count. A fit that itself runs in a chunk of a ``run_chunks`` call (a
-backtest split's, say) grows all its trees in one chunk.
+A fit grows all its trees in the calling process and forks nothing: a
+backtest runs its splits in parallel (``evaluation``), each split's fit on
+one CPU.
 
-A chunk's trees grow in lockstep, each exactly as the recursive builder
-grows it alone: depth first, left child before right, drawing from its own
+The trees grow in lockstep, each exactly as the recursive builder grows
+it alone: depth first, left child before right, drawing from its own
 xorshift64* stream in that order (the bootstrap's n ``randint`` draws, then
 each split node's partial Fisher-Yates draws of its feature subset). The
 streams are one ``uint64`` array, stepped together (``rng.next_u64s``). Each
@@ -41,7 +36,7 @@ sorted rows. The step's nodes, taken by ascending size, fill blocks of
 (node x column x row) keys, each node padded to the block's largest by a
 sentinel row that sorts last. A block holds at most ``_BLOCK_ELEMENTS`` keys
 (a lone node may hold more), which caps the search's working memory. That
-memory is one workspace per process, allocated when its chunk starts: one
+memory is one workspace per fit, allocated when its trees start: one
 flat array per block temporary (gather index, keys, row order, targets,
 their cumulative sums and sums of squares, right sums, SSE and the barred
 mask), each with room for the largest block. Every block writes its
@@ -57,14 +52,12 @@ from itertools import compress
 
 import numpy as np
 
-from .. import parallel
 from ..rng import derive_seed, multiply_shift, next_u64s, stream_states
 from .linear import fit_data, predict_rows
 
 _TIE_EPS = 1e-12
 _INF_BITS = np.int64(0x7FF0000000000000)  # bit pattern of +inf
 _BLOCK_ELEMENTS = 1 << 14  # (node x column x row) rank keys scored at once
-_MIN_CHUNK_TREES = 30  # fewer trees per child than this grow faster unforked
 
 
 def _leaf_value(tree: dict, x: np.ndarray) -> float:
@@ -262,21 +255,19 @@ def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
     return split, f, n_left, threshold
 
 
-def _grow(X: np.ndarray, y: np.ndarray, keys: np.ndarray, shift: int, chunk: range,
-          max_depth: int | None, min_leaf: int, bootstrap: bool, k: int,
-          seed: int) -> list[dict]:
-    """Trees ``chunk`` (a range of tree indices), grown in lockstep.
+def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
+          min_leaf: int, bootstrap: bool, k: int, seed: int) -> list[dict]:
+    """``n_trees`` trees, grown in lockstep.
 
-    The chunk's i-th tree has its rows in slots ``i * n:(i + 1) * n`` of
+    The i-th tree has its rows in slots ``i * n:(i + 1) * n`` of
     ``rows``, and each node owns a contiguous run of its tree's slots;
     ``y_rows`` holds the slots' targets. The last slot is the padding row n.
     Each tree keeps its own depth-first stack of (node, start, end, depth).
-    ``keys`` and ``shift`` are ``_rank_keys(X)``.
     """
     n, p = X.shape
-    n_trees = len(chunk)
+    keys, shift = _rank_keys(X)
     work = _workspace(max(_BLOCK_ELEMENTS, k * (n + 1)), keys.dtype)
-    states = stream_states([derive_seed(seed, t) for t in chunk])
+    states = stream_states([derive_seed(seed, t) for t in range(n_trees)])
     if bootstrap:
         rows = multiply_shift(next_u64s(states, n), n).reshape(-1)
     else:
@@ -345,11 +336,7 @@ def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
     p = X.shape[1]
     if max_features is None:
         max_features = max(1, math.ceil(p / 3)) if p else 1
-    keys, shift = _rank_keys(X)
-    k = min(max_features, p)
-    trees = parallel.run_chunks(
-        lambda chunk: _grow(X, y, keys, shift, chunk, max_depth, min_leaf, bootstrap, k, seed),
-        parallel.chunks(n_trees, _MIN_CHUNK_TREES))
+    trees = _grow(X, y, n_trees, max_depth, min_leaf, bootstrap, min(max_features, p), seed)
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        min_leaf=min_leaf, max_features=max_features,
                        bootstrap=bootstrap, seed=seed, n_features=p)

@@ -18,11 +18,11 @@ meets first. A child that leaves no exception (killed, another exit status,
 or an exception that does not pickle) raises ``RuntimeError`` naming its
 chunk and status.
 
-Only the outermost call forks. While a ``run_chunks`` call has forked
-children, the caller running chunk 0 and every child are marked, and a
-marked process's ``chunks`` gives one chunk, so work nested inside a chunk
-(a forest fit inside a backtest's split, say) runs where it is called. A
-call over one chunk forks and marks nothing.
+The package calls it in three places, and none runs inside another's
+chunk: a backtest's feature splits and its ARIMA splits (``evaluation``)
+and the change-point posteriors (``changepoint.score_resource``). So the
+work of a chunk (a model fit, a posterior) never forks, and a call over one
+chunk forks nothing.
 
 While chunks run, the BLAS runs one thread. Forked workers already use
 every CPU, and a BLAS pool of one thread per CPU in each of them would
@@ -50,8 +50,6 @@ import os
 import pickle
 import sys
 
-_nested = False  # whether this process runs a chunk of a run_chunks call that forked
-
 
 def cpus() -> int:
     """The CPUs this process may run on, or 1 where it cannot fork or make
@@ -61,12 +59,10 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def chunks(n: int, least: int = 1) -> list[range]:
-    """``range(n)`` cut into contiguous chunks, one per CPU but none of
-    fewer than ``least`` items (so at least one chunk, and never more
-    chunks than items), or one chunk inside a chunk of a ``run_chunks``
-    call that forked."""
-    count = 1 if _nested else max(1, min(cpus(), n // least))
+def chunks(n: int) -> list[range]:
+    """``range(n)`` cut into contiguous chunks, one per CPU (so at least one
+    chunk, and never more chunks than items)."""
+    count = max(1, min(cpus(), n))
     return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
@@ -74,11 +70,11 @@ def run_chunks(work, parts: list[range]) -> list:
     """The lists ``work(chunk)`` returns for every chunk, concatenated in
     chunk order: chunk 0 runs here and each other chunk in a forked child.
     A child's exception is raised here once every child is reaped and every
-    file closed. A single chunk runs here, with nothing marked."""
+    file closed. A single chunk runs here, and the BLAS keeps its threads."""
     if len(parts) == 1:
         return work(parts[0])
     files, pids = [], []  # a file's descriptor, and the pid of the child writing it
-    with _marked_with_one_blas_thread():
+    with one_blas_thread():
         try:
             for chunk in parts[1:]:
                 files.append(os.memfd_create("chunk"))
@@ -135,19 +131,6 @@ def one_blas_thread():
         yield
     finally:
         blas[1](threads)
-
-
-@contextlib.contextmanager
-def _marked_with_one_blas_thread():
-    """Mark this process as running a chunk and run OpenBLAS on one thread;
-    restore both on the way out."""
-    global _nested
-    outer, _nested = _nested, True
-    try:
-        with one_blas_thread():
-            yield
-    finally:
-        _nested = outer
 
 
 def _run_child(work, chunk: range, fd: int) -> None:

@@ -75,9 +75,9 @@ class Xorshift64Star:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * _INV53
 
-    def randoms(self, count: int) -> list[float]:
+    def randoms(self, count: int) -> np.ndarray:
         """The next ``count`` uniform doubles, as ``count`` calls to
-        ``random`` give them.
+        ``random`` give them, in a float64 array.
 
         The state update is linear over GF(2), so the state k + 1 steps
         ahead is the XOR of the jump-table entries (see ``_jump_table``) of
@@ -90,7 +90,7 @@ class Xorshift64Star:
         if count:
             self._state = int(states[-1])
         states *= _U64_MULT
-        return ((states >> _U11) * _INV53).tolist()
+        return (states >> _U11) * _INV53
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) by the multiply-shift reduction (n up to 2^53)."""

@@ -237,8 +237,8 @@ class TestBacktest:
 
     def test_forks_once_per_model_and_never_inside_a_chunk(self, synth_dir, tmp_path,
                                                           monkeypatch, fork_log):
-        # 60 trees would fork on 2 CPUs, but a forest inside a split's chunk
-        # grows its trees where it runs
+        # each model's 2 splits fork one child on 2 CPUs, and no fit inside a
+        # chunk forks, not even a forest of 60 trees
         config = write_run_config(
             tmp_path / "run.json", synth_dir,
             windows=[{"start": "2017-10-30", "end": "2017-11-06"}],
@@ -614,9 +614,12 @@ class TestChangepoint:
         digest = hashlib.sha256((out / "changepoint.json").read_bytes()).hexdigest()
         assert digest == GOLDEN_CHANGEPOINT
 
-    def test_report_bytes_do_not_depend_on_cpu_count(self, synth_dir, tmp_path, monkeypatch):
-        # the flu series and its three queries, cut into 1, 2, 3 and 4 chunks
+    def test_report_bytes_do_not_depend_on_cpu_count(self, synth_dir, tmp_path, monkeypatch,
+                                                      fork_log):
+        # the flu series and its three queries, cut into 1, 2, 3 and 4 chunks,
+        # each chunk but the first sampled in one forked child
         queries = [synth_dir / f"proxy_{i:02d}.csv" for i in range(1, 5)]
+        forks = []
         for cpus in (1, 2, 3, 5):
             monkeypatch.setattr(parallel, "cpus", lambda: cpus)
             out = tmp_path / f"cp{cpus}"
@@ -625,6 +628,8 @@ class TestChangepoint:
                         "--out", out]) == 0
             digest = hashlib.sha256((out / "changepoint.json").read_bytes()).hexdigest()
             assert digest == GOLDEN_CHANGEPOINT, cpus
+            forks.append(len(fork_log.read_bytes()))
+        assert forks == [0, 1, 3, 6]
 
     def test_top_k_zero_samples_the_flu_series_without_forking(self, synth_dir, tmp_path,
                                                                monkeypatch):

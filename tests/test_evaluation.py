@@ -276,12 +276,12 @@ class TestBacktest:
         assert len(rows) == 1 and len(next(iter(rows))) == 1
 
     @pytest.mark.parametrize("kind", list(MODELS))
-    def test_one_split_forks_only_the_forest_trees(self, monkeypatch, fork_log, kind):
-        # nothing forks at the split level, so 60 trees are cut into 2 chunks
+    def test_one_split_forks_nothing(self, monkeypatch, fork_log, kind):
+        # one split is one chunk, and no fit forks, not even 60 trees on 2 CPUs
         panel, selected = informative_panel()
         monkeypatch.setattr(parallel, "cpus", lambda: 2)
         one_split_rows(panel, selected, kind)
-        assert fork_log.read_bytes() == (b"f" if kind == "forest" else b"")
+        assert fork_log.read_bytes() == b""
 
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_unscorable_window_fails_before_any_fit(self, monkeypatch, kind):

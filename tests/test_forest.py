@@ -1,16 +1,13 @@
 import dataclasses
 import itertools
-import os
-import pickle
 import random
-import signal
 
 import numpy as np
 import pytest
 
 from flunowcast import parallel
 from flunowcast.errors import NoData, ShapeMismatch
-from flunowcast.models import ForestModel, fit_forest, forest, model_from_json, model_to_json
+from flunowcast.models import ForestModel, fit_forest, model_from_json, model_to_json
 
 from oracles import reference_forest_trees
 
@@ -200,114 +197,17 @@ def test_lockstep_trees_match_recursive_oracle(n, p):
             (n, p, min_leaf, max_depth, bootstrap, features, n_trees, seed)
 
 
-# Chunked fits: the trees are cut into contiguous chunks, one per CPU, and
-# every chunk but the first grows in a forked child. The break-even is
-# patched to 1 so that even two trees fork.
+# The oracle grid stops at 7 trees. A fit of many grows them all in one
+# lockstep in the calling process, whatever the CPU count.
 
 @pytest.mark.parametrize("bootstrap", [True, False])
-def test_chunked_fits_match_serial_fit_and_oracle(monkeypatch, bootstrap):
+def test_fits_of_many_trees_match_oracle(monkeypatch, fork_log, bootstrap):
     X, y = seeded_dataset(21, n=30, p=4)
-    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
+    monkeypatch.setattr(parallel, "cpus", lambda: 4)
     for n_trees in (1, 2, 61, 100):
-        texts = set()
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
-            assert len(parallel.chunks(n_trees, forest._MIN_CHUNK_TREES)) == min(cpus, n_trees)
-            model = fit_forest(X, y, n_trees=n_trees, bootstrap=bootstrap, seed=5)
-            texts.add(model_to_json(model))
+        model = fit_forest(X, y, n_trees=n_trees, bootstrap=bootstrap, seed=5)
         trees = reference_forest_trees(X, y, n_trees, None, 2, bootstrap,
                                        model.max_features, 5)
-        assert texts == {model_to_json(dataclasses.replace(model, trees=trees))}, n_trees
-
-
-def test_chunks_are_contiguous_and_hold_the_break_even(monkeypatch):
-    least = forest._MIN_CHUNK_TREES
-    monkeypatch.setattr(parallel, "cpus", lambda: 3)
-    assert parallel.chunks(100, least) == [range(0, 33), range(33, 66), range(66, 100)]
-    assert parallel.chunks(2 * least, least) == [range(0, least), range(least, 2 * least)]
-    assert parallel.chunks(2 * least - 1, least) == [range(2 * least - 1)]
-    monkeypatch.setattr(parallel, "cpus", lambda: 1)
-    assert parallel.chunks(100, least) == [range(100)]
-
-
-def failing_in(where, monkeypatch, fail=None):
-    """Patch ``_grow`` to fail in the parent or in the forked child, and
-    make a fit fork one child. The failure raises ``ValueError`` unless
-    ``fail`` is given."""
-    parent, grow = os.getpid(), forest._grow
-
-    def raise_value_error():
-        raise ValueError(f"injected in the {where}")
-
-    def patched(*args):
-        if (os.getpid() == parent) == (where == "parent"):
-            (fail or raise_value_error)()
-        return grow(*args)
-
-    monkeypatch.setattr(forest, "_grow", patched)
-    monkeypatch.setattr(parallel, "cpus", lambda: 2)
-    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
-
-
-def test_child_failure_raises_in_parent(monkeypatch, capfd):
-    # the child's own exception, as a serial fit would raise it
-    X, y = seeded_dataset(4)
-    failing_in("child", monkeypatch)
-    with pytest.raises(ValueError, match="injected in the child"):
-        fit_forest(X, y, n_trees=4)
-    assert "ValueError: injected in the child" in capfd.readouterr().err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_child_without_result_raises_runtime_error(monkeypatch):
-    X, y = seeded_dataset(4)
-    failing_in("child", monkeypatch, fail=lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match=r"chunk 2\.\.3 exited with status 3"):
-        fit_forest(X, y, n_trees=4)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_parent_failure_reaps_child(monkeypatch):
-    X, y = seeded_dataset(4, n=200)
-    # the child's trees take over 64 KiB, and writing them must not block it
-    trees = fit_forest(X, y, n_trees=50).trees
-    assert len(pickle.dumps(trees, pickle.HIGHEST_PROTOCOL)) > 1 << 16
-    failing_in("parent", monkeypatch)
-
-    def deadlocked(*_):
-        raise TimeoutError("the parent waited for a child that cannot exit")
-
-    previous = signal.signal(signal.SIGALRM, deadlocked)
-    signal.alarm(60)
-    try:
-        with pytest.raises(ValueError, match="injected in the parent"):
-            fit_forest(X, y, n_trees=100)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_failed_fork_closes_its_file(monkeypatch):
-    X, y = seeded_dataset(4)
-
-    def no_fork():
-        raise OSError("injected fork failure")
-
-    monkeypatch.setattr(parallel, "cpus", lambda: 2)
-    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
-    monkeypatch.setattr(os, "fork", no_fork)
-    with pytest.raises(OSError, match="injected fork failure"):
-        fit_forest(X, y, n_trees=4)
-
-
-def test_fit_without_memfd_grows_serially(monkeypatch):
-    X, y = seeded_dataset(4)
-    monkeypatch.setattr(forest, "_MIN_CHUNK_TREES", 1)
-    forked = model_to_json(fit_forest(X, y, n_trees=4))
-    monkeypatch.delattr(os, "memfd_create", raising=False)
-    assert parallel.cpus() == 1
-    assert model_to_json(fit_forest(X, y, n_trees=4)) == forked
+        assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees)), \
+            n_trees
+    assert fork_log.read_bytes() == b""

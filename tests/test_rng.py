@@ -69,8 +69,8 @@ def test_randoms_equal_single_draws(count):
         batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
         for _ in range(3):
             draws = batch.randoms(count)
-            assert draws == [single.random() for _ in range(count)]
-            assert all(type(d) is float for d in draws)
+            assert draws.dtype == np.float64 and draws.shape == (count,)
+            assert draws.tolist() == [single.random() for _ in range(count)]
         assert batch.next_u64() == single.next_u64()  # same state after
 
 
@@ -79,7 +79,9 @@ def test_randoms_mixed_counts_continue_the_stream():
     # read a prefix of it, so any order of counts gives the same stream
     batch, single = Xorshift64Star(77), Xorshift64Star(77)
     for count in (3, 1500, 0, 259, 1, 1501, 64, 1500):
-        assert batch.randoms(count) == [single.random() for _ in range(count)]
+        draws = batch.randoms(count)
+        assert draws.dtype == np.float64
+        assert draws.tolist() == [single.random() for _ in range(count)]
     assert batch.next_u64() == single.next_u64()
 
 
