@@ -18,13 +18,29 @@ one CPU.
 The trees grow in lockstep, each exactly as the recursive builder grows
 it alone: depth first, left child before right, drawing from its own
 xorshift64* stream in that order (the bootstrap's n ``randint`` draws, then
-each split node's partial Fisher-Yates draws of its feature subset). The
-streams are one ``uint64`` array, stepped together (``rng.next_u64s``). Each
-step takes the next node off every unfinished tree's stack. A node that is
-too small, too deep or has all targets equal becomes a leaf; every other
-node of the step draws its features and joins the step's split search.
-Each node sums its targets on its own unpadded rows, so leaf means and split
-scores use the pairwise sums of a node grown alone.
+each searching node's partial Fisher-Yates draws of its feature subset). A
+node searches for a split unless it is too small, too deep or has all
+targets equal.
+
+Draw tables. The i-th searching node of a tree, in depth-first order, uses
+that tree's i-th subset, whatever the tree's shape, so the subsets are
+drawn ahead: ``_TABLE_ROWS`` rows per tree at a time, for all unfinished
+trees at once (``rng.samples_without_replacement``), and again for the
+trees that outrun the table.
+
+Leaves settled when they are made. The roots at the start, and the
+children of each step's splits at the end of that step, are settled
+together: a node that may not search becomes a leaf there, and the others
+go on their tree's depth-first stack (one row per tree of the stack
+arrays). Each step takes the top node off every unfinished tree's stack,
+so every node of a step searches, and step i uses row i of the tables. A
+node whose search finds no split becomes a leaf.
+
+Node totals. Leaf means and split scores take a node's target sum as
+``ndarray.sum()`` gives it on the node's rows in their order, which is
+numpy's pairwise sum; ``_totals`` computes it for all of a step's new nodes
+at once, bit for bit. The all-equal test reads each node's largest and
+smallest target with ``reduceat``.
 
 The split search sorts each node's rows along each candidate column by
 per-fit sort keys: the value's dense rank within its column in the high bits
@@ -32,32 +48,43 @@ and the row's position in the node in the low bits (``uint16`` when
 n < 256). Keys are unique, so any sort is the stable sort of the values, and
 one sort gives both the row order and the ranks that tell distinct values
 apart. Every split of every column is scored from cumulative sums along the
-sorted rows. The step's nodes, taken by ascending size, fill blocks of
-(node x column x row) keys, each node padded to the block's largest by a
-sentinel row that sorts last. A block holds at most ``_BLOCK_ELEMENTS`` keys
-(a lone node may hold more), which caps the search's working memory. That
-memory is one workspace per fit, allocated when its trees start: one
-flat array per block temporary (gather index, keys, row order, targets,
-their cumulative sums and sums of squares, right sums, SSE and the barred
-mask), each with room for the largest block. Every block writes its
-temporaries into views of them, so no step allocates, frees and faults in
-that memory again. Thresholds are read from ``X``.
+sorted rows: the targets and their squares, as the real and imaginary parts
+of complex numbers, take one cumulative sum. The step's nodes, taken by
+ascending size, fill blocks of (node x column x row) keys, each node padded
+to the block's largest by a sentinel row that sorts last. A block holds at
+most ``_BLOCK_ELEMENTS`` keys (a lone node may hold more), which caps the
+search's working memory. That memory is one workspace per fit, allocated
+when its trees start: one flat array per block temporary (gather index,
+keys, targets and squares, their cumulative sums, SSE and the barred mask;
+the right sums reuse the targets' room), each with room for the largest
+block. Every block writes its temporaries into views of them, so no step
+allocates, frees and faults in that memory again. The tie rule across a
+node's columns takes the first lowest pick and scans only the nodes where
+an earlier column is within the band. Each split node's rows are sorted
+along its chosen column once more to write them back in that order.
+Thresholds are read from ``X``.
+
+The trees become nested dicts once the growth's arrays are freed, from
+each step's records of its leaves and splits (``_trees``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from ..rng import derive_seed, multiply_shift, next_u64s, stream_states
+from ..rng import (derive_seed, multiply_shift, next_u64s, samples_without_replacement,
+                   stream_states)
 from .linear import fit_data, predict_rows
 
 _TIE_EPS = 1e-12
 _INF_BITS = np.int64(0x7FF0000000000000)  # bit pattern of +inf
 _BLOCK_ELEMENTS = 1 << 14  # (node x column x row) rank keys scored at once
+_TABLE_ROWS = 32  # feature subsets drawn ahead per tree at a time
+_PAIRWISE_BLOCK = 128  # the longest run numpy's pairwise sum adds in lanes
 
 
 def _leaf_value(tree: dict, x: np.ndarray) -> float:
@@ -105,164 +132,265 @@ def _rank_keys(X: np.ndarray) -> tuple[np.ndarray, int]:
     return keys, shift
 
 
-def _draw_features(states: np.ndarray, p: int, k: int) -> np.ndarray:
-    """``k`` of ``p`` features per stream, ascending: the first k entries of
-    a partial Fisher-Yates shuffle of range(p), drawn as
-    ``Xorshift64Star.sample_without_replacement`` draws them."""
-    picks = np.arange(k) + multiply_shift(next_u64s(states, k), p - np.arange(k))
-    pool = np.tile(np.arange(p), (len(states), 1))
-    at = np.arange(len(states))
-    for i in range(k):
-        j = picks[:, i]
-        pool[:, i], pool[at, j] = pool[at, j], pool[:, i].copy()
-    return np.sort(pool[:, :k], axis=1)
-
-
 def _blocks(sizes: list[int], k: int):
-    """Runs of node positions, by ascending size, that hold at most
+    """Runs ``a:b`` of nodes sorted by ascending size that hold at most
     ``_BLOCK_ELEMENTS`` keys once padded to the run's largest size; a lone
     node may hold more."""
-    run: list[int] = []
-    for g in sorted(range(len(sizes)), key=sizes.__getitem__):
-        m = sizes[g]
-        if run and (len(run) + 1) * k * m > _BLOCK_ELEMENTS:
-            yield run
-            run = []
-        run.append(g)
-    if run:
-        yield run
+    a = 0
+    for b, m in enumerate(sizes):
+        if b > a and (b - a + 1) * k * m > _BLOCK_ELEMENTS:
+            yield a, b
+            a = b
+    if sizes:
+        yield a, len(sizes)
 
 
-def _positions(starts: np.ndarray, sizes: np.ndarray, pad: np.ndarray | int):
+def _positions(starts: np.ndarray, sizes: np.ndarray, pad: int):
     """Each node's slots ``starts[g]:starts[g] + sizes[g]``, padded to the
     largest size with ``pad``, and the mask of the real ones."""
-    offsets = np.arange(int(sizes.max()))
+    offsets = np.arange(sizes.max(initial=0))
     real = offsets < sizes[:, None]
     return np.where(real, starts[:, None] + offsets, pad), real
 
 
-def _set_leaf(node: dict, total: np.float64, size: int) -> None:
-    node["value"] = float(total / size)  # the node's y.mean(), from its y.sum()
+def _pairwise(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each node's slots ``starts[g]:starts[g] +
+    sizes[g]`` of ``values``, for all nodes at once.
+
+    numpy adds a run of up to ``_PAIRWISE_BLOCK`` values in eight lanes, lane
+    j taking values j, j + 8, ... of the run's whole groups of 8 in order,
+    combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and
+    adds the last ``size % 8`` values to that in order; it adds a run of
+    fewer than 8 in order from -0.0, which is the same rule with empty
+    lanes. A longer run is the sum of its two halves, split at size / 2
+    rounded down to a multiple of 8. Slots past a run's end read -0.0 here,
+    which adds nothing.
+    """
+    big = sizes > _PAIRWISE_BLOCK
+    if big.any():
+        sums = np.empty(sizes.size)
+        if not big.all():
+            sums[~big] = _pairwise(values, starts[~big], sizes[~big])
+        starts, sizes = starts[big], sizes[big]
+        half = sizes // 2 - sizes // 2 % 8
+        sums[big] = (_pairwise(values, starts, half)
+                     + _pairwise(values, starts + half, sizes - half))
+        return sums
+    sums = np.full(sizes.size, -0.0)
+    grouped = sizes - sizes % 8
+    lanes = np.flatnonzero(grouped)
+    if lanes.size:
+        at, whole = starts[lanes], grouped[lanes]
+        offsets = np.arange(int(whole.max()))
+        r = np.where(offsets < whole[:, None],
+                     np.take(values, at[:, None] + offsets, mode="clip"), -0.0)
+        r = r.reshape(lanes.size, -1, 8).cumsum(axis=1)[:, -1]
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        sums[lanes] = r[:, 0] + r[:, 1]
+    tail = np.arange(7)
+    rest = np.where(tail < (sizes - grouped)[:, None],
+                    np.take(values, (starts + grouped)[:, None] + tail, mode="clip"), -0.0)
+    return np.column_stack([sums, rest]).cumsum(axis=1)[:, -1]
+
+
+def _totals(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``values[start:start + size].sum()`` of each node, bit for bit: the
+    reduction adds the pairwise sum to 0.0 (every node has a slot)."""
+    return _pairwise(values, starts, sizes) + 0.0
 
 
 def _all_equal(y_rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Whether each node's targets are all equal (every node has a row)."""
-    node_y = y_rows[_positions(starts, sizes, starts[:, None])[0]]
-    return node_y.max(axis=1) == node_y.min(axis=1)
+    """Whether each node's targets are all equal, from the largest and the
+    smallest of its slots, taken in slot order (every node has a row)."""
+    by_start = np.argsort(starts)
+    bounds = np.column_stack([starts, starts + sizes])[by_start].reshape(-1)
+    equal = np.empty(starts.size, bool)
+    equal[by_start] = (np.maximum.reduceat(y_rows, bounds)[0::2]
+                       == np.minimum.reduceat(y_rows, bounds)[0::2])
+    return equal
 
 
 def _workspace(size: int, key_dtype) -> dict[str, np.ndarray]:
     """One flat work array of ``size`` elements per temporary of the
     split search; each block's temporaries are views of their prefixes."""
-    kinds = {"index": np.int64, "keys": key_dtype, "order": key_dtype, "ys": np.float64,
-             "csum": np.float64, "csq": np.float64, "right": np.float64,
-             "sse": np.float64, "barred": np.bool_}
-    return {name: np.empty(size, dtype) for name, dtype in kinds.items()}
+    kinds = {"index": np.int64, "keys": key_dtype, "ys": np.complex128,
+             "sums": np.complex128, "sse": np.float64, "barred": np.bool_}
+    work = {name: np.empty(size, dtype) for name, dtype in kinds.items()}
+    # the right sums and sums of squares take the gathered targets' place
+    work["right"], work["right_sq"] = work["ys"].view(np.float64).reshape(2, size)
+    return work
 
 
-def _score_block(X, keys, shift, rows, y_rows, starts, sizes, totals, features,
+def _first_best(values: list[float]) -> int:
+    """The tie rule over a node's column picks, scanned in feature order: a
+    later pick wins only by more than ``_TIE_EPS``; -1 if none is finite."""
+    best, best_sse = -1, math.inf
+    for j, value in enumerate(values):
+        if value < best_sse - _TIE_EPS:
+            best, best_sse = j, value
+    return best
+
+
+def _best_columns(pick_sse: np.ndarray) -> np.ndarray:
+    """``_first_best`` of each row of ``pick_sse`` (node x column).
+
+    The scan ends on the first lowest value m, at column j*, unless some
+    earlier column j holds a record v_j with m >= fl(v_j - ``_TIE_EPS``):
+    a record before j* blocks it only then, and no later value beats m by
+    the band. So the argmin is the answer wherever no earlier column is
+    that close, and the scan runs on the rest (and where m is NaN).
+    """
+    best = pick_sse.argmin(axis=1)
+    low = pick_sse[np.arange(best.size), best]
+    close = np.argmax(pick_sse - _TIE_EPS <= low[:, None], axis=1) < best
+    best = np.where(low < math.inf, best, -1)
+    for g in np.flatnonzero(close | np.isnan(low)).tolist():
+        best[g] = _first_best(pick_sse[g].tolist())
+    return best
+
+
+def _score_block(keys, shift, node_rows, node_ys, at, sizes, totals, features,
                  min_leaf, work):
-    """Best split of each node of a block, scored together.
+    """Each (node, column)'s pick in a block of nodes, scored together.
 
-    Node g holds slots ``starts[g]:starts[g] + sizes[g]`` of ``rows`` (its
-    rows) and ``y_rows`` (their targets), with target sum ``totals[g]`` and
-    candidate columns ``features[g]`` (ascending). Its slots are padded to
-    the block's largest size with the last slot, row n with target 0, whose
-    key sorts last, so the sorted order and the prefix sums of the real rows
-    are those of the unpadded node. Each column's pick is its first split
-    within the tie band of its lowest SSE; the picks are then taken in
-    ascending feature order and a later one wins only by strict improvement,
-    which gives the tie rule (lowest feature, then lowest threshold).
+    Node g's rows are ``node_rows[g, :sizes[g]]``, padded to the block's
+    largest size with row n, whose key sorts last, so the sorted order of
+    the real rows is that of the unpadded node. Its targets, with their
+    squares as the imaginary part, start at ``node_ys[at[g]]``, padded with
+    0. Its target sum is ``totals[g]`` and its candidate columns
+    ``features[g]``. A column's pick is its first split within the tie
+    band of its lowest SSE.
 
-    Every (node, column, row) temporary is a view of the ``work`` arrays
-    (``_workspace``), written with ``out=``.
+    Every split is scored, one per row position, on the block's full width:
+    each (node, column, row) temporary is a view of the ``work`` arrays
+    (``_workspace``), written with ``out=``, and the positions that cannot
+    split (too few rows on a side, or equal values across the cut, padding
+    included) get +inf, added as the bits of 0.0 or inf.
 
-    Returns the block positions of the nodes that split, with their feature,
-    left child size and threshold, and writes each split node's slots back
-    in the chosen column's sorted order, so that each child holds a
-    contiguous run of them.
+    Returns, per (node, column), the rows left of the pick less one and
+    the pick's SSE (+inf where the column has no split).
     """
     count, k = features.shape
-    slots, real = _positions(starts, sizes, len(rows) - 1)
-    width = slots.shape[1]
-    # rows on the left of each split, as far as the largest node allows
-    ks = np.arange(min_leaf, width - min_leaf + 1)
-    full, cut = (count, k, width), (count, k, ks.size)
+    width = node_rows.shape[1]
+    full = (count, k, width)
 
-    def temp(name, shape):
-        return work[name][:math.prod(shape)].reshape(shape)
+    def temp(name):
+        return work[name][:count * k * width].reshape(full)
 
-    node_rows = rows[slots]
-    node_y = y_rows[slots]
-    index = temp("index", full)
-    np.multiply(features[:, :, None], keys.shape[1], out=index)
-    index += node_rows[:, None, :]
-    block = np.take(keys.reshape(-1), index, mode="clip", out=temp("keys", full))
+    index = np.add((features * keys.shape[1])[:, :, None], node_rows[:, None, :],
+                   out=temp("index"))
+    block = np.take(keys.reshape(-1), index, mode="clip", out=temp("keys"))
     block |= np.arange(width, dtype=block.dtype)  # (node, column, row)
     block.sort(axis=-1)  # keys are unique, so any sort is the stable one
-    order = np.bitwise_and(block, (1 << shift) - 1, out=temp("order", full))
+    np.bitwise_and(block, (1 << shift) - 1, out=index)  # the row order
     block >>= shift      # now the ranks, in sorted order
-    np.add(order, (np.arange(count) * width)[:, None, None], out=index)
-    ys = np.take(node_y.reshape(-1), index, mode="clip", out=temp("ys", full))
-    csum = np.cumsum(ys, axis=-1, out=temp("csum", full))
-    ys *= ys
-    csq = np.cumsum(ys, axis=-1, out=temp("csq", full))
-    k_right = sizes[:, None, None] - ks
-    left_sum = csum[..., min_leaf - 1:width - min_leaf]
-    left_sq = csq[..., min_leaf - 1:width - min_leaf]
-    right_sum = np.subtract(totals[:, None, None], left_sum, out=temp("right", cut))
-    right_sq = np.subtract(csq[np.arange(count), :, sizes - 1][..., None], left_sq,
-                           out=temp("ys", cut))  # ys is spent
-    # (left_sq - left_sum^2 / ks) + (right_sq - right_sum^2 / k_right), in place
-    # but in this order, so that each SSE rounds as a lone node's does
-    sse = np.multiply(left_sum, left_sum, out=temp("sse", cut))
-    sse /= ks
-    np.subtract(left_sq, sse, out=sse)
+    index += at[:, None, None]
+    # complex addition adds the parts apart, so one cumulative sum gives
+    # the targets' and their squares', bit for bit
+    ys = np.take(node_ys, index, mode="clip", out=temp("ys"))
+    sums = np.cumsum(ys, axis=-1, out=temp("sums"))
+    csum, csq = sums.real, sums.imag
+    left = np.arange(1.0, width + 1)  # rows left of each split
+    right = sizes[:, None, None] - left
+    right_sum = np.subtract(totals[:, None, None], csum, out=temp("right"))  # ys is spent
+    right_sq = np.subtract(csq[np.arange(count), :, sizes - 1][..., None], csq,
+                           out=temp("right_sq"))
+    # (left_sq - left_sum^2 / left) + (right_sq - right_sum^2 / right), in
+    # place but in this order, so that each SSE rounds as a lone node's does
+    sse = np.multiply(csum, csum, out=temp("sse"))
+    sse /= left
+    np.subtract(csq, sse, out=sse)
     right_sum *= right_sum
-    right_sum /= np.maximum(k_right, 1)  # splits past a node's end are barred below
+    right_sum /= np.maximum(right, 1)  # past a node's end; barred below
     np.subtract(right_sq, right_sum, out=right_sum)
     sse += right_sum
-    # a threshold must separate distinct values, and both sides keep
-    # min_leaf rows; other splits get +inf, added as the bits of 0.0 or inf
-    barred = np.equal(block[..., min_leaf - 1:width - min_leaf],
-                      block[..., min_leaf:width - min_leaf + 1], out=temp("barred", cut))
-    barred |= k_right < min_leaf
+    # equal ranks across the cut, compared on the flat block: the cut after
+    # a row's last position is barred by its size whatever it reads
+    barred = temp("barred")
+    ranks = block.reshape(-1)
+    np.equal(ranks[:-1], ranks[1:], out=barred.reshape(-1)[:-1])
+    barred |= (left < min_leaf) | (right < min_leaf)
     inf_bits = np.multiply(barred.view(np.uint8), _INF_BITS,
-                           out=temp("index", cut))  # the gathers are done
+                           out=temp("index"))  # the gathers are done
     sse += inf_bits.view(np.float64)
-    near = np.less_equal(sse, sse.min(axis=-1, keepdims=True) + _TIE_EPS, out=barred)
-    picks = np.argmax(near, axis=-1)
-    pick_sse = sse.reshape(-1, ks.size)[np.arange(count * k), picks.reshape(-1)]
-    split, cols = [], []
-    for g, values in enumerate(pick_sse.reshape(count, k).tolist()):
-        best, best_sse = -1, math.inf
-        for j, value in enumerate(values):
-            if value < best_sse - _TIE_EPS:
-                best, best_sse = j, value
-        if best >= 0:
-            split.append(g)
-            cols.append(best)
-    split, cols = np.array(split, dtype=np.intp), np.array(cols, dtype=np.intp)
-    n_left = ks[picks[split, cols]]
-    moved = order[split, cols]
-    chosen = node_rows[split[:, None], moved]
+    # the first lowest of each line is its pick wherever m + _TIE_EPS
+    # rounds to m; elsewhere the pick is the first within the band
+    lines = sse.reshape(-1, width)
+    picks = lines.argmin(axis=1)
+    pick_sse = lines[np.arange(picks.size), picks]
+    band = pick_sse + _TIE_EPS
+    wide = np.flatnonzero(band != pick_sse)
+    if wide.size:
+        picks[wide] = np.argmax(lines[wide] <= band[wide, None], axis=1)
+        pick_sse[wide] = lines[wide, picks[wide]]
+    return picks.reshape(count, k), pick_sse.reshape(count, k)
+
+
+def _search(X, keys, shift, rows, y_rows, starts, sizes, totals, features, min_leaf,
+            work):
+    """Best split of each of a step's nodes.
+
+    Node g holds slots ``starts[g]:starts[g] + sizes[g]`` of ``rows`` and
+    ``y_rows``, with target sum ``totals[g]`` and candidate columns
+    ``features[g]`` (ascending). The nodes, taken by ascending size, are
+    scored in blocks (``_blocks``, ``_score_block``). The column picks are
+    then taken in ascending feature order and a later one wins only by
+    strict improvement, which gives the tie rule (lowest feature, then
+    lowest threshold).
+
+    Returns the positions of the nodes that split, with their feature, left
+    child size and threshold, and writes each split node's slots back in
+    the chosen column's sorted order, so that each child holds a contiguous
+    run of them.
+    """
+    count, k = features.shape
+    by_size = np.argsort(sizes, kind="stable")
+    starts, sizes, totals, features = (a[by_size] for a in (starts, sizes, totals, features))
+    # each node's slots padded to the largest with the last slot, row n
+    # with target 0; each target with its square as the imaginary part
+    slots, real = _positions(starts, sizes, len(rows) - 1)
+    node_rows = rows[slots]
+    node_ys = np.empty(slots.shape, np.complex128)
+    node_ys.real = y_rows[slots]
+    np.multiply(node_ys.real, node_ys.real, out=node_ys.imag)
+    width = slots.shape[1]
+    picks = np.empty((count, k), np.intp)
+    pick_sse = np.empty((count, k))
+    for a, b in _blocks(sizes.tolist(), k):
+        picks[a:b], pick_sse[a:b] = _score_block(
+            keys, shift, node_rows[a:b, :sizes[b - 1]], node_ys.reshape(-1),
+            np.arange(a, b) * width, sizes[a:b], totals[a:b], features[a:b], min_leaf, work)
+    best = _best_columns(pick_sse) if k else np.full(count, -1)
+    split = np.flatnonzero(best >= 0)
+    cols = best[split]
+    n_left = picks[split, cols] + 1
     f = features[split, cols]
-    at = np.arange(split.size)
-    threshold = 0.5 * (X[chosen[at, n_left - 1], f] + X[chosen[at, n_left], f])
-    write = real[split]
-    rows[slots[split][write]] = chosen[write]
-    y_rows[slots[split][write]] = node_y[split[:, None], moved][write]
-    return split, f, n_left, threshold
+    # the split nodes' rows sorted along the chosen column once more, and
+    # their slots rewritten in that order
+    first, real = starts[split, None], real[split]
+    block = keys[f[:, None], node_rows[split]] | np.arange(width, dtype=keys.dtype)
+    block.sort(axis=-1)
+    moved = (first + (block & ((1 << shift) - 1)))[real]
+    slots = (first + np.arange(width))[real]
+    rows[slots], y_rows[slots] = rows[moved], y_rows[moved]
+    cut = first[:, 0] + n_left  # each right child's first slot
+    threshold = 0.5 * (X[rows[cut - 1], f] + X[rows[cut], f])
+    return by_size[split], f, n_left, threshold
 
 
 def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
-          min_leaf: int, bootstrap: bool, k: int, seed: int) -> list[dict]:
+          min_leaf: int, bootstrap: bool, k: int, seed: int) -> tuple[list, list, int]:
     """``n_trees`` trees, grown in lockstep.
 
     The i-th tree has its rows in slots ``i * n:(i + 1) * n`` of
     ``rows``, and each node owns a contiguous run of its tree's slots;
     ``y_rows`` holds the slots' targets. The last slot is the padding row n.
-    Each tree keeps its own depth-first stack of (node, start, end, depth).
+    Nodes are numbered as they are made, the roots first. Each tree keeps
+    its depth-first stack of searching nodes in its row of the stack
+    arrays, as (node, start, size, depth, target sum), with its height in
+    ``heights``. Returns each step's leaf and split records for ``_trees``,
+    and the node count.
     """
     n, p = X.shape
     keys, shift = _rank_keys(X)
@@ -274,48 +402,78 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
         rows = np.tile(np.arange(n), n_trees)
     rows = np.append(rows, n)
     y_rows = np.append(y[rows[:-1]], 0.0)
-    trees = [{} for _ in range(n_trees)]
-    stacks = [[(tree, t * n, (t + 1) * n, 0)] for t, tree in enumerate(trees)]
-    live = list(range(n_trees))
-    while live:
-        nodes = []  # (tree, node, start, end, depth, target sum) that may split
-        for t in live:
-            node, start, end, depth = stacks[t].pop()
-            total = y_rows[start:end].sum()
-            if end - start < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-                _set_leaf(node, total, end - start)
-            else:
-                nodes.append((t, node, start, end, depth, total))
-        if nodes:
-            starts = np.array([entry[2] for entry in nodes])
-            sizes = np.array([entry[3] for entry in nodes]) - starts
-            growing = ~_all_equal(y_rows, starts, sizes)
-            for _, node, start, end, _, total in compress(nodes, ~growing):
-                _set_leaf(node, total, end - start)
-            nodes = list(compress(nodes, growing))
-            starts, sizes = starts[growing], sizes[growing]
-        if nodes:
-            totals = np.array([entry[5] for entry in nodes])
-            trees_of = np.array([entry[0] for entry in nodes])
-            drawn = states[trees_of]
-            features = _draw_features(drawn, p, k)
-            states[trees_of] = drawn
-            for run in _blocks(sizes.tolist(), k):
-                run = np.array(run)
-                split, f, n_left, threshold = _score_block(
-                    X, keys, shift, rows, y_rows, starts[run], sizes[run], totals[run],
-                    features[run], min_leaf, work)
-                for g in np.delete(run, split).tolist():
-                    _, node, start, end, _, total = nodes[g]
-                    _set_leaf(node, total, end - start)
-                for g, feature, left, thr in zip(run[split].tolist(), f.tolist(),
-                                                  n_left.tolist(), threshold.tolist()):
-                    t, node, start, end, depth, _ = nodes[g]
-                    node.update(feature=feature, threshold=thr, left={}, right={})
-                    stacks[t].append((node["right"], start + left, end, depth + 1))
-                    stacks[t].append((node["left"], start, start + left, depth + 1))
-        live = [t for t in live if stacks[t]]
-    return trees
+    heights = np.zeros(n_trees, np.intp)
+    # room for 16 levels, doubled whenever a stack outgrows it
+    stack = [np.empty((n_trees, 16), dtype) for dtype in (np.intp,) * 4 + (np.float64,)]
+    leaves, splits = [], []  # (nodes, values); (nodes, features, thresholds, rights, lefts)
+    # the nodes made last, to settle: the roots, then each step's children,
+    # right before left, so that left goes on top
+    made = tree_of = np.arange(n_trees)
+    made_next = n_trees
+    starts, sizes, depths = tree_of * n, np.full(n_trees, n), np.zeros(n_trees, np.intp)
+    for step in itertools.count():
+        totals = _totals(y_rows, starts, sizes)
+        leaf = sizes < 2 * min_leaf
+        if max_depth is not None:
+            leaf |= depths >= max_depth
+        search = np.flatnonzero(~leaf)
+        if search.size:
+            leaf[search] = _all_equal(y_rows, starts[search], sizes[search])
+        leaves.append((made[leaf], totals[leaf] / sizes[leaf]))  # y.mean(), from y.sum()
+        push = ~leaf
+        trees = tree_of[push]
+        # a tree's second child on the stack this step goes above its first
+        level = heights[trees] + np.append(0, trees[1:] == trees[:-1])
+        while level.size and level.max() >= stack[0].shape[1]:
+            stack = [np.hstack([a, np.empty_like(a)]) for a in stack]
+        for a, values in zip(stack, (made, starts, sizes, depths, totals)):
+            a[trees, level] = values[push]
+        heights += np.bincount(trees, minlength=n_trees)
+        live = np.flatnonzero(heights)
+        if not live.size:
+            break
+        if step % _TABLE_ROWS == 0:
+            drawn = states[live]
+            table = samples_without_replacement(drawn, p, k, _TABLE_ROWS)
+            table.sort(axis=-1)
+            states[live] = drawn
+            table_trees = live
+        heights[live] -= 1
+        nodes, starts, sizes, depths, totals = (a[live, heights[live]] for a in stack)
+        features = table[np.searchsorted(table_trees, live), step % _TABLE_ROWS]
+        split, f, n_left, threshold = _search(
+            X, keys, shift, rows, y_rows, starts, sizes, totals, features.astype(np.intp),
+            min_leaf, work)
+        unsplit = np.ones(live.size, bool)
+        unsplit[split] = False
+        leaves.append((nodes[unsplit], totals[unsplit] / sizes[unsplit]))
+        made = np.arange(made_next, made_next + 2 * split.size)
+        made_next += made.size
+        splits.append((nodes[split], f, threshold, made[0::2], made[1::2]))
+        tree_of = np.repeat(live[split], 2)
+        starts, sizes = starts[split], sizes[split]
+        starts = np.column_stack([starts + n_left, starts]).reshape(-1)
+        sizes = np.column_stack([sizes - n_left, n_left]).reshape(-1)
+        depths = np.repeat(depths[split] + 1, 2)
+    return leaves, splits, made_next
+
+
+def _trees(leaves, splits, n_nodes: int, n_trees: int) -> list[dict]:
+    """The trees as nested dicts, from ``_grow``'s per-step records of its
+    ``n_nodes`` nodes: (nodes, values) for the leaves and (nodes, features,
+    thresholds, right children, left children) for the splits."""
+    nodes = [None] * n_nodes
+    for made, values in leaves:
+        for node, value in zip(made.tolist(), values.tolist()):
+            nodes[node] = {"value": value}
+    # a step's children split, if at all, at later steps: so built last
+    # step first, every split node finds its children made
+    for made, *fields in reversed(splits):
+        for node, feature, threshold, right, left in zip(made.tolist(), *(
+                field.tolist() for field in fields)):
+            nodes[node] = {"feature": feature, "threshold": threshold,
+                           "left": nodes[left], "right": nodes[right]}
+    return nodes[:n_trees]
 
 
 def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
@@ -336,7 +494,9 @@ def fit_forest(X, y, n_trees: int = 100, max_depth: int | None = None,
     p = X.shape[1]
     if max_features is None:
         max_features = max(1, math.ceil(p / 3)) if p else 1
-    trees = _grow(X, y, n_trees, max_depth, min_leaf, bootstrap, min(max_features, p), seed)
+    # the dicts are made once the growth's working arrays are freed
+    trees = _trees(*_grow(X, y, n_trees, max_depth, min_leaf, bootstrap,
+                          min(max_features, p), seed), n_trees)
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        min_leaf=min_leaf, max_features=max_features,
                        bootstrap=bootstrap, seed=seed, n_features=p)

@@ -124,6 +124,8 @@ class Xorshift64Star:
 _U11, _U12, _U25, _U27, _U32 = (np.uint64(shift) for shift in (11, 12, 25, 27, 32))
 _U64_MULT = np.uint64(_MULT)
 _LOW32 = np.uint64(0xFFFFFFFF)
+_BYTE = np.uint64(255)
+_BASIS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # the 64 single-bit states
 
 
 def stream_states(seeds) -> np.ndarray:
@@ -152,7 +154,53 @@ def next_u64s(states: np.ndarray, count: int) -> np.ndarray:
     return outputs
 
 
-_jumps = _walk(np.uint64(1) << np.arange(64, dtype=np.uint64), 1)  # grown on demand
+def _apply(image: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map that takes the state with only bit b set to
+    ``image[b]``, applied to each of ``states``: the XOR of the images of
+    a state's set bits, looked up a byte at a time."""
+    table = np.zeros((8, 256), dtype=np.uint64)  # [byte i, value]: its bits' images
+    for bit in range(8):
+        table[:, 1 << bit:2 << bit] = table[:, :1 << bit] ^ image[bit::8, None]
+    out = table[0][states & _BYTE]
+    for i in range(1, 8):
+        out ^= table[i][(states >> np.uint64(8 * i)) & _BYTE]
+    return out
+
+
+def samples_without_replacement(states: np.ndarray, n: int, k: int, count: int) -> np.ndarray:
+    """The next ``count`` results of ``Xorshift64Star.sample_without_replacement(n, k)``
+    of every stream, in an array (stream, result, k) of the smallest
+    unsigned dtype that holds n - 1; ``states`` steps in place.
+
+    Result r of a stream takes that stream's outputs r k + 1 to (r + 1) k.
+    The state update is linear over GF(2), so every result's starting state
+    is found first: the map of k steps, and by squaring that of 2k, 4k, ...
+    steps, each applied to all the starting states found so far, doubles
+    them. Then all of them step together k times, and each step's outputs
+    make one column swap of their partial Fisher-Yates shuffles.
+    """
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    if not k:
+        return np.empty((states.size, count, 0), dtype)
+    firsts = states[:, None]
+    image = _walk(_BASIS.copy(), k)[:, -1]  # k steps on from each single-bit state
+    while firsts.shape[1] < count:
+        firsts = np.hstack([firsts, _apply(image, firsts)])
+        image = _apply(image, image)
+    firsts = np.ascontiguousarray(firsts[:, :count]).reshape(-1)
+    pool = np.tile(np.arange(n, dtype=dtype), (firsts.size, 1))
+    flat, row = pool.reshape(-1), np.arange(firsts.size) * n
+    for i in range(k):
+        j = multiply_shift(next_u64s(firsts, 1)[:, 0], n - i)
+        j += row + i  # j's place in the flat pool
+        held = pool[:, i].copy()
+        pool[:, i] = flat[j]
+        flat[j] = held
+    states[:] = firsts[count - 1::count]  # k steps past the last result's start
+    return pool[:, :k].reshape(states.size, count, k)
+
+
+_jumps = _walk(_BASIS.copy(), 1)  # grown on demand
 
 
 def _jump_table(count: int) -> np.ndarray:

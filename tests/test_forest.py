@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -7,7 +8,8 @@ import pytest
 
 from flunowcast import parallel
 from flunowcast.errors import NoData, ShapeMismatch
-from flunowcast.models import ForestModel, fit_forest, model_from_json, model_to_json
+from flunowcast.models import ForestModel, fit_forest, forest, model_from_json, model_to_json
+from flunowcast.rng import Xorshift64Star, samples_without_replacement
 
 from oracles import reference_forest_trees
 
@@ -121,6 +123,13 @@ class TestEdges:
         with pytest.raises(ValueError, match="finite"):
             fit_forest(X, y, n_trees=2, seed=0)
 
+    def test_no_columns(self):
+        # no candidate column: every node that may search finds no split
+        X, y = np.zeros((6, 0)), np.arange(6.0)
+        model = fit_forest(X, y, n_trees=3, seed=2)
+        trees = reference_forest_trees(X, y, 3, None, 2, True, model.max_features, 2)
+        assert model.trees == trees
+
     def test_single_row(self):
         model = fit_forest(np.array([[1.0, 2.0]]), np.array([5.0]),
                            n_trees=3, seed=0)
@@ -211,3 +220,96 @@ def test_fits_of_many_trees_match_oracle(monkeypatch, fork_log, bootstrap):
         assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees)), \
             n_trees
     assert fork_log.read_bytes() == b""
+
+
+# The production shape: the default 100 trees on n = 161 rows of p = 56
+# columns, as a backtest split fits them. The digest was taken with the
+# builder that drew each node's subset as it reached it and summed each
+# node on its own, so it pins the draw tables, the leaves settled as they
+# are made and the vectorised node totals against that builder's trees.
+
+PRODUCTION_SHA256 = "7c0531c17cbef7918649de308caca7bb8b169598f4b0507a768d4c59a62b8809"
+
+
+def production_dataset(n=161, p=56):
+    """Seeded standard-normal X and rounded, count-like targets, both from
+    the package's own stream, with no BLAS call."""
+    rng = Xorshift64Star(26)
+    X = np.array(rng.normals(n * p)).reshape(n, p)
+    noise = np.array(rng.normals(n))
+    y = np.round(2000.0 + 500.0 * X[:, 0] - 300.0 * X[:, 1]
+                 + 200.0 * X[:, 2] * X[:, 3] + 100.0 * noise)
+    return X, y
+
+
+def test_default_forest_at_the_production_shape_is_pinned():
+    X, y = production_dataset()
+    text = model_to_json(fit_forest(X, y, seed=7))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRODUCTION_SHA256
+
+
+def test_trees_at_the_production_shape_match_oracle():
+    X, y = production_dataset()
+    model = fit_forest(X, y, n_trees=3, seed=7)
+    trees = reference_forest_trees(X, y, 3, None, 2, True, model.max_features, 7)
+    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+
+
+def test_trees_that_outrun_their_draw_table_match_oracle(monkeypatch):
+    # without a bootstrap and with one-row leaves, a tree of 300 distinct
+    # targets searches at nearly as many nodes as it has rows, several
+    # tables' worth
+    draws = []
+
+    def counted(states, n, k, count):
+        draws.append(states.size)
+        return samples_without_replacement(states, n, k, count)
+
+    monkeypatch.setattr(forest, "samples_without_replacement", counted)
+    X, y = oracle_dataset(300, 5, 0)
+    model = fit_forest(X, y, n_trees=2, min_leaf=1, bootstrap=False, seed=3)
+    assert len(draws) > 1
+    trees = reference_forest_trees(X, y, 2, None, 1, False, model.max_features, 3)
+    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+
+
+def node_total_cases():
+    """Runs of every length from 1 to 600 of each kind of target."""
+    rs = np.random.RandomState(26)
+    kinds = {
+        "negative zeros": lambda m: np.full(m, -0.0),
+        "mixed signs and magnitudes": lambda m: (rs.choice([-1.0, 1.0], m)
+                                                 * 10.0 ** rs.uniform(-300, 300, m)),
+        "counts": lambda m: rs.randint(0, 40000, m).astype(float),
+        "normal": lambda m: rs.normal(size=m),
+    }
+    for kind, make in kinds.items():
+        yield kind, [make(m) for m in range(1, 601)]
+
+
+@pytest.mark.parametrize("kind,runs", list(node_total_cases()))
+def test_node_totals_are_numpys_sums_bit_for_bit(kind, runs):
+    rs = np.random.RandomState(len(kind))
+    runs = [runs[i] for i in rs.permutation(len(runs))]
+    values = np.concatenate(runs + [np.zeros(1)])
+    sizes = np.array([run.size for run in runs])
+    starts = np.cumsum(sizes) - sizes
+    expected = np.array([run.sum() for run in runs])
+    assert np.array_equal(forest._totals(values, starts, sizes).view(np.int64),
+                          expected.view(np.int64))
+    # 300 nodes at once past numpy's 128-value block, where the sum halves
+    big = np.flatnonzero(sizes > 128)[:300]
+    assert big.size == 300
+    assert np.array_equal(forest._totals(values, starts[big], sizes[big]).view(np.int64),
+                          expected[big].view(np.int64))
+
+
+def test_tie_rule_over_columns_matches_the_scan():
+    # picks within the 1e-12 band of an earlier column, exact ties, columns
+    # without a split (+inf) and a NaN, as overflowing targets would give
+    rs = np.random.RandomState(5)
+    base = rs.choice([0.0, 1.0, 1e-13, 5e-13, 2e-12, np.inf], size=(4000, 6))
+    picks = np.where(rs.rand(4000, 6) < 0.5, 3.0 + base, base)
+    picks[7, 2] = np.nan
+    expected = [forest._first_best(row) for row in picks.tolist()]
+    assert forest._best_columns(picks).tolist() == expected

@@ -6,6 +6,7 @@ from flunowcast.rng import (
     derive_seed,
     multiply_shift,
     next_u64s,
+    samples_without_replacement,
     stream_states,
 )
 
@@ -116,3 +117,26 @@ def test_vectorised_draw_rejects_bounds_outside_32_bits(bound):
     outputs = next_u64s(stream_states([derive_seed(1, 0)]), 1)
     with pytest.raises(ValueError):
         multiply_shift(outputs, bound)
+
+
+@pytest.mark.parametrize("n,k,count", [(56, 19, 32), (5, 2, 33), (300, 3, 7), (1, 1, 4),
+                                       (7, 0, 3)])
+def test_sample_tables_equal_scalar_samples_after_the_bootstrap(n, k, count):
+    # a forest tree draws its bootstrap's n_rows randints, then its feature
+    # subsets; a table's row i is the tree's i-th subset, and a second table
+    # continues the stream where the first one stopped
+    n_rows = 160
+    seeds = [derive_seed(13, t) for t in range(9)]
+    states = stream_states(seeds)
+    next_u64s(states, n_rows)
+    tables = [samples_without_replacement(states, n, k, count) for _ in range(2)]
+    assert tables[0].dtype == np.min_scalar_type(n - 1)
+    assert tables[0].shape == (len(seeds), count, k)
+    for t, seed in enumerate(seeds):
+        rng = Xorshift64Star(seed)
+        for _ in range(n_rows):
+            rng.randint(n_rows)
+        for table in tables:
+            assert table[t].tolist() == [rng.sample_without_replacement(n, k)
+                                         for _ in range(count)]
+        assert int(next_u64s(states[t:t + 1], 1)[0, 0]) == rng.next_u64()
