@@ -36,46 +36,40 @@ W-integral as running values:
   without a boundary there; one of them is the current partition, whose
   W-integral f((blocks - 1)/2, W) was computed at the previous position (or
   before the first sweep). So a position lacks at most the other one.
-- Most draws keep the position as it was, and a bound settles those
-  without the lacking integral. Where that integral takes its incomplete
-  beta route (W > 0, B > 0, c = m - d - 1 > 0 with m = (n-1)/2, and x
-  outside the small-x branch), I_x(a, c) <= 1 gives
+- Most draws keep the position as it was, and a test without a log
+  settles those without the lacking integral. It is a first-order form of
+  a closed-form bound: where that integral takes its incomplete beta route
+  (W > 0, B > 0, c = m - d - 1 > 0 with m = (n-1)/2, and x outside the
+  small-x branch), I_x(a, c) <= 1 gives
       f(d, W) <= (d - m + 1) log W - (d + 1) log B + log B(a, c),
-  with log B(a, c) tabulated by block count. A position without a boundary
-  keeps none when its draw is at least the bound's probability plus a
-  margin; one with a boundary keeps it when its draw is below the bound's
-  probability minus the margin. The bound is the integral's own sum with
-  log I_x dropped, so after rounding it is still at or above the integral,
-  and the margin (1e-12, at ``_MARGIN``) covers the few ulps by which exp
-  and the division can order probabilities against their log-odds. Every
-  other draw (a flip, an undecided draw, an infinite current integral, a
-  branch the bound does not cover) computes the integral as before, so the
-  carried integral is always exact and every posterior keeps its bits.
-- Most of those stays are settled before any log, by a first-order form of
-  the same bound. Take W and B = total - W of the current partition, and
-  at a position of gain g the bound's lacking = W - g without a boundary
-  (W + g with one) and between = total - lacking. Then log t >= 1 - 1/t
-  gives, for the exponents e_w < 0 < e_b of the bound,
+  with log B(a, c) tabulated by block count. Take W and B = total - W of
+  the current partition, and at a position of gain g the bound's lacking =
+  W - g without a boundary (W + g with one) and between = total - lacking.
+  Then log t >= 1 - 1/t gives, for the exponents e_w < 0 < e_b of the bound,
       e_w log(lacking) <= e_w log W - e_w (W / lacking - 1),
       e_b log(between) >= e_b log B + e_b (1 - B / between),
   so the bound's log-odds are at most A_f - e_w W / lacking + e_b B /
   between at a position without a boundary, and at least A_t + e_w' W /
-  lacking - e_b' B / between at one with a boundary. A_f and A_t (at k = blocks + 1
-  and blocks - 1) take two logs per partition, at each flip, and add
-  log_p_ratio once a position needs it, so the log_p_ratio tables fill as
-  before. Both forms hold for any positive W and B, and they read between
-  itself, not B + g, which rounds at the scale of total. A draw settles
-  when its log-odds bound is at or below logit(draw - 2 margin) - slack, or
-  at or above logit(draw + 2 margin) + slack; numpy computes those
-  thresholds once per sweep, as -inf or NaN where draw -+ 2 margin leaves
-  (0, 1), which settles nothing. The test's terms stay below about 100 n
-  wherever it could pass, so its sums round by under 1e-12 n, and numpy's
-  log differs from math.log by a few ulps, a few 1e-14 at a logit below 40:
-  the slack, 1e-9 or 1e-12 n (``_SLACK``), covers both, whatever kernels
-  numpy's log runs. The margin covers exp and the division as before. So
-  the test settles only draws that the bound settles; a draw that fails it
-  goes on to the bound and then to the integral, and the same integrals
-  are computed.
+  lacking - e_b' B / between at one with a boundary. A_f and A_t (at k =
+  blocks + 1 and blocks - 1) take two logs per partition, at each flip, and
+  add log_p_ratio once a position needs it. Both forms hold for any
+  positive W and B, and they read between itself, not B + g, which rounds
+  at the scale of total. A draw settles when its log-odds bound is at or
+  below logit(draw - 2 margin) - slack, or at or above logit(draw + 2
+  margin) + slack; numpy computes those thresholds once per sweep, as -inf
+  or NaN where draw -+ 2 margin leaves (0, 1), which settles nothing.
+  Summed in the integral's own order, the bound drops only min(0, log I_x),
+  a term never above 0, so after rounding it is still at or above the
+  integral. The test's terms stay below about 100 n wherever it could pass,
+  so its sums round by under 1e-12 n, and numpy's log differs from
+  math.log by a few ulps, a few 1e-14 at a logit below 40: the slack, 1e-9
+  or 1e-12 n (``_SLACK``), covers both, whatever kernels numpy's log runs.
+  The margin (1e-12, ``_MARGIN``) covers the few ulps by which exp and the
+  division can order probabilities against their log-odds. So the test
+  settles only draws that the integral keeps. Every other draw (a flip, an
+  undecided draw, an infinite current integral, a branch the bound does not
+  cover) computes the integral, so the carried integral is always exact
+  and every posterior keeps its bits.
 - A W at or below 1e-12 times the total sum of squares counts as exactly
   zero. A partition into noiseless blocks has W = 0, but the running sums
   land near 1e-16 instead, and the W = 0 branches of the integral must not
@@ -251,8 +245,8 @@ def log_inc_beta(a: float, c: float, x: float, y: float | None = None) -> float:
     itself a rounded ratio near 1; by default 1 - x. c may be zero or
     negative provided y > 0 (the integral stays finite). For c > 0 the
     result is log B(a, c) + min(0, log I_x(a, c)), so it is never above
-    ``_betaln(a, c)``, which the sampler's bound relies on. A small-x power
-    expansion and log-scaled quadrature cover the rest.
+    ``_betaln(a, c)``, which the sampler's first-order test relies on. A
+    small-x power expansion and log-scaled quadrature cover the rest.
     """
     if x <= 0.0:
         return _LOG_ZERO
@@ -346,16 +340,12 @@ def log_w_integral(d: float, w_within: float, b_between: float,
 # The Gibbs sampler
 # ---------------------------------------------------------------------------
 
-# How far a draw must clear the bound's probability before the bound settles
-# it. The bound sums the lacking integral's own terms in the same order, with
-# log B(a, c) where the integral (``log_inc_beta``) adds log B(a, c) and
-# min(0, log I_x(a, c)), a term never above 0; rounding is monotone, so the
-# bound is never below the integral as computed, and the log-odds that add it
-# keep their order too. Reassociating that sum would cost up to an ulp of its
-# terms, which reach a few thousand at n = 260: a few 1e-13 in log-odds, a
-# quarter of that in probability. What is not monotone is exp and the
-# division, each within an ulp: adjacent log-odds can give probabilities up
-# to 2.2e-16 in the wrong order. 1e-12 clears both.
+# How far a settled draw must clear the probability of its log-odds. exp and
+# the division are not jointly monotone, each within an ulp: adjacent log-odds
+# can give probabilities up to 2.2e-16 in the wrong order. The first-order
+# test's logit thresholds move the draw by 2 * _MARGIN, so a draw they settle
+# still clears the probability by a whole margin after the logit's own
+# rounding (draw -+ 2 margin and q / (1 - q), each within an ulp).
 _MARGIN = 1e-12
 
 # How far the first-order test's log-odds must clear the logit of a draw
@@ -379,9 +369,12 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
 
     The input is standardized first so the p0/w0 priors act on a
     scale-free series; a zero-variance series short-circuits to all-zero
-    probabilities without sampling.
+    probabilities without sampling. A series that is not 1-D, has fewer
+    than 3 observations or is not finite raises ``ValueError``.
     """
     x = series.values if isinstance(series, WeeklySeries) else np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {x.shape}")
     n = x.size
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
@@ -475,7 +468,7 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         # at or above logit(draw + 2 margin) + slack = -(logit(1 - draw -
         # 2 margin) - slack) where one is. Where draw -+ 2 margin leaves
         # (0, 1), the logit is -inf or NaN, and no log-odds settles the draw
-        drawn = np.asarray(rng.randoms(n - 1))
+        drawn = rng.randoms(n - 1)
         draws = drawn.tolist()
         q = np.where(held, (1.0 - 2.0 * _MARGIN) - drawn, drawn - 2.0 * _MARGIN)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -492,9 +485,8 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 gain = n_l * n_r / (n_l + n_r) * diff * diff
             # w_within is already clamped; only the other side's W can fall
             # to zero up to the rounding of the sums (noiseless blocks). A
-            # stay that the log-free test or the bound on the lacking integral
-            # settles (module docstring) computes no integral; a flip or an
-            # undecided draw does
+            # stay that the log-free test settles (module docstring) computes
+            # no integral; a flip or an undecided draw does
             if u[i]:
                 b = k = blocks - 1
                 lacking = w_within + gain
@@ -504,11 +496,6 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                         if a_t is None:
                             a_t = log_p_ratio(b) + base_t
                         if a_t + w_t / lacking + b_t / between >= settle_at:
-                            lo = i + 1
-                            continue
-                        e_w, e_b, log_beta, _ = terms[k]
-                        bound = e_w * log(lacking) - e_b * log(between) + log_beta
-                        if draw < _probability(log_p_ratio(b) + current - bound) - _MARGIN:
                             lo = i + 1
                             continue
                 else:
@@ -523,10 +510,6 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                         if a_f is None:
                             a_f = log_p_ratio(b) + base_f
                         if a_f + w_f / lacking + b_f / between <= settle_at:
-                            continue
-                        e_w, e_b, log_beta, _ = terms[k]
-                        bound = e_w * log(lacking) - e_b * log(between) + log_beta
-                        if draw >= _probability(log_p_ratio(b) + bound - current) + _MARGIN:
                             continue
                 else:
                     lacking, between = 0.0, total

@@ -118,7 +118,7 @@ def traced_changepoint(tracing, data_dir, tmp_path):
 def w_integrals(posteriors, monkeypatch):
     """The W-integrals that direct ``bcp_posterior`` calls on these
     (series, config) pairs compute, counted at the name the sampler looks
-    up: the start, plus each draw that the bound does not settle."""
+    up: the start, plus each draw that the first-order test does not settle."""
     calls = []
     original = changepoint.log_w_integral
 

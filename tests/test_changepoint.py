@@ -263,13 +263,19 @@ class TestPosterior:
         with pytest.raises(ValueError):
             bcp_posterior(np.array([1.0, 2.0]), BcpConfig())
 
+    @pytest.mark.parametrize("x", [np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(12, 1),
+                                   np.array(5.0)])
+    def test_series_that_is_not_1d_rejected(self, x):
+        with pytest.raises(ValueError, match="1-D"):
+            bcp_posterior(x, BcpConfig(iterations=10, burn_in=1))
+
     @pytest.mark.parametrize("x", [step_series(n_left=10, n_right=12, seed=3),
                                    np.array([1.3] * 8 + [2.9] * 8)])
     def test_one_w_integral_per_position(self, monkeypatch, x):
         # the current partition's integral is carried from the previous
         # draw, across sweeps too, so a position computes at most the other
         # side's, looked up by its module-global name; most stays are
-        # settled by the bound and compute none
+        # settled by the first-order test and compute none
         calls = []
         sweeps = []
 
@@ -298,10 +304,11 @@ class TestPosterior:
     @example(6, "steps", 1.0, 0.5, 1.0, 10)
     @example(7, "steps", 1.0, 1.0, 1.0, 11)
     def test_bound_keeps_every_posterior_bit(self, n, kind, scale, p0, w0, seed):
-        # The reference computes both integrals at every position: the bound
-        # may skip an integral, never change a draw. Short series put
-        # c = m - d - 1 at or below 1 (and below 0); at k = n - 3 blocks
-        # c = 1/2 and log B(a, c) > 0, which the explicit examples reach.
+        # The reference computes both integrals at every position: the
+        # first-order test may skip an integral, never change a draw. Short
+        # series put c = m - d - 1 at or below 1 (and below 0); at k = n - 3
+        # blocks c = 1/2 and log B(a, c) > 0, which the explicit examples
+        # reach.
         # Noiseless blocks take the W = 0 branches, w0 = 1e-14 the small-x
         # branch.
         rs = np.random.RandomState(seed)
@@ -364,7 +371,7 @@ class TestPosterior:
                 return edges[self.drawn // 5 % len(edges)] if self.drawn % 5 == 0 else value
 
             def randoms(self, k):
-                return [self.random() for _ in range(k)]
+                return np.array([self.random() for _ in range(k)], dtype=float)
 
         monkeypatch.setattr(changepoint, "Xorshift64Star", Edges)
         monkeypatch.setattr("flunowcast.rng.Xorshift64Star", Edges)  # the reference's
@@ -373,9 +380,10 @@ class TestPosterior:
             assert np.array_equal(bcp_posterior(x, cfg).probabilities,
                                   reference_bcp_posterior(x, cfg))
 
-    def test_flu_curve_computes_the_same_integrals(self, monkeypatch):
-        # the log-free test settles only draws that the bound settles, so
-        # the flu curve computes the 3480 W-integrals it computed before
+    def test_flu_curve_integral_count_is_pinned(self, monkeypatch):
+        # every flip and every draw that the first-order test leaves
+        # undecided computes the lacking W-integral: 3859 calls on the
+        # seed-42 flu curve at seed 1, the empty partition's included
         calls = []
 
         def counted(*args):
@@ -384,7 +392,7 @@ class TestPosterior:
 
         monkeypatch.setattr(changepoint, "log_w_integral", counted)
         bcp_posterior(gen_flu(SynthConfig(years=5, seed=42)).values, BcpConfig(seed=1))
-        assert len(calls) == 3480
+        assert len(calls) == 3859
 
     def test_bound_settles_most_positions_of_the_flu_curve(self, monkeypatch):
         calls = []
@@ -401,9 +409,9 @@ class TestPosterior:
 
     def test_margin_covers_the_rounding_of_the_probability(self):
         # exp and the division are not jointly monotone: adjacent log-odds
-        # can give probabilities an ulp apart in the wrong order. A bound
-        # compared without the margin would then settle a draw that the
-        # exact probability flips.
+        # can give probabilities an ulp apart in the wrong order. A
+        # first-order test without the margin could then settle a draw that
+        # the exact probability flips.
         rs = np.random.RandomState(0)
         drops = []
         for log_odds in rs.uniform(-40.0, 40.0, 20000):
