@@ -10,17 +10,50 @@ is, in its canonical form,
 doubled form (a^2, or 2*delta*|a| - delta^2) is exactly twice it, and so
 are its psi and its IRLS weights. Both forms share the same minimizer, and
 scaling by 2.0 is exact, so each quantity is the canonical one times the
-factor. Fitting is iteratively reweighted least squares; when ``sigma`` is
-not supplied it is re-estimated each iteration from the normalized median
-absolute deviation of the residuals.
+factor.
+
+At a fixed scale the loss is convex and piecewise quadratic in
+theta = (beta, c), and the fit takes finite Newton steps on it (Madsen &
+Nielsen, *BIT* 30, 1990). With A the design and A_in its rows inside the
+band |a| <= delta, a step solves (A_in' A_in) d = sigma * A' psi(a) and is
+halved until the loss does not rise; once the band's rows stop changing, a
+full step lands on the minimizer. Where the band's rows lack full column
+rank, the step is one IRLS step (weighted least squares) instead. The
+*step certificate* is a step that moves no parameter by more than ``TOL``
+times max(1, max |theta|).
+
+When ``sigma`` is not supplied, it is a root of g(sigma) =
+MAD(r(sigma)) - sigma, where r(sigma) are the residuals of the fixed-scale
+fit and MAD is their normalized median absolute deviation. g is
+continuous. As sigma -> 0+ the fit tends to least absolute deviations,
+whose residuals keep a positive MAD, so g > 0; as sigma grows the fit tends
+to least squares, whose residual MAD is fixed, so g falls without bound.
+One evaluation of each sign therefore brackets a root. The search extends
+the secant along one side until g changes sign, then takes secant steps
+with Brent's safeguard (*Algorithms for Minimization without Derivatives*,
+1973): it bisects the bracket whenever a secant step would leave it or
+would not move less than half as far as the move before last. Each fit
+starts from the one before. The *scale certificate* is |MAD(r) - sigma| <=
+``TOL`` * sigma, and a fit returns only once both certificates hold at the
+same theta and sigma.
+
+A fit that runs out of budget raises ``NonConvergence``: a fixed-scale fit
+after ``MAX_ITER`` steps, with its last relative step, and the search after
+``SCALE_ITER`` fixed-scale fits, with the smallest |MAD(r) - sigma| / sigma
+it reached. Two paths carry the step certificate alone. A supplied
+``sigma`` is kept as it is. A near-perfect fit, whose residual MAD
+collapses to rounding, has g < 0 at every scale: its sigma is the
+residuals' standard deviation, floored at 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import parallel
 from ..errors import NonConvergence
 from .linear import fit_data, linear_predict
 
@@ -28,9 +61,15 @@ from .linear import fit_data, linear_predict
 # consistent for Gaussian residuals.
 MAD_TO_SIGMA = 1.4826022185056018
 
-TOL = 1e-8        # relative change that ends the scale and IRLS loops
-MAX_ITER = 1000   # IRLS steps at the frozen scale
-SCALE_ITER = 100  # least-squares / MAD alternations while the scale settles
+TOL = 1e-8        # relative bound of the step and scale certificates
+MAX_ITER = 1000   # Newton steps of one fixed-scale fit
+SCALE_ITER = 100  # fixed-scale fits while the scale's root is searched
+# A Cholesky pivot of the band rows' Gram matrix whose square is below this
+# share of its diagonal entry leaves a column within about 1e-5 (relative)
+# of the others' span; the normal equations would lose 10 of their 16
+# digits there, so the step is IRLS's weighted least squares instead.
+RANK_TOL = 1e-10
+MIN_STEP = 2.0 ** -40  # the shortest fraction of a Newton step tried
 
 FORMS = {"canonical": 1.0, "doubled": 2.0}  # loss form -> factor on the canonical loss
 
@@ -108,15 +147,17 @@ def _mad_scale(residuals: np.ndarray) -> float:
 
 def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
               include_intercept: bool = True, form: str = "doubled") -> HuberModel:
-    """IRLS fit with an alternated robust scale.
+    """Finite-Newton fit at a scale that is a certified MAD root.
 
-    When ``sigma`` is not supplied, the fit alternates a weighted
-    least-squares step with a MAD re-estimate of the scale until the scale
-    settles (or ``SCALE_ITER`` alternations, whichever first; the MAD is a
-    step function of the residuals, so a hard cap guarantees termination).
-    The scale is then frozen and IRLS runs to a parameter change below
-    ``TOL``, which for a fixed scale is a provably convergent descent. Needs finite
-    ``delta`` > 0, ``sigma`` None or finite > 0, and 2+ rows that ``fit_data`` takes.
+    With ``sigma`` None, the returned (beta, intercept, sigma) holds both
+    certificates of the module docstring: its last Newton step at sigma
+    moved no parameter by more than ``TOL`` (relative), and |MAD(r) -
+    sigma| <= ``TOL`` * sigma. A supplied ``sigma`` is kept, and the step
+    certificate holds at it; so it does at the near-perfect fit's scale,
+    where the residual MAD collapses. Raises ``NonConvergence``, with the
+    certificate value reached, once ``MAX_ITER`` Newton steps or
+    ``SCALE_ITER`` fixed-scale fits run out. Needs finite ``delta`` > 0,
+    ``sigma`` None or finite > 0, and 2+ rows that ``fit_data`` takes.
     """
     factor = _factor(form)
     if not (np.isfinite(delta) and delta > 0
@@ -125,41 +166,103 @@ def fit_huber(X, y, delta: float = 1.0, sigma: float | None = None,
     X, y = fit_data(X, y, "fit_huber", 2)
     design = np.hstack([X, np.ones((X.shape[0], 1))]) if include_intercept else X
 
-    def step(beta, intercept, scale):
-        """One IRLS step: weights at (beta, intercept, scale), then weighted least squares."""
-        sw = np.sqrt(_weights((y - X @ beta - intercept) / scale, delta, factor))
+    def irls_step(theta, scale):
+        """One IRLS step: weights at (theta, scale), then weighted least squares."""
+        sw = np.sqrt(_weights((y - design @ theta) / scale, delta, factor))
         sol, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-        return (sol[:-1], float(sol[-1])) if include_intercept else (sol, 0.0)
+        return sol - theta
 
-    beta = np.zeros(X.shape[1])
-    intercept = _median(y) if include_intercept else 0.0
+    def newton_step(resid, band):
+        """The Newton step at these residuals, or None where the rows inside
+        the band lack full column rank."""
+        inside = design[np.abs(resid) <= band]
+        gram = inside.T @ inside
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError:
+            return None
+        if not (pivots * pivots > RANK_TOL * np.diagonal(gram)).all():
+            return None
+        return np.linalg.solve(gram, design.T @ np.clip(resid, -band, band))
 
-    if sigma is None:
-        sigma = _mad_scale(y - X @ beta - intercept)
-        if sigma <= 0.0:
-            sigma = max(float(np.std(y)), 1e-12)
+    def fit_at(theta, scale):
+        """The fixed-scale fit from ``theta``: Newton steps until one passes
+        the step certificate, which is taken in full."""
+        band = delta * scale
+        for _ in range(MAX_ITER):
+            resid = y - design @ theta
+            d = newton_step(resid, band)
+            if d is None:
+                d = irls_step(theta, scale)
+            new = theta + d
+            step = (float(np.max(np.abs(d), initial=0.0))
+                    / max(1.0, float(np.max(np.abs(new), initial=0.0))))
+            if step <= TOL:
+                return new
+            shift = design @ d
+            base = loss(resid, scale, delta, form)
+            t = 1.0
+            while loss(resid - t * shift, scale, delta, form) > base and t > MIN_STEP:
+                t *= 0.5
+            theta = theta + t * d
+        raise NonConvergence(f"Huber fit at scale {scale!r} did not settle within "
+                             f"{MAX_ITER} steps; last relative step {step:.3g}")
+
+    def model(theta, scale):
+        if include_intercept:
+            return HuberModel(beta=theta[:-1], intercept=float(theta[-1]),
+                              sigma=float(scale), delta=delta)
+        return HuberModel(beta=theta, intercept=0.0, sigma=float(scale), delta=delta)
+
+    theta = np.zeros(design.shape[1])
+    if include_intercept:
+        theta[-1] = _median(y)
+    with parallel.one_blas_thread():  # the same Gram bytes under any BLAS pool
+        if sigma is not None:
+            return model(fit_at(theta, sigma), sigma)
+        scale = _mad_scale(y - design @ theta)
+        if scale <= 0.0:
+            scale = max(float(np.std(y)), 1e-12)
+        collapsed = 1e-12 * max(1.0, float(np.abs(y).max()))
+        lo = hi = None        # (scale, gap) with gap > 0, and with gap < 0
+        prev = None           # the evaluation before this one
+        last = before_last = np.inf  # the lengths of the last two moves
+        best = np.inf
         for _ in range(SCALE_ITER):
-            beta, intercept = step(beta, intercept, sigma)
-            resid = y - X @ beta - intercept
-            cand = _mad_scale(resid)
-            if cand <= 1e-12 * max(1.0, float(np.abs(y).max())):
-                cand = float(np.std(resid))  # near-perfect fit: MAD collapses
-            cand = max(cand, 1e-12)
-            settled = abs(cand - sigma) <= TOL * max(1.0, sigma)
-            sigma = cand
-            if settled:
-                break
-
-    for _ in range(MAX_ITER):
-        new_beta, new_intercept = step(beta, intercept, sigma)
-        step_size = max(
-            float(np.max(np.abs(new_beta - beta))) if beta.size else 0.0,
-            abs(new_intercept - intercept),
-        )
-        param_scale = max(1.0, float(np.max(np.abs(new_beta))) if beta.size else 1.0,
-                          abs(new_intercept))
-        beta, intercept = new_beta, new_intercept
-        if step_size <= TOL * param_scale:
-            return HuberModel(beta=beta, intercept=intercept, sigma=float(sigma),
-                              delta=delta)
-    raise NonConvergence(f"Huber IRLS did not settle within {MAX_ITER} iterations")
+            theta = fit_at(theta, scale)
+            resid = y - design @ theta
+            mad = _mad_scale(resid)
+            if mad <= collapsed:  # near-perfect fit: the MAD collapses
+                scale = max(float(np.std(resid)), 1e-12)
+                return model(fit_at(theta, scale), scale)
+            gap = mad - scale  # g, and the fixed-point step sigma -> MAD(r)
+            best = min(best, abs(gap) / scale)
+            if abs(gap) <= TOL * scale:
+                return model(theta, scale)
+            if gap > 0:
+                lo = (scale, gap)
+            else:
+                hi = (scale, gap)
+            # the secant step through this evaluation and the one before, in
+            # fixed-point steps (nan where there is none)
+            ratio = ((scale - prev[0]) / (prev[1] - gap)
+                     if prev and prev[1] != gap else math.nan)
+            if lo and hi:
+                cand = scale + ratio * gap
+                if not (lo[0] < cand < hi[0] and abs(cand - scale) < 0.5 * before_last):
+                    cand = 0.5 * (lo[0] + hi[0])
+                    last = abs(cand - scale)  # a bisection restarts the comparison
+            else:
+                # towards the root, which lies on the side g points to: one to
+                # ten fixed-point steps along the secant, or twice the last
+                # move where g rose towards the root; half the MAD keeps the
+                # scale positive
+                size = abs(gap) * (min(ratio, 10.0) if ratio > 1.0 else 1.0)
+                if prev and not ratio > 0.0:
+                    size = max(size, 2.0 * last)
+                cand = max(scale + math.copysign(size, gap), 0.5 * mad)
+            before_last, last = last, abs(cand - scale)
+            prev = (scale, gap)
+            scale = cand
+    raise NonConvergence(f"Huber scale did not settle within {SCALE_ITER} fits; "
+                         f"smallest |MAD - sigma| / sigma {best:.3g}")

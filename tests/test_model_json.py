@@ -77,8 +77,10 @@ def fitted(kind):
 GOLDEN = {
     "lasso":
         "99d07e839e2fc7badcbb8aca98b9dfb245e02a6e0fad2c50856aeb996d49a68d",
+    # the scale is a certified MAD root, no longer the end of an alternation:
+    # sigma moved by 4.0e-8 and the predictions by at most 2.3e-8 (relative)
     "huber":
-        "4094ca1a1c5e6e8bb9dc004fce4c60d19e48c6569489fd0bae4ce3cccd183083",
+        "4e89dd1b744f43b215a42940094ceab35e85932ca649c3f2d916c6a7ede06eb0",
     "svr":
         "bf8afa5eb252a0ec0c905e0840d7031dc62f8f1584498927194a50c861cd239c",
     "forest":
