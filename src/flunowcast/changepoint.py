@@ -637,7 +637,7 @@ def score_resource(flu: WeeklySeries, resource_queries, target: WeeklySeries,
                               replace(config, seed=derive_seed(config.seed, idx))).probabilities
                 for idx in chunk]
 
-    flu_probs, *query_probs = parallel.run_chunks(posteriors, parallel.chunks(len(series)))
+    flu_probs, *query_probs = parallel.run_chunks(posteriors, len(series))
     flu_cps = detect(flu_probs, threshold)
     scores: list[QueryScore] = []
     for (r, name, _), probs in zip(chosen, query_probs):

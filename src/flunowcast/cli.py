@@ -173,9 +173,11 @@ def cmd_select(args) -> int:
 
 def _load_run_config(args, models: list[str]) -> dict:
     """The run config, with ``model`` one of ``models`` (the values the
-    command's own ``--model`` would take). Every key of ``resources`` and
-    ``thresholds`` must be a UGC resource tag, every key of ``lag`` ``min``
-    or ``max``, and every key of ``model_options`` a model kind."""
+    command's own ``--model`` would take). It must have ``flu``,
+    ``train_start`` and ``windows``, each window a ``start`` and an ``end``.
+    Every key of ``resources`` and ``thresholds`` must be a UGC resource
+    tag, every key of ``lag`` ``min`` or ``max``, and every key of
+    ``model_options`` a model kind."""
     config = _merged_options(args, RUN_KEYS)
     tags = [kind.value for kind in UGC_RESOURCES]
     for key, accepted in (("resources", tags), ("thresholds", tags),
@@ -183,6 +185,13 @@ def _load_run_config(args, models: list[str]) -> dict:
         unknown = sorted(set(config.get(key, {})) - set(accepted))
         if unknown:
             raise ValueError(f"unknown key(s) {unknown} in {key!r}; accepted: {accepted}")
+    for key in ("flu", "train_start", "windows"):
+        if key not in config:
+            raise ValueError(f"the run config has no {key!r}")
+    for window in config["windows"]:
+        for key in ("start", "end"):
+            if key not in window:
+                raise ValueError(f"window {window} in the run config has no {key!r}")
     config.setdefault("out", ".")
     config.setdefault("seed", 0)
     config.setdefault("model", "huber")

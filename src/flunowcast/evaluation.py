@@ -8,18 +8,21 @@ history alone and gives the same rows under every label.
 
 Every backtest step refits the chosen model on all rows prior to the test
 week (expanding window), with feature standardization refit on exactly
-those training rows so nothing leaks from the future. Splits are fully
-independent of each other -- no state is carried between them, and each
-feature fit draws from its split's own seed, ``derive_seed(seed,
-split_no)`` -- so a backtest cuts its splits into contiguous chunks, one
-per CPU, runs them concurrently (``parallel.run_chunks``) and reassembles
-the rows in week order, bitwise identical to the sequential run at any CPU
-count. A split's error is raised as the sequential run would raise it.
-This is the backtest's only parallelism: each fit in a chunk runs in that
-chunk's process and forks nothing, a forest's trees included. Whether a
-window can be scored depends on its actual counts alone, so a window that
-cannot (one week, or zero counts only) raises the scoring error before any
-fit.
+those training rows so nothing leaks from the future. One row source
+serves every kind: it raises the kind's data errors (a dataset that cannot
+be built, an ARIMA week or history cutoff outside the panel) in week order
+before any fit, and gives the function that makes one test week's row.
+Splits are fully independent of each other -- no state is carried between
+them, and each feature fit draws from its split's own seed,
+``derive_seed(seed, split_no)`` -- so a backtest makes its rows in one
+``parallel.run_chunks`` call, one contiguous chunk of weeks per CPU, and
+gets them back in week order, bitwise identical to the sequential run at
+any CPU count. A split's error is raised as the sequential run would raise
+it. This is the backtest's only parallelism: each fit in a chunk runs in
+that chunk's process and forks nothing, a forest's trees included. Whether
+a window can be scored depends on its actual counts alone, so a window
+that cannot (one week, or zero counts only) raises the scoring error
+before any fit.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import inspect
 import json
 import numbers
 import types
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from .features import (
     LagSpec,
     SelectedQueries,
     SplitPlan,
-    SupervisedDataset,
     build_dataset,
     expanding_splits,
 )
@@ -201,54 +203,52 @@ class ModelSpec:
 Row = tuple[WeekIndex, float, float]  # (week, actual, predicted)
 
 
-def _feature_rows(dataset: SupervisedDataset, spec: ModelSpec, plan: SplitPlan,
-                  seed: int) -> list[Row]:
-    """Expanding-window fits on the features, standardized on each split's
-    training rows, in split order."""
-    splits = list(expanding_splits(dataset, plan))
+def _row_source(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
+                plan: SplitPlan, lag_spec: LagSpec, signal_lag: int, seed: int,
+                drop: str) -> tuple[int, Callable[[int], Row]]:
+    """The number of test weeks of ``plan``, and the function that makes
+    week i's row, once this kind's data errors are raised in week order.
 
-    def fit_chunk(chunk: range) -> list[Row]:
-        rows = []
-        for split_no in chunk:
+    A feature kind refits on the columns ``drop`` keeps, standardized on
+    the split's training rows, with the split's own seed. A kind that reads
+    no features refits on the flu series up to (test week - min_lag) and
+    forecasts ``min_lag`` steps ahead.
+    """
+    if MODELS[spec.kind].features:
+        full = build_dataset(panel, selected, lag_spec, signal_lag,
+                             start=plan.train_start, end=plan.last_week)
+        X = full.X[:, [i for i, name in enumerate(full.feature_names) if _block(name) != drop]]
+        splits = list(expanding_splits(full, plan))
+
+        def feature_row(split_no: int) -> Row:
             split = splits[split_no]
-            x_train = dataset.X[split.train_idx]
+            x_train = X[split.train_idx]
             params = standardize_fit(x_train)
             x_train_std = standardize_apply(x_train, params)
-            x_test_std = standardize_apply(dataset.X[split.test_idx][None, :], params)[0]
-            model = spec.fit(x_train_std, dataset.y[split.train_idx],
+            x_test_std = standardize_apply(X[split.test_idx][None, :], params)[0]
+            model = spec.fit(x_train_std, full.y[split.train_idx],
                              seed=derive_seed(seed, split_no))
-            rows.append((split.test_week, float(dataset.y[split.test_idx]),
-                         float(model.predict(x_test_std))))
-        return rows
+            return (split.test_week, float(full.y[split.test_idx]),
+                    float(model.predict(x_test_std)))
 
-    return parallel.run_chunks(fit_chunk, parallel.chunks(len(splits)))
+        return len(splits), feature_row
 
-
-def _arima_rows(panel: SignalPanel, spec: ModelSpec, plan: SplitPlan,
-                lag_spec: LagSpec) -> list[Row]:
-    """Past-only baseline: refit on the flu series up to (test week -
-    min_lag) and forecast ``min_lag`` steps ahead, in week order."""
     flu = panel.flu()
     horizon = lag_spec.min_lag
     history_start = max(flu.start, plan.train_start - lag_spec.max_lag)
-    weeks = [t for win_start, win_end in plan.eval_windows
-             for t in week_range(win_start, win_end)]
+    weeks = [t for win in plan.eval_windows for t in week_range(*win)]
+    for t in weeks:
+        if not flu.covers(t):
+            raise InsufficientHistory(f"target week {t} outside the panel")
+        if not flu.covers(t - horizon):
+            raise InsufficientHistory(f"history cutoff {t - horizon} outside the panel")
 
-    def forecast_chunk(chunk: range) -> list[Row]:
-        rows = []
-        for t in weeks[chunk.start:chunk.stop]:
-            cutoff = t - horizon
-            if not flu.covers(t):
-                raise InsufficientHistory(f"target week {t} outside the panel")
-            if not flu.covers(cutoff):
-                raise InsufficientHistory(f"history cutoff {cutoff} outside the panel")
-            history = flu.slice(history_start, cutoff)
-            model = spec.fit(history)
-            forecast = forecast_arima(model, history, horizon)
-            rows.append((t, flu.value_at(t), float(forecast[-1])))
-        return rows
+    def forecast_row(i: int) -> Row:
+        history = flu.slice(history_start, weeks[i] - horizon)
+        forecast = forecast_arima(spec.fit(history), history, horizon)
+        return weeks[i], flu.value_at(weeks[i]), float(forecast[-1])
 
-    return parallel.run_chunks(forecast_chunk, parallel.chunks(len(weeks)))
+    return len(weeks), forecast_row
 
 
 def _score_actuals(plan: SplitPlan, flu: WeeklySeries) -> None:
@@ -291,22 +291,10 @@ def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
     """
     if drop not in drop_labels():
         raise ValueError(f"drop must be one of {drop_labels()}")
-    flu = panel.flu()
-    if MODELS[spec.kind].features:
-        full = build_dataset(panel, selected, lag_spec, signal_lag,
-                             start=plan.train_start, end=plan.last_week)
-        _score_actuals(plan, flu)
-        keep = [i for i, name in enumerate(full.feature_names) if _block(name) != drop]
-        dataset = replace(full, X=full.X[:, keep],
-                          feature_names=[full.feature_names[i] for i in keep])
-        rows = _feature_rows(dataset, spec, plan, seed)
-    else:
-        weeks = [t for win in plan.eval_windows for t in week_range(*win)]
-        # where a week or its history cutoff lies outside the panel, its row
-        # raises InsufficientHistory first, as before
-        if all(flu.covers(t) and flu.covers(t - lag_spec.min_lag) for t in weeks):
-            _score_actuals(plan, flu)
-        rows = _arima_rows(panel, spec, plan, lag_spec)
+    count, make_row = _row_source(panel, selected, spec, plan, lag_spec, signal_lag,
+                                  seed, drop)
+    _score_actuals(plan, panel.flu())
+    rows = parallel.run_chunks(lambda chunk: [make_row(i) for i in chunk], count)
     results = []
     for win in plan.eval_windows:
         preds = [row for row in rows if win[0] <= row[0] <= win[1]]

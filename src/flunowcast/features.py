@@ -68,6 +68,8 @@ class SplitPlan:
     eval_windows: tuple[tuple[WeekIndex, WeekIndex], ...]
 
     def __post_init__(self):
+        if not self.eval_windows:
+            raise ValueError("the plan needs at least one eval window")
         prev_end: WeekIndex | None = None
         for start, end in self.eval_windows:
             if end < start:

@@ -1,13 +1,14 @@
 """The package's one fork: independent work cut into contiguous chunks, one
 per CPU, with the results joined in chunk order.
 
-``run_chunks(work, parts)`` runs ``work(parts[0])`` in the calling process
-and each other chunk in a forked child. Before each fork it makes one
-anonymous in-memory file (``os.memfd_create``); the child pickles its list
-of results into that file and leaves through ``os._exit``. The caller reads
-every file once its child has exited and concatenates the lists in chunk
-order. A file never blocks its writer, so however the call ends, every
-child is reaped and every file closed.
+``run_chunks(work, count)`` cuts ``range(count)`` into ``chunks(count)``,
+runs ``work`` on the first chunk in the calling process and on each other
+chunk in a forked child. Before each fork it makes one anonymous in-memory
+file (``os.memfd_create``); the child pickles its list of results into that
+file and leaves through ``os._exit``. The caller reads every file once its
+child has exited and concatenates the lists in chunk order. A file never
+blocks its writer, so however the call ends, every child is reaped and
+every file closed.
 
 A failure reads the same at any CPU count. A child whose work raises writes
 its traceback to standard error, pickles the exception into its file and
@@ -18,11 +19,11 @@ meets first. A child that leaves no exception (killed, another exit status,
 or an exception that does not pickle) raises ``RuntimeError`` naming its
 chunk and status.
 
-The package calls it in three places, and none runs inside another's
-chunk: a backtest's feature splits and its ARIMA splits (``evaluation``)
-and the change-point posteriors (``changepoint.score_resource``). So the
-work of a chunk (a model fit, a posterior) never forks, and a call over one
-chunk forks nothing.
+The package calls it in two places, and neither runs inside the other's
+chunk: a backtest's rows (``evaluation.backtest``) and the change-point
+posteriors (``changepoint.score_resource``). So the work of a chunk (a
+model fit, a posterior) never forks, and a call over one chunk forks
+nothing.
 
 While chunks run, the BLAS runs one thread. Forked workers already use
 every CPU, and a BLAS pool of one thread per CPU in each of them would
@@ -32,8 +33,9 @@ module links to 1 (through its ``openblas_set_num_threads`` symbol, by
 ``ctypes``), the children inherit it, and the caller restores the old
 count once every child is reaped, however the call ends. Where numpy links
 another BLAS, nothing changes. ``one_blas_thread()`` is that setting alone,
-as a context: the SVR fit forms its Gram matrix under it, because OpenBLAS
-rounds ``X @ X.T`` differently with its thread count.
+as a context: the SVR fit forms its Gram matrix under it, and a Huber fit
+runs under it whole, because OpenBLAS rounds their products differently
+with its thread count.
 
 Where ``fork``, ``sched_getaffinity`` or ``memfd_create`` is missing,
 ``cpus()`` is 1, so ``chunks`` gives one chunk and nothing forks. The CPUs
@@ -66,11 +68,13 @@ def chunks(n: int) -> list[range]:
     return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def run_chunks(work, parts: list[range]) -> list:
-    """The lists ``work(chunk)`` returns for every chunk, concatenated in
-    chunk order: chunk 0 runs here and each other chunk in a forked child.
-    A child's exception is raised here once every child is reaped and every
-    file closed. A single chunk runs here, and the BLAS keeps its threads."""
+def run_chunks(work, count: int) -> list:
+    """The lists ``work(chunk)`` returns for each of ``chunks(count)``,
+    concatenated in chunk order: chunk 0 runs here and each other chunk in a
+    forked child. A child's exception is raised here once every child is
+    reaped and every file closed. A single chunk runs here, and the BLAS
+    keeps its threads."""
+    parts = chunks(count)
     if len(parts) == 1:
         return work(parts[0])
     files, pids = [], []  # a file's descriptor, and the pid of the child writing it

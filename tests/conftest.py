@@ -24,8 +24,8 @@ def open_files() -> dict[int, str]:
 def nothing_left_behind():
     """Fail a test that leaves a child process behind, running or unreaped,
     or a file descriptor open that was not open before it: every caller of
-    ``parallel.run_chunks`` (a backtest's feature and ARIMA splits, the
-    change-point posteriors) must reap every child it forks and close every
+    ``parallel.run_chunks`` (a backtest's rows, the change-point
+    posteriors) must reap every child it forks and close every
     file it makes, however it ends."""
     before = open_files() if os.path.isdir(FD_DIR) else None
     yield

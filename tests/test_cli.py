@@ -855,6 +855,39 @@ class TestConfigTypes:
         assert accepted in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["backtest", "ablate"])
+    def test_empty_window_list_exits_2_and_writes_nothing(self, synth_dir, tmp_path,
+                                                          capsys, command):
+        # an empty list used to end in an IndexError traceback and exit 1
+        config = tmp_path / "config.json"
+        base = json.loads(write_run_config(config, synth_dir).read_text())
+        config.write_text(json.dumps({**base, "windows": []}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the plan needs at least one eval window"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "ablate"])
+    @pytest.mark.parametrize("key, message", [
+        ("flu", "the run config has no 'flu'"),
+        ("train_start", "the run config has no 'train_start'"),
+        ("windows", "the run config has no 'windows'"),
+        ("start", "window {'end': '2017-12-04'} in the run config has no 'start'"),
+        ("end", "window {'start': '2017-10-30'} in the run config has no 'end'"),
+    ])
+    def test_missing_run_config_key_is_named(self, synth_dir, tmp_path, capsys,
+                                             command, key, message):
+        # each used to print only the key, as "error: 'end'"
+        config = tmp_path / "config.json"
+        base = json.loads(write_run_config(config, synth_dir).read_text())
+        del (base["windows"][0] if key in ("start", "end") else base)[key]
+        config.write_text(json.dumps(base), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 def test_printed_report_is_the_out_file(synth_dir, tmp_path, capsysbinary):
     flu = synth_dir / "flu.csv"

@@ -205,14 +205,12 @@ def short_plan(panel, start_off=210, length=8):
 
 def one_split_rows(panel, selected, kind):
     """The backtest rows of ``kind`` (a forest of 60 trees) over a one-week
-    window, which no metric can score."""
+    window, which no metric can score, made as ``backtest`` makes them."""
     plan = short_plan(panel, length=1)
     spec = ModelSpec(kind, {"n_trees": 60} if kind == "forest" else {})
-    if not MODELS[kind].features:
-        return evaluation._arima_rows(panel, spec, plan, LagSpec())
-    dataset = build_dataset(panel, selected, LagSpec(), 2,
-                            start=plan.train_start, end=plan.last_week)
-    return evaluation._feature_rows(dataset, spec, plan, 3)
+    count, make_row = evaluation._row_source(panel, selected, spec, plan, LagSpec(), 2, 3,
+                                             "none")
+    return parallel.run_chunks(lambda chunk: [make_row(i) for i in chunk], count)
 
 
 class TestBacktest:
@@ -307,6 +305,27 @@ class TestBacktest:
             backtest(panel, selected, ModelSpec(kind), two, seed=0)
         assert fits == []
 
+    def test_arima_week_past_panel_fails_before_any_fit_or_fork(self, monkeypatch, fork_log):
+        # every week's target and history cutoff are checked before any fit:
+        # on 2 CPUs the failing week would be a forked child's, after the
+        # calling process had fit the first
+        panel, selected = informative_panel()
+        fits = []
+        fit = evaluation.fit_arima
+        monkeypatch.setattr(evaluation, "fit_arima",
+                            lambda *a, **k: fits.append(a) or fit(*a, **k))
+        monkeypatch.setattr(parallel, "cpus", lambda: 2)
+        past_end = SplitPlan.of(panel.start + 53, [(panel.end - 1, panel.end + 1)])
+        with pytest.raises(InsufficientHistory,
+                           match=f"^target week {panel.end + 1} outside the panel$"):
+            backtest(panel, selected, ModelSpec("arima"), past_end, seed=0)
+        early = SplitPlan.of(panel.start, [(panel.start + 1, panel.start + 4)])
+        with pytest.raises(InsufficientHistory,
+                           match=f"^history cutoff {panel.start - 1} outside the panel$"):
+            backtest(panel, selected, ModelSpec("arima"), early, seed=0)
+        assert fits == []
+        assert fork_log.read_bytes() == b""
+
     def test_arima_window_outside_panel_fails(self):
         panel, _ = informative_panel()
         past_end = SplitPlan.of(panel.start + 53, [(panel.end, panel.end + 1)])
@@ -362,7 +381,7 @@ class TestAblate:
             row = backtest(panel, selected, spec, plan, drop=kind.value, seed=3)
             assert report_text(row) == report_text(expected)
 
-    def test_past_row_is_a_backtest_on_the_query_columns(self):
+    def test_past_row_is_a_backtest_on_the_query_columns(self, monkeypatch):
         panel, selected = informative_panel()
         plan = short_plan(panel, length=3)
         X, y = reference_dataset(panel, selected, LagSpec(), 2,
@@ -370,8 +389,12 @@ class TestAblate:
         n_lags = LagSpec().n_lags
         queries = SupervisedDataset(start=plan.train_start, X=X[:, n_lags:], y=y,
                                     feature_names=[f"q{i}" for i in range(len(UGC))])
-        expected = list(evaluation._feature_rows(queries, ModelSpec("huber"), plan, 3))
         row = backtest(panel, selected, ModelSpec("huber"), plan, drop="past", seed=3)
+        # the rows of a backtest whose dataset is the oracle's query columns
+        monkeypatch.setattr(evaluation, "build_dataset", lambda *args, **kwargs: queries)
+        count, make_row = evaluation._row_source(panel, selected, ModelSpec("huber"), plan,
+                                                 LagSpec(), 2, 3, "none")
+        expected = [make_row(i) for i in range(count)]
         assert len(row) == 1 and len(expected) == 3
         assert row[0].predictions == expected
 

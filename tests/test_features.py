@@ -241,6 +241,11 @@ class TestExpandingSplits:
         with pytest.raises(ValueError):
             SplitPlan.of(W0, [(W0 + 5, W0 + 8), (W0 + 7, W0 + 9)])  # overlap
 
+    def test_plan_needs_a_window(self):
+        # an empty plan has no last week, and no backtest to run
+        with pytest.raises(ValueError, match="^the plan needs at least one eval window$"):
+            SplitPlan.of(W0, [])
+
 
 def test_export_csv(tmp_path):
     panel, selected = panel_with_queries((1, 0, 0, 0))

@@ -1,8 +1,8 @@
 """The fork helper's contract beyond what the backtest and change-point
 tests exercise: chunks are contiguous, a child's failure reaches the caller
 and every child is reaped and every file closed however a call ends,
-OpenBLAS runs one thread while chunks run, and the package forks in three
-places only, none inside another's chunk."""
+OpenBLAS runs one thread while chunks run, and the package forks in two
+places only, neither inside the other's chunk."""
 
 import ast
 import os
@@ -44,7 +44,7 @@ def test_child_failure_raises_in_parent(monkeypatch, capfd):
     # the child's own exception, as a serial run would raise it
     monkeypatch.setattr(parallel, "cpus", lambda: 2)
     with pytest.raises(ValueError, match="injected in the child"):
-        parallel.run_chunks(failing_in("child"), parallel.chunks(4))
+        parallel.run_chunks(failing_in("child"), 4)
     err = capfd.readouterr().err
     assert "Traceback" in err and "ValueError: injected in the child" in err
     with pytest.raises(ChildProcessError):
@@ -54,8 +54,7 @@ def test_child_failure_raises_in_parent(monkeypatch, capfd):
 def test_child_without_result_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(parallel, "cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=r"chunk 2\.\.3 exited with status 3"):
-        parallel.run_chunks(failing_in("child", fail=lambda: os._exit(3)),
-                            parallel.chunks(4))
+        parallel.run_chunks(failing_in("child", fail=lambda: os._exit(3)), 4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -79,7 +78,7 @@ def test_parent_failure_reaps_child(monkeypatch):
     signal.alarm(60)
     try:
         with pytest.raises(ValueError, match="injected in the parent"):
-            parallel.run_chunks(work, parallel.chunks(4))
+            parallel.run_chunks(work, 4)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -96,13 +95,13 @@ def test_failed_fork_closes_its_file(monkeypatch):
     monkeypatch.setattr(parallel, "cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(OSError, match="injected fork failure"):
-        parallel.run_chunks(lambda chunk: list(chunk), parallel.chunks(4))
+        parallel.run_chunks(lambda chunk: list(chunk), 4)
 
 
 def test_without_memfd_runs_serially(monkeypatch, fork_log):
     monkeypatch.delattr(os, "memfd_create", raising=False)
     assert parallel.cpus() == 1
-    assert parallel.run_chunks(lambda chunk: list(chunk), parallel.chunks(4)) == [0, 1, 2, 3]
+    assert parallel.run_chunks(lambda chunk: list(chunk), 4) == [0, 1, 2, 3]
     assert fork_log.read_bytes() == b""
 
 
@@ -124,7 +123,7 @@ def test_child_exception_that_cannot_come_back_raises_runtime_error(monkeypatch,
         return list(chunk)
 
     with pytest.raises(RuntimeError, match=r"chunk 2\.\.3 exited with status 1"):
-        parallel.run_chunks(work, parallel.chunks(4))
+        parallel.run_chunks(work, 4)
     assert type(exc).__name__ in capfd.readouterr().err
 
 
@@ -145,12 +144,12 @@ def test_blas_runs_one_thread_while_chunks_run(monkeypatch, failing):
     before = get()
     put(3)
     try:
-        assert parallel.run_chunks(work, [range(1, 3)]) == [3]  # one chunk changes nothing
+        assert parallel.run_chunks(lambda chunk: [get()], 1) == [3]  # one chunk changes nothing
         if failing is None:
-            assert parallel.run_chunks(work, parallel.chunks(4)) == [1, 1]
+            assert parallel.run_chunks(work, 4) == [1, 1]
         else:
             with pytest.raises(ValueError, match="injected"):
-                parallel.run_chunks(work, parallel.chunks(4))
+                parallel.run_chunks(work, 4)
         assert get() == 3
         assert len(parallel.chunks(4)) == 2
     finally:
@@ -158,8 +157,7 @@ def test_blas_runs_one_thread_while_chunks_run(monkeypatch, failing):
 
 
 PACKAGE = Path(parallel.__file__).parent
-FORK_SITES = [("changepoint.py", "score_resource"), ("evaluation.py", "_arima_rows"),
-              ("evaluation.py", "_feature_rows")]
+FORK_SITES = [("changepoint.py", "score_resource"), ("evaluation.py", "backtest")]
 
 
 def calls_of(names):
@@ -179,7 +177,7 @@ def calls_of(names):
     return sorted(sites)
 
 
-def test_the_package_forks_in_three_places_none_inside_a_chunk():
+def test_the_package_forks_in_two_places_none_inside_a_chunk():
     # a new fork site, in a model fit or anywhere else a chunk's work
     # reaches, would fork again inside a chunk
     assert calls_of({"run_chunks"}) == FORK_SITES

@@ -120,7 +120,7 @@ def test_vectorised_draw_rejects_bounds_outside_32_bits(bound):
 
 
 @pytest.mark.parametrize("n,k,count", [(56, 19, 32), (5, 2, 33), (300, 3, 7), (1, 1, 4),
-                                       (7, 0, 3)])
+                                       (7, 0, 3), (5, 2, 1)])
 def test_sample_tables_equal_scalar_samples_after_the_bootstrap(n, k, count):
     # a forest tree draws its bootstrap's n_rows randints, then its feature
     # subsets; a table's row i is the tree's i-th subset, and a second table
