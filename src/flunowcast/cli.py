@@ -353,16 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel")
     p_synth.add_argument("--config", help="JSON file; flags override its values")
-    p_synth.add_argument("--years", type=int)
-    p_synth.add_argument("--proxies", type=int)
-    p_synth.add_argument("--baseline", type=float)
-    p_synth.add_argument("--peak-scale", type=float, dest="peak_scale")
-    p_synth.add_argument("--noise-sd", type=float, dest="noise_sd")
-    p_synth.add_argument("--proxy-lead", type=int, dest="proxy_lead")
-    p_synth.add_argument("--proxy-gain", type=float, dest="proxy_gain")
-    p_synth.add_argument("--proxy-noise", type=float, dest="proxy_noise")
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--out")
+    for key, hint in SYNTH_KEYS.items():
+        p_synth.add_argument("--" + key.replace("_", "-"), type=hint, dest=key)
     p_synth.set_defaults(func=cmd_synth)
 
     p_select = sub.add_parser("select", help="correlation-gated query selection")

@@ -36,11 +36,12 @@ arrays). Each step takes the top node off every unfinished tree's stack,
 so every node of a step searches, and step i uses row i of the tables. A
 node whose search finds no split becomes a leaf.
 
-Node totals. Leaf means and split scores take a node's target sum as
-``ndarray.sum()`` gives it on the node's rows in their order, which is
-numpy's pairwise sum; ``_totals`` computes it for all of a step's new nodes
-at once, bit for bit. The all-equal test reads each node's largest and
-smallest target with ``reduceat``.
+Node totals. A node's target sum, for its leaf mean and its split scores,
+is a sequential cumulative sum: a root's over its bootstrap targets in slot
+order, a left child's at its parent's cut along the chosen column, and a
+right child's that column's last cumulative sum less the left's. So no
+byte depends on how numpy orders a reduction. The all-equal test reads
+each node's largest and smallest target with ``reduceat``.
 
 The split search sorts each node's rows along each candidate column by
 per-fit sort keys: the value's dense rank within its column in the high bits
@@ -84,7 +85,6 @@ _TIE_EPS = 1e-12
 _INF_BITS = np.int64(0x7FF0000000000000)  # bit pattern of +inf
 _BLOCK_ELEMENTS = 1 << 14  # (node x column x row) rank keys scored at once
 _TABLE_ROWS = 32  # feature subsets drawn ahead per tree at a time
-_PAIRWISE_BLOCK = 128  # the longest run numpy's pairwise sum adds in lanes
 
 
 def _leaf_value(tree: dict, x: np.ndarray) -> float:
@@ -153,53 +153,6 @@ def _positions(starts: np.ndarray, sizes: np.ndarray, pad: int):
     return np.where(real, starts[:, None] + offsets, pad), real
 
 
-def _pairwise(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of each node's slots ``starts[g]:starts[g] +
-    sizes[g]`` of ``values``, for all nodes at once.
-
-    numpy adds a run of up to ``_PAIRWISE_BLOCK`` values in eight lanes, lane
-    j taking values j, j + 8, ... of the run's whole groups of 8 in order,
-    combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and
-    adds the last ``size % 8`` values to that in order; it adds a run of
-    fewer than 8 in order from -0.0, which is the same rule with empty
-    lanes. A longer run is the sum of its two halves, split at size / 2
-    rounded down to a multiple of 8. Slots past a run's end read -0.0 here,
-    which adds nothing.
-    """
-    big = sizes > _PAIRWISE_BLOCK
-    if big.any():
-        sums = np.empty(sizes.size)
-        if not big.all():
-            sums[~big] = _pairwise(values, starts[~big], sizes[~big])
-        starts, sizes = starts[big], sizes[big]
-        half = sizes // 2 - sizes // 2 % 8
-        sums[big] = (_pairwise(values, starts, half)
-                     + _pairwise(values, starts + half, sizes - half))
-        return sums
-    sums = np.full(sizes.size, -0.0)
-    grouped = sizes - sizes % 8
-    lanes = np.flatnonzero(grouped)
-    if lanes.size:
-        at, whole = starts[lanes], grouped[lanes]
-        offsets = np.arange(int(whole.max()))
-        r = np.where(offsets < whole[:, None],
-                     np.take(values, at[:, None] + offsets, mode="clip"), -0.0)
-        r = r.reshape(lanes.size, -1, 8).cumsum(axis=1)[:, -1]
-        r = r[:, 0::2] + r[:, 1::2]
-        r = r[:, 0::2] + r[:, 1::2]
-        sums[lanes] = r[:, 0] + r[:, 1]
-    tail = np.arange(7)
-    rest = np.where(tail < (sizes - grouped)[:, None],
-                    np.take(values, (starts + grouped)[:, None] + tail, mode="clip"), -0.0)
-    return np.column_stack([sums, rest]).cumsum(axis=1)[:, -1]
-
-
-def _totals(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``values[start:start + size].sum()`` of each node, bit for bit: the
-    reduction adds the pairwise sum to 0.0 (every node has a slot)."""
-    return _pairwise(values, starts, sizes) + 0.0
-
-
 def _all_equal(y_rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Whether each node's targets are all equal, from the largest and the
     smallest of its slots, taken in slot order (every node has a row)."""
@@ -250,17 +203,16 @@ def _best_columns(pick_sse: np.ndarray) -> np.ndarray:
     return best
 
 
-def _score_block(keys, shift, node_rows, node_ys, at, sizes, totals, features,
-                 min_leaf, work):
+def _score_block(keys, shift, node_rows, node_ys, at, sizes, features, min_leaf, work):
     """Each (node, column)'s pick in a block of nodes, scored together.
 
     Node g's rows are ``node_rows[g, :sizes[g]]``, padded to the block's
     largest size with row n, whose key sorts last, so the sorted order of
     the real rows is that of the unpadded node. Its targets, with their
     squares as the imaginary part, start at ``node_ys[at[g]]``, padded with
-    0. Its target sum is ``totals[g]`` and its candidate columns
-    ``features[g]``. A column's pick is its first split within the tie
-    band of its lowest SSE.
+    0; their sums are the last of their cumulative sums. Its candidate
+    columns are ``features[g]``. A column's pick is its first split within
+    the tie band of its lowest SSE.
 
     Every split is scored, one per row position, on the block's full width:
     each (node, column, row) temporary is a view of the ``work`` arrays
@@ -268,8 +220,9 @@ def _score_block(keys, shift, node_rows, node_ys, at, sizes, totals, features,
     split (too few rows on a side, or equal values across the cut, padding
     included) get +inf, added as the bits of 0.0 or inf.
 
-    Returns, per (node, column), the rows left of the pick less one and
-    the pick's SSE (+inf where the column has no split).
+    Returns, per (node, column), the rows left of the pick less one, the
+    pick's SSE (+inf where the column has no split), the cumulative target
+    sum at the pick and the last one.
     """
     count, k = features.shape
     width = node_rows.shape[1]
@@ -293,9 +246,9 @@ def _score_block(keys, shift, node_rows, node_ys, at, sizes, totals, features,
     csum, csq = sums.real, sums.imag
     left = np.arange(1.0, width + 1)  # rows left of each split
     right = sizes[:, None, None] - left
-    right_sum = np.subtract(totals[:, None, None], csum, out=temp("right"))  # ys is spent
-    right_sq = np.subtract(csq[np.arange(count), :, sizes - 1][..., None], csq,
-                           out=temp("right_sq"))
+    last = sums[np.arange(count), :, sizes - 1]  # (node, column)
+    right_sum = np.subtract(last.real[..., None], csum, out=temp("right"))  # ys is spent
+    right_sq = np.subtract(last.imag[..., None], csq, out=temp("right_sq"))
     # (left_sq - left_sum^2 / left) + (right_sq - right_sum^2 / right), in
     # place but in this order, so that each SSE rounds as a lone node's does
     sse = np.multiply(csum, csum, out=temp("sse"))
@@ -324,29 +277,30 @@ def _score_block(keys, shift, node_rows, node_ys, at, sizes, totals, features,
     if wide.size:
         picks[wide] = np.argmax(lines[wide] <= band[wide, None], axis=1)
         pick_sse[wide] = lines[wide, picks[wide]]
-    return picks.reshape(count, k), pick_sse.reshape(count, k)
+    left_sum = sums.reshape(-1, width)[np.arange(picks.size), picks].real
+    return (picks.reshape(count, k), pick_sse.reshape(count, k),
+            left_sum.reshape(count, k), last.real)
 
 
-def _search(X, keys, shift, rows, y_rows, starts, sizes, totals, features, min_leaf,
-            work):
+def _search(X, keys, shift, rows, y_rows, starts, sizes, features, min_leaf, work):
     """Best split of each of a step's nodes.
 
     Node g holds slots ``starts[g]:starts[g] + sizes[g]`` of ``rows`` and
-    ``y_rows``, with target sum ``totals[g]`` and candidate columns
-    ``features[g]`` (ascending). The nodes, taken by ascending size, are
-    scored in blocks (``_blocks``, ``_score_block``). The column picks are
-    then taken in ascending feature order and a later one wins only by
-    strict improvement, which gives the tie rule (lowest feature, then
-    lowest threshold).
+    ``y_rows``, with candidate columns ``features[g]`` (ascending). The
+    nodes, taken by ascending size, are scored in blocks (``_blocks``,
+    ``_score_block``). The column picks are then taken in ascending feature
+    order and a later one wins only by strict improvement, which gives the
+    tie rule (lowest feature, then lowest threshold).
 
     Returns the positions of the nodes that split, with their feature, left
-    child size and threshold, and writes each split node's slots back in
-    the chosen column's sorted order, so that each child holds a contiguous
-    run of them.
+    child size, threshold and children's target sums (the cumulative sum at
+    the cut along the chosen column, and that column's last less it), and
+    writes each split node's slots back in the chosen column's sorted order,
+    so that each child holds a contiguous run of them.
     """
     count, k = features.shape
     by_size = np.argsort(sizes, kind="stable")
-    starts, sizes, totals, features = (a[by_size] for a in (starts, sizes, totals, features))
+    starts, sizes, features = (a[by_size] for a in (starts, sizes, features))
     # each node's slots padded to the largest with the last slot, row n
     # with target 0; each target with its square as the imaginary part
     slots, real = _positions(starts, sizes, len(rows) - 1)
@@ -356,16 +310,17 @@ def _search(X, keys, shift, rows, y_rows, starts, sizes, totals, features, min_l
     np.multiply(node_ys.real, node_ys.real, out=node_ys.imag)
     width = slots.shape[1]
     picks = np.empty((count, k), np.intp)
-    pick_sse = np.empty((count, k))
+    pick_sse, left_sums, last_sums = (np.empty((count, k)) for _ in range(3))
     for a, b in _blocks(sizes.tolist(), k):
-        picks[a:b], pick_sse[a:b] = _score_block(
+        picks[a:b], pick_sse[a:b], left_sums[a:b], last_sums[a:b] = _score_block(
             keys, shift, node_rows[a:b, :sizes[b - 1]], node_ys.reshape(-1),
-            np.arange(a, b) * width, sizes[a:b], totals[a:b], features[a:b], min_leaf, work)
+            np.arange(a, b) * width, sizes[a:b], features[a:b], min_leaf, work)
     best = _best_columns(pick_sse) if k else np.full(count, -1)
     split = np.flatnonzero(best >= 0)
     cols = best[split]
     n_left = picks[split, cols] + 1
     f = features[split, cols]
+    left_total = left_sums[split, cols]
     # the split nodes' rows sorted along the chosen column once more, and
     # their slots rewritten in that order
     first, real = starts[split, None], real[split]
@@ -376,7 +331,8 @@ def _search(X, keys, shift, rows, y_rows, starts, sizes, totals, features, min_l
     rows[slots], y_rows[slots] = rows[moved], y_rows[moved]
     cut = first[:, 0] + n_left  # each right child's first slot
     threshold = 0.5 * (X[rows[cut - 1], f] + X[rows[cut], f])
-    return by_size[split], f, n_left, threshold
+    return (by_size[split], f, n_left, threshold, left_total,
+            last_sums[split, cols] - left_total)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
@@ -389,8 +345,9 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
     Nodes are numbered as they are made, the roots first. Each tree keeps
     its depth-first stack of searching nodes in its row of the stack
     arrays, as (node, start, size, depth, target sum), with its height in
-    ``heights``. Returns each step's leaf and split records for ``_trees``,
-    and the node count.
+    ``heights``; a root's target sum is its slots' last cumulative sum, and
+    ``_search`` gives each split's children theirs. Returns each step's leaf
+    and split records for ``_trees``, and the node count.
     """
     n, p = X.shape
     keys, shift = _rank_keys(X)
@@ -411,15 +368,15 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
     made = tree_of = np.arange(n_trees)
     made_next = n_trees
     starts, sizes, depths = tree_of * n, np.full(n_trees, n), np.zeros(n_trees, np.intp)
+    totals = np.cumsum(y_rows[:-1].reshape(n_trees, n), axis=1)[:, -1]
     for step in itertools.count():
-        totals = _totals(y_rows, starts, sizes)
         leaf = sizes < 2 * min_leaf
         if max_depth is not None:
             leaf |= depths >= max_depth
         search = np.flatnonzero(~leaf)
         if search.size:
             leaf[search] = _all_equal(y_rows, starts[search], sizes[search])
-        leaves.append((made[leaf], totals[leaf] / sizes[leaf]))  # y.mean(), from y.sum()
+        leaves.append((made[leaf], totals[leaf] / sizes[leaf]))
         push = ~leaf
         trees = tree_of[push]
         # a tree's second child on the stack this step goes above its first
@@ -441,9 +398,9 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
         heights[live] -= 1
         nodes, starts, sizes, depths, totals = (a[live, heights[live]] for a in stack)
         features = table[np.searchsorted(table_trees, live), step % _TABLE_ROWS]
-        split, f, n_left, threshold = _search(
-            X, keys, shift, rows, y_rows, starts, sizes, totals, features.astype(np.intp),
-            min_leaf, work)
+        split, f, n_left, threshold, left_totals, right_totals = _search(
+            X, keys, shift, rows, y_rows, starts, sizes, features.astype(np.intp), min_leaf,
+            work)
         unsplit = np.ones(live.size, bool)
         unsplit[split] = False
         leaves.append((nodes[unsplit], totals[unsplit] / sizes[unsplit]))
@@ -454,6 +411,7 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
         starts, sizes = starts[split], sizes[split]
         starts = np.column_stack([starts + n_left, starts]).reshape(-1)
         sizes = np.column_stack([sizes - n_left, n_left]).reshape(-1)
+        totals = np.column_stack([right_totals, left_totals]).reshape(-1)
         depths = np.repeat(depths[split] + 1, 2)
     return leaves, splits, made_next
 

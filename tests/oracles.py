@@ -209,26 +209,33 @@ def quad_log_p_integral(exp_p: int, exp_1mp: int, p0: float) -> float:
     return math.log(val)
 
 
-def scratch_block_sums(x: np.ndarray, u: np.ndarray):
-    """(W, B, blocks) computed naively from the indicator vector."""
+def scratch_block_sums(x: np.ndarray, u: np.ndarray, memo: dict):
+    """(W, B, blocks) computed naively from the indicator vector. ``memo``
+    maps a block's edges (a, b) to its (within, between) terms, computed
+    from scratch the first time the block is seen; it holds for one ``x``.
+    W and B still add every block's terms left to right."""
     x = np.asarray(x, dtype=float)
     edges = [0, *(int(i) + 1 for i in np.nonzero(u)[0]), x.size]
-    grand = x.mean()
     w_sum = 0.0
     b_sum = 0.0
     for a, b in zip(edges, edges[1:]):
-        block = x[a:b]
-        w_sum += float(((block - block.mean()) ** 2).sum())
-        b_sum += block.size * float((block.mean() - grand) ** 2)
+        if (a, b) not in memo:
+            block = x[a:b]
+            memo[a, b] = (float(((block - block.mean()) ** 2).sum()),
+                          block.size * float((block.mean() - x.mean()) ** 2))
+        within, between = memo[a, b]
+        w_sum += within
+        b_sum += between
     return w_sum, b_sum, len(edges) - 1
 
 
 def reference_bcp_posterior(series, config, flips=None):
-    """Same Gibbs sampler, but with all block sums recomputed from scratch
-    at every position (no incremental bookkeeping) and spans found by
-    scanning the indicator vector. Shares the integral code and the RNG
-    consumption pattern with the production sampler, so agreement checks
-    the partition bookkeeping in isolation. It keeps the sampler's model
+    """Same Gibbs sampler, but with W and B summed over every block at
+    every position, each block's terms computed from scratch the first time
+    it is seen (no incremental bookkeeping), and spans found by scanning the
+    indicator vector. Shares the integral code and the RNG consumption
+    pattern with the production sampler, so agreement checks the partition
+    bookkeeping in isolation. It keeps the sampler's model
     rules: the series is first scaled by a power of two so that its largest
     magnitude lies in [0.5, 1), and a within-block sum at or below 1e-12
     times the total sum of squares counts as exactly zero. Where ``flips``
@@ -248,13 +255,14 @@ def reference_bcp_posterior(series, config, flips=None):
     u = np.zeros(n - 1, dtype=bool)
     rng = Xorshift64Star(config.seed)
     counts = np.zeros(n - 1)
+    memo = {}
     for sweep in range(config.iterations):
         for i in range(n - 1):
             held = bool(u[i])
             u[i] = False
-            w0s, b0s, blocks0 = scratch_block_sums(x, u)
+            w0s, b0s, blocks0 = scratch_block_sums(x, u, memo)
             u[i] = True
-            w1s, b1s, _ = scratch_block_sums(x, u)
+            w1s, b1s, _ = scratch_block_sums(x, u, memo)
             w0s = 0.0 if w0s <= zero_w else w0s
             w1s = 0.0 if w1s <= zero_w else w1s
             num = log_w_integral(blocks0 / 2.0, w1s, b1s, config.w0, n)
@@ -290,10 +298,13 @@ _FOREST_TIE_EPS = 1e-12
 def _reference_best_split(X, y, idx, features, min_leaf):
     """Lowest-SSE split of one node over its candidate features, or None.
 
-    Returns (feature, threshold, left_idx, right_idx). Each column's pick is
-    its first split within the tie band of its lowest SSE; the picks are then
-    taken in ascending feature order and a later one wins only by strict
-    improvement (lowest feature, then lowest threshold).
+    Returns (feature, threshold, left_idx, right_idx, left_total,
+    right_total): a child's total is its target sum as the split search
+    holds it, the cumulative sum at the cut along the chosen column for the
+    left child and that column's last cumulative sum less it for the right.
+    Each column's pick is its first split within the tie band of its lowest
+    SSE; the picks are then taken in ascending feature order and a later one
+    wins only by strict improvement (lowest feature, then lowest threshold).
     """
     y_node = y[idx]
     m = y_node.size
@@ -307,7 +318,7 @@ def _reference_best_split(X, y, idx, features, min_leaf):
     csq = np.cumsum(ys * ys, axis=0)
     left_sum = csum[ks - 1]
     left_sq = csq[ks - 1]
-    right_sum = y_node.sum() - left_sum
+    right_sum = csum[-1] - left_sum
     right_sq = csq[-1] - left_sq
     k_col = ks[:, None]
     sse = (left_sq - left_sum * left_sum / k_col) + \
@@ -323,30 +334,33 @@ def _reference_best_split(X, y, idx, features, min_leaf):
             best = j
     if best is None:
         return None
-    k = int(ks[picks[best]])
+    pick = picks[best]
+    k = int(ks[pick])
     threshold = 0.5 * (xs[k - 1, best] + xs[k, best])
-    return (features[best], float(threshold),
-            idx[order[:k, best]], idx[order[k:, best]])
+    return (features[best], float(threshold), idx[order[:k, best]], idx[order[k:, best]],
+            left_sum[pick, best], right_sum[pick, best])
 
 
-def _reference_tree(X, y, idx, depth, max_depth, min_leaf, max_features, rng):
+def _reference_tree(X, y, idx, total, depth, max_depth, min_leaf, max_features, rng):
+    """The tree grown from the node of rows ``idx`` with target sum
+    ``total``; a leaf's value is ``total`` over its row count."""
     y_node = y[idx]
     if (idx.size < 2 * min_leaf
             or (max_depth is not None and depth >= max_depth)
             or np.all(y_node == y_node[0])):
-        return {"value": float(y_node.mean())}
+        return {"value": float(total / idx.size)}
     p = X.shape[1]
     features = sorted(rng.sample_without_replacement(p, min(max_features, p)))
     split = _reference_best_split(X, y, idx, features, min_leaf)
     if split is None:
-        return {"value": float(y_node.mean())}
-    f, threshold, left_idx, right_idx = split
+        return {"value": float(total / idx.size)}
+    f, threshold, left_idx, right_idx, left_total, right_total = split
     return {
         "feature": f, "threshold": threshold,
-        "left": _reference_tree(X, y, left_idx, depth + 1, max_depth, min_leaf,
-                                max_features, rng),
-        "right": _reference_tree(X, y, right_idx, depth + 1, max_depth, min_leaf,
-                                 max_features, rng),
+        "left": _reference_tree(X, y, left_idx, left_total, depth + 1, max_depth,
+                                min_leaf, max_features, rng),
+        "right": _reference_tree(X, y, right_idx, right_total, depth + 1, max_depth,
+                                 min_leaf, max_features, rng),
     }
 
 
@@ -356,8 +370,10 @@ def reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
     builder: each tree on its own scalar ``Xorshift64Star`` stream, seeded
     by ``derive_seed(seed, t)``, which draws the bootstrap's n ``randint``s
     and then, depth first and left before right, each split node's feature
-    subset with ``sample_without_replacement``. ``max_features`` is the
-    resolved count (``fit_forest``'s default is ceil(p / 3))."""
+    subset with ``sample_without_replacement``. A root's target sum is the
+    last cumulative sum of its bootstrap targets in draw order.
+    ``max_features`` is the resolved count (``fit_forest``'s default is
+    ceil(p / 3))."""
     from flunowcast.rng import Xorshift64Star, derive_seed
 
     X = np.asarray(X, dtype=float)
@@ -370,8 +386,8 @@ def reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
             idx = np.array([rng.randint(n) for _ in range(n)], dtype=int)
         else:
             idx = np.arange(n)
-        trees.append(_reference_tree(X, y, idx, 0, max_depth, min_leaf,
-                                     max_features, rng))
+        trees.append(_reference_tree(X, y, idx, np.cumsum(y[idx])[-1], 0, max_depth,
+                                     min_leaf, max_features, rng))
     return trees
 
 
