@@ -4,8 +4,10 @@ Trees split where the summed squared error of the two children is lowest;
 leaves store the mean of their training targets, so every prediction is an
 average of training-target means and stays inside the training range.
 Determinism is total: per-tree streams come from the package RNG seeded by
-``derive_seed(seed, tree_index)``, and split-gain ties (within 1e-12)
-resolve to the lowest feature index, then the lowest threshold.
+``derive_seed(seed, tree_index)``. Split ties resolve to the lowest
+feature index, then the lowest threshold: a node splits at its first
+(feature, threshold) whose SSE is within ``_TIE_EPS`` times the node's sum
+of squared targets of its lowest SSE, a band above the SSEs' rounding.
 
 A tree is the nested dict its JSON is: a leaf is ``{"value": v}`` and an
 internal node is ``{"feature": f, "threshold": t, "left": ..., "right":
@@ -59,11 +61,9 @@ when its trees start: one flat array per block temporary (gather index,
 keys, targets and squares, their cumulative sums, SSE and the barred mask;
 the right sums reuse the targets' room), each with room for the largest
 block. Every block writes its temporaries into views of them, so no step
-allocates, frees and faults in that memory again. The tie rule across a
-node's columns takes the first lowest pick and scans only the nodes where
-an earlier column is within the band. Each split node's rows are sorted
-along its chosen column once more to write them back in that order.
-Thresholds are read from ``X``.
+allocates, frees and faults in that memory again. Each split node's rows
+are sorted along its chosen column once more to write them back in that
+order. Thresholds are read from ``X``.
 
 The trees become nested dicts once the growth's arrays are freed, from
 each step's records of its leaves and splits (``_trees``).
@@ -81,6 +81,9 @@ from ..rng import (derive_seed, multiply_shift, next_u64s, samples_without_repla
                    stream_states)
 from .linear import fit_data, predict_rows
 
+# relative to a node's sum of squared targets: an SSE over m rows rounds by
+# about m * 2**-53 of it, 1.8e-14 at m = 160, so the band holds about 50x
+# that there and stays above it up to about 9000 rows
 _TIE_EPS = 1e-12
 _INF_BITS = np.int64(0x7FF0000000000000)  # bit pattern of +inf
 _BLOCK_ELEMENTS = 1 << 14  # (node x column x row) rank keys scored at once
@@ -175,44 +178,15 @@ def _workspace(size: int, key_dtype) -> dict[str, np.ndarray]:
     return work
 
 
-def _first_best(values: list[float]) -> int:
-    """The tie rule over a node's column picks, scanned in feature order: a
-    later pick wins only by more than ``_TIE_EPS``; -1 if none is finite."""
-    best, best_sse = -1, math.inf
-    for j, value in enumerate(values):
-        if value < best_sse - _TIE_EPS:
-            best, best_sse = j, value
-    return best
-
-
-def _best_columns(pick_sse: np.ndarray) -> np.ndarray:
-    """``_first_best`` of each row of ``pick_sse`` (node x column).
-
-    The scan ends on the first lowest value m, at column j*, unless some
-    earlier column j holds a record v_j with m >= fl(v_j - ``_TIE_EPS``):
-    a record before j* blocks it only then, and no later value beats m by
-    the band. So the argmin is the answer wherever no earlier column is
-    that close, and the scan runs on the rest (and where m is NaN).
-    """
-    best = pick_sse.argmin(axis=1)
-    low = pick_sse[np.arange(best.size), best]
-    close = np.argmax(pick_sse - _TIE_EPS <= low[:, None], axis=1) < best
-    best = np.where(low < math.inf, best, -1)
-    for g in np.flatnonzero(close | np.isnan(low)).tolist():
-        best[g] = _first_best(pick_sse[g].tolist())
-    return best
-
-
 def _score_block(keys, shift, node_rows, node_ys, at, sizes, features, min_leaf, work):
-    """Each (node, column)'s pick in a block of nodes, scored together.
+    """Each node's split in a block of nodes, scored together.
 
     Node g's rows are ``node_rows[g, :sizes[g]]``, padded to the block's
     largest size with row n, whose key sorts last, so the sorted order of
     the real rows is that of the unpadded node. Its targets, with their
     squares as the imaginary part, start at ``node_ys[at[g]]``, padded with
     0; their sums are the last of their cumulative sums. Its candidate
-    columns are ``features[g]``. A column's pick is its first split within
-    the tie band of its lowest SSE.
+    columns are ``features[g]``, ascending.
 
     Every split is scored, one per row position, on the block's full width:
     each (node, column, row) temporary is a view of the ``work`` arrays
@@ -220,9 +194,12 @@ def _score_block(keys, shift, node_rows, node_ys, at, sizes, features, min_leaf,
     split (too few rows on a side, or equal values across the cut, padding
     included) get +inf, added as the bits of 0.0 or inf.
 
-    Returns, per (node, column), the rows left of the pick less one, the
-    pick's SSE (+inf where the column has no split), the cumulative target
-    sum at the pick and the last one.
+    A node's pick is its first (column, row), in that order, whose SSE is
+    within ``_TIE_EPS`` times its largest column sum of squares of its
+    lowest SSE. Returns, per node, the pick's column position (-1 where the
+    lowest SSE is not finite: no split, or overflowed squares), the rows
+    left of the pick less one, the cumulative target sum at the pick and
+    that column's last one.
     """
     count, k = features.shape
     width = node_rows.shape[1]
@@ -267,19 +244,18 @@ def _score_block(keys, shift, node_rows, node_ys, at, sizes, features, min_leaf,
     inf_bits = np.multiply(barred.view(np.uint8), _INF_BITS,
                            out=temp("index"))  # the gathers are done
     sse += inf_bits.view(np.float64)
-    # the first lowest of each line is its pick wherever m + _TIE_EPS
-    # rounds to m; elsewhere the pick is the first within the band
-    lines = sse.reshape(-1, width)
-    picks = lines.argmin(axis=1)
-    pick_sse = lines[np.arange(picks.size), picks]
-    band = pick_sse + _TIE_EPS
-    wide = np.flatnonzero(band != pick_sse)
-    if wide.size:
-        picks[wide] = np.argmax(lines[wide] <= band[wide, None], axis=1)
-        pick_sse[wide] = lines[wide, picks[wide]]
-    left_sum = sums.reshape(-1, width)[np.arange(picks.size), picks].real
-    return (picks.reshape(count, k), pick_sse.reshape(count, k),
-            left_sum.reshape(count, k), last.real)
+    # each node's first (column, row) within the band of its lowest SSE; a
+    # NaN lowest (overflowed squares) fails the band and the finite test
+    lines = sse.reshape(count, k * width)
+    low = lines.min(axis=1)
+    band = low + _TIE_EPS * last.imag.max(axis=1)
+    within = np.less_equal(lines, band[:, None], out=barred.reshape(count, -1))
+    best = np.argmax(within, axis=1)
+    nodes = np.arange(count)
+    column, pick = np.divmod(best, width)
+    left_sum = sums.reshape(count, -1)[nodes, best].real
+    return (np.where(low < math.inf, column, -1), pick, left_sum,
+            last.real[nodes, column])
 
 
 def _search(X, keys, shift, rows, y_rows, starts, sizes, features, min_leaf, work):
@@ -288,9 +264,9 @@ def _search(X, keys, shift, rows, y_rows, starts, sizes, features, min_leaf, wor
     Node g holds slots ``starts[g]:starts[g] + sizes[g]`` of ``rows`` and
     ``y_rows``, with candidate columns ``features[g]`` (ascending). The
     nodes, taken by ascending size, are scored in blocks (``_blocks``,
-    ``_score_block``). The column picks are then taken in ascending feature
-    order and a later one wins only by strict improvement, which gives the
-    tie rule (lowest feature, then lowest threshold).
+    ``_score_block``), each picking its own split by the tie rule (lowest
+    feature, then lowest threshold, within the band); a node without a
+    column does not search.
 
     Returns the positions of the nodes that split, with their feature, left
     child size, threshold and children's target sums (the cumulative sum at
@@ -309,18 +285,17 @@ def _search(X, keys, shift, rows, y_rows, starts, sizes, features, min_leaf, wor
     node_ys.real = y_rows[slots]
     np.multiply(node_ys.real, node_ys.real, out=node_ys.imag)
     width = slots.shape[1]
-    picks = np.empty((count, k), np.intp)
-    pick_sse, left_sums, last_sums = (np.empty((count, k)) for _ in range(3))
-    for a, b in _blocks(sizes.tolist(), k):
-        picks[a:b], pick_sse[a:b], left_sums[a:b], last_sums[a:b] = _score_block(
-            keys, shift, node_rows[a:b, :sizes[b - 1]], node_ys.reshape(-1),
-            np.arange(a, b) * width, sizes[a:b], features[a:b], min_leaf, work)
-    best = _best_columns(pick_sse) if k else np.full(count, -1)
-    split = np.flatnonzero(best >= 0)
-    cols = best[split]
-    n_left = picks[split, cols] + 1
-    f = features[split, cols]
-    left_total = left_sums[split, cols]
+    columns, picks = np.full(count, -1), np.empty(count, np.intp)
+    left_sums, last_sums = np.empty(count), np.empty(count)
+    if k:  # with no column there is no split
+        for a, b in _blocks(sizes.tolist(), k):
+            columns[a:b], picks[a:b], left_sums[a:b], last_sums[a:b] = _score_block(
+                keys, shift, node_rows[a:b, :sizes[b - 1]], node_ys.reshape(-1),
+                np.arange(a, b) * width, sizes[a:b], features[a:b], min_leaf, work)
+    split = np.flatnonzero(columns >= 0)
+    n_left = picks[split] + 1
+    f = features[split, columns[split]]
+    left_total = left_sums[split]
     # the split nodes' rows sorted along the chosen column once more, and
     # their slots rewritten in that order
     first, real = starts[split, None], real[split]
@@ -332,7 +307,7 @@ def _search(X, keys, shift, rows, y_rows, starts, sizes, features, min_leaf, wor
     cut = first[:, 0] + n_left  # each right child's first slot
     threshold = 0.5 * (X[rows[cut - 1], f] + X[rows[cut], f])
     return (by_size[split], f, n_left, threshold, left_total,
-            last_sums[split, cols] - left_total)
+            last_sums[split] - left_total)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,

@@ -67,49 +67,54 @@ def central_difference(f, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SVR dual oracle: projected subgradient ascent on the theta parametrization
+# SVR dual oracle: the exact optimum by SLSQP, certified by its KKT conditions
 # ---------------------------------------------------------------------------
 
-def _project_box_hyperplane(v: np.ndarray, c: float) -> np.ndarray:
-    """Euclidean projection onto {sum(theta) = 0, |theta_i| <= c}."""
-    lo, hi = float(v.min() - c), float(v.max() + c)
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        s = np.clip(v - mu, -c, c).sum()
-        if s > 0:
-            lo = mu
-        else:
-            hi = mu
-    return np.clip(v - 0.5 * (lo + hi), -c, c)
+def svr_exact_dual(X, y, c_penalty: float, epsilon: float) -> float:
+    """Optimal value of the linear SVR dual, found apart from SMO.
 
-
-def svr_dual_value(theta: np.ndarray, K: np.ndarray, y: np.ndarray,
-                   epsilon: float) -> float:
-    return float(-0.5 * theta @ K @ theta - epsilon * np.abs(theta).sum()
-                 + y @ theta)
-
-
-def svr_projected_gradient(X, y, c_penalty: float, epsilon: float,
-                           iters: int = 20_000):
-    """Best dual value found by projected subgradient ascent.
-
-    Slow and crude on purpose: it provides a lower bound on the attainable
-    dual optimum that an exact solver has to match or beat.
+    SLSQP maximizes -1/2 theta'K theta - epsilon sum(alpha + alpha*) +
+    y'theta over the 2n box variables (alpha, alpha*) in [0, C], with
+    theta = alpha - alpha* summing to 0, from analytic gradients. The point
+    it returns must meet the KKT conditions: some bias b has, for each
+    variable, a reduced gradient (g - epsilon - b for alpha_i, -g - epsilon
+    + b for alpha*_i, where g = y - K theta) that is <= 0 off the upper
+    bound and >= 0 off the lower one.
     """
+    from scipy.optimize import minimize
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     K = X @ X.T
     n = y.size
-    theta = _project_box_hyperplane(np.zeros(n), c_penalty)
-    best = svr_dual_value(theta, K, y, epsilon)
-    lipschitz = max(float(np.linalg.eigvalsh(K).max()), 1e-12)
-    for t in range(1, iters + 1):
-        grad = -(K @ theta) + y - epsilon * np.sign(theta)
-        theta = _project_box_hyperplane(theta + grad / lipschitz, c_penalty)
-        val = svr_dual_value(theta, K, y, epsilon)
-        if val > best:
-            best = val
-    return best
+    signs = np.r_[np.ones(n), -np.ones(n)]
+
+    def negated(v):
+        theta = v[:n] - v[n:]
+        k_theta = K @ theta
+        grad = y - k_theta
+        value = -0.5 * theta @ k_theta - epsilon * v.sum() + y @ theta
+        return -value, -(np.r_[grad, -grad] - epsilon)
+
+    result = minimize(negated, np.zeros(2 * n), jac=True, method="SLSQP",
+                      bounds=[(0.0, c_penalty)] * (2 * n),
+                      constraints=[{"type": "eq", "fun": lambda v: signs @ v,
+                                    "jac": lambda v: signs}],
+                      options={"ftol": 1e-15, "maxiter": 1000})
+    assert result.success, result.message
+    v = np.clip(result.x, 0.0, c_penalty)
+    theta = v[:n] - v[n:]
+    grad = y - K @ theta
+    # the bias each variable allows: alpha_i bounds b below by g_i - epsilon
+    # off C and above on (0, C]; alpha*_i bounds b by g_i + epsilon the other way
+    slack = 1e-9 * c_penalty
+    tol = 1e-9 * max(1.0, float(np.abs(grad).max()))
+    b_alpha, b_star = grad - epsilon, grad + epsilon
+    below = np.r_[b_alpha[v[:n] < c_penalty - slack], b_star[v[n:] > slack]]
+    above = np.r_[b_alpha[v[:n] > slack], b_star[v[n:] < c_penalty - slack]]
+    assert abs(theta.sum()) <= tol
+    assert below.max(initial=-np.inf) <= above.min(initial=np.inf) + tol
+    return -float(negated(v)[0])
 
 
 def svr_recover_bias_loop(wx, y, alpha, alpha_star, c: float, epsilon: float) -> float:
@@ -302,9 +307,11 @@ def _reference_best_split(X, y, idx, features, min_leaf):
     right_total): a child's total is its target sum as the split search
     holds it, the cumulative sum at the cut along the chosen column for the
     left child and that column's last cumulative sum less it for the right.
-    Each column's pick is its first split within the tie band of its lowest
-    SSE; the picks are then taken in ascending feature order and a later one
-    wins only by strict improvement (lowest feature, then lowest threshold).
+    The split is the first (column, threshold), in that order, whose SSE is
+    within the tie band of the node's lowest SSE: ``_FOREST_TIE_EPS`` times
+    the largest of its columns' sums of squares, so the band scales with the
+    targets and lies above the SSEs' rounding (lowest feature, then lowest
+    threshold).
     """
     y_node = y[idx]
     m = y_node.size
@@ -325,16 +332,12 @@ def _reference_best_split(X, y, idx, features, min_leaf):
           (right_sq - right_sum * right_sum / (m - k_col))
     # a threshold must separate distinct values
     sse[~(xs[ks - 1] < xs[ks])] = np.inf
-    picks = np.argmax(sse <= sse.min(axis=0) + _FOREST_TIE_EPS, axis=0)
-    best = None
-    best_sse = np.inf
-    for j, pick in enumerate(picks):
-        if sse[pick, j] < best_sse - _FOREST_TIE_EPS:
-            best_sse = sse[pick, j]
-            best = j
-    if best is None:
+    low = sse.min(initial=np.inf)
+    if not low < np.inf:  # no split, or squares that overflowed (NaN)
         return None
-    pick = picks[best]
+    band = low + _FOREST_TIE_EPS * csq[-1].max()
+    # the first within the band, column by column
+    best, pick = divmod(int(np.argmax((sse.T <= band).ravel())), ks.size)
     k = int(ks[pick])
     threshold = 0.5 * (xs[k - 1, best] + xs[k, best])
     return (features[best], float(threshold), idx[order[:k, best]], idx[order[k:, best]],

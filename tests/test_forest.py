@@ -277,12 +277,25 @@ def test_trees_that_outrun_their_draw_table_match_oracle(monkeypatch):
     assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
 
 
-def test_tie_rule_over_columns_matches_the_scan():
-    # picks within the 1e-12 band of an earlier column, exact ties, columns
-    # without a split (+inf) and a NaN, as overflowing targets would give
-    rs = np.random.RandomState(5)
-    base = rs.choice([0.0, 1.0, 1e-13, 5e-13, 2e-12, np.inf], size=(4000, 6))
-    picks = np.where(rs.rand(4000, 6) < 0.5, 3.0 + base, base)
-    picks[7, 2] = np.nan
-    expected = [forest._first_best(row) for row in picks.tolist()]
-    assert forest._best_columns(picks).tolist() == expected
+def test_columns_that_cut_a_node_alike_tie_to_the_lowest():
+    # column 2 sends the same rows left as column 0 at its best cut, with
+    # an SSE that differs from column 0's only by rounding at 2e4 targets
+    rs = np.random.RandomState(3)
+    x0, x1, noise = (rs.normal(size=160) for _ in range(3))
+    X = np.column_stack([x0, x1, (x0 > 0) * 10.0 + x1])
+    y = 20000 + 3000 * (x0 > 0) + 700 * noise
+    model = fit_forest(X, y, n_trees=200, max_features=3, seed=1)
+    assert all(tree["feature"] != 2 for tree in model.trees)
+    trees = reference_forest_trees(X, y, 200, None, 2, True, 3, 1)
+    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+
+
+def test_overflowing_squares_leave_one_leaf_trees():
+    # the targets' squares overflow, so every SSE is NaN and no node splits
+    X, y = seeded_dataset(8, n=30, p=4)
+    y = 1e160 * (2.0 + y)
+    with np.errstate(all="ignore"):
+        model = fit_forest(X, y, n_trees=5, seed=4)
+        trees = reference_forest_trees(X, y, 5, None, 2, True, model.max_features, 4)
+    assert all("value" in tree for tree in model.trees)
+    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))

@@ -13,7 +13,7 @@ from flunowcast.models import (
 
 from flunowcast.models.svr import _recover_bias
 
-from oracles import svr_projected_gradient, svr_recover_bias_loop
+from oracles import svr_exact_dual, svr_recover_bias_loop
 
 
 def random_problem(seed, n=15, p=2):
@@ -54,12 +54,14 @@ class TestOptimality:
         assert d_obj <= p_obj + 1e-9  # weak duality
         assert p_obj - d_obj < 1e-3 * max(abs(p_obj), 1e-12)
 
-    def test_dual_matches_projected_gradient_oracle(self):
+    def test_dual_matches_the_exact_optimum(self):
         X, y = random_problem(7, n=12)
         model = fit_svr_linear(X, y, c_penalty=1.0, epsilon=0.2)
-        oracle_best = svr_projected_gradient(X, y, c_penalty=1.0, epsilon=0.2)
-        # an exact solver must reach at least the crude oracle's dual value
-        assert dual_objective(model, X, y) >= oracle_best - 1e-6
+        optimum = svr_exact_dual(X, y, c_penalty=1.0, epsilon=0.2)
+        value = dual_objective(model, X, y)
+        assert value >= optimum - 1e-6
+        # no feasible point beats the optimum, beyond the rounding of a value
+        assert value <= optimum + 1e-12 * max(1.0, abs(optimum))
 
     def test_dual_feasibility(self):
         X, y = random_problem(10)
