@@ -300,97 +300,105 @@ def reference_bcp_posterior(series, config, flips=None):
 _FOREST_TIE_EPS = 1e-12
 
 
-def _reference_best_split(X, y, idx, features, min_leaf):
-    """Lowest-SSE split of one node over its candidate features, or None.
+def _reference_best_split(X, y, idx, w, features, min_leaf):
+    """Best split of one node of distinct rows ``idx`` with weights ``w``
+    over its candidate features, or None.
 
-    Returns (feature, threshold, left_idx, right_idx, left_total,
-    right_total): a child's total is its target sum as the split search
-    holds it, the cumulative sum at the cut along the chosen column for the
-    left child and that column's last cumulative sum less it for the right.
-    The split is the first (column, threshold), in that order, whose SSE is
-    within the tie band of the node's lowest SSE: ``_FOREST_TIE_EPS`` times
-    the largest of its columns' sums of squares, so the band scales with the
-    targets and lies above the SSEs' rounding (lowest feature, then lowest
-    threshold).
+    Along each feature, the rows are stably sorted by value, and the cut
+    after sorted row j has the left sums L of w·y and w_L of w and the
+    right sums R = (last L) - L and w_R = (last w_L) - w_L. Its score is
+    L²/w_L + R²/w_R; a cut between equal values, or with a side weighing
+    less than ``min_leaf``, is barred. The split is the first (feature,
+    cut), in that order, whose score is at least the highest less
+    ``_FOREST_TIE_EPS`` times the node's sum of w·y² (summed in the node's
+    row order); there is none where that edge is not finite. Returns
+    (feature, threshold, (left rows, weights, sums), (right rows, weights,
+    sums)), where a side's sums are its (w·y, w) sums at the cut.
     """
     y_node = y[idx]
-    m = y_node.size
-    # rows on the left of each split; never empty, as m >= 2 * min_leaf here
-    ks = np.arange(min_leaf, m - min_leaf + 1)
-    block = X[np.ix_(idx, features)]
-    order = np.argsort(block, axis=0, kind="stable")
-    xs = np.take_along_axis(block, order, axis=0)
-    ys = y_node[order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    left_sum = csum[ks - 1]
-    left_sq = csq[ks - 1]
-    right_sum = csum[-1] - left_sum
-    right_sq = csq[-1] - left_sq
-    k_col = ks[:, None]
-    sse = (left_sq - left_sum * left_sum / k_col) + \
-          (right_sq - right_sum * right_sum / (m - k_col))
-    # a threshold must separate distinct values
-    sse[~(xs[ks - 1] < xs[ks])] = np.inf
-    low = sse.min(initial=np.inf)
-    if not low < np.inf:  # no split, or squares that overflowed (NaN)
+    wy = w * y_node
+    squares = np.cumsum(wy * y_node)[-1]
+    columns = []
+    for f in features:
+        order = np.argsort(X[idx, f], kind="stable")
+        xs = X[idx[order], f]
+        left, left_w = np.cumsum(wy[order]), np.cumsum(w[order])
+        right, right_w = left[-1] - left, left_w[-1] - left_w
+        cuts = []
+        for j in range(idx.size - 1):
+            if xs[j] < xs[j + 1] and left_w[j] >= min_leaf and right_w[j] >= min_leaf:
+                score = left[j] * left[j] / left_w[j] + right[j] * right[j] / right_w[j]
+                cuts.append((score, j))
+        columns.append((f, order, xs, left, left_w, right, right_w, cuts))
+    every = [score for *_, cuts in columns for score, _ in cuts]
+    # NaN, from sums that overflowed, makes the highest NaN
+    high = (math.nan if any(math.isnan(s) for s in every)
+            else max(every, default=-math.inf))
+    edge = high - _FOREST_TIE_EPS * squares
+    if not math.isfinite(edge):
         return None
-    band = low + _FOREST_TIE_EPS * csq[-1].max()
-    # the first within the band, column by column
-    best, pick = divmod(int(np.argmax((sse.T <= band).ravel())), ks.size)
-    k = int(ks[pick])
-    threshold = 0.5 * (xs[k - 1, best] + xs[k, best])
-    return (features[best], float(threshold), idx[order[:k, best]], idx[order[k:, best]],
-            left_sum[pick, best], right_sum[pick, best])
-
-
-def _reference_tree(X, y, idx, total, depth, max_depth, min_leaf, max_features, rng):
-    """The tree grown from the node of rows ``idx`` with target sum
-    ``total``; a leaf's value is ``total`` over its row count."""
-    y_node = y[idx]
-    if (idx.size < 2 * min_leaf
-            or (max_depth is not None and depth >= max_depth)
-            or np.all(y_node == y_node[0])):
-        return {"value": float(total / idx.size)}
-    p = X.shape[1]
-    features = sorted(rng.sample_without_replacement(p, min(max_features, p)))
-    split = _reference_best_split(X, y, idx, features, min_leaf)
-    if split is None:
-        return {"value": float(total / idx.size)}
-    f, threshold, left_idx, right_idx, left_total, right_total = split
-    return {
-        "feature": f, "threshold": threshold,
-        "left": _reference_tree(X, y, left_idx, left_total, depth + 1, max_depth,
-                                min_leaf, max_features, rng),
-        "right": _reference_tree(X, y, right_idx, right_total, depth + 1, max_depth,
-                                 min_leaf, max_features, rng),
-    }
+    for f, order, xs, left, left_w, right, right_w, cuts in columns:
+        for score, j in cuts:
+            if score >= edge:
+                rows = idx[order]
+                weights = w[order]
+                return (f, float(0.5 * (xs[j] + xs[j + 1])),
+                        (rows[:j + 1], weights[:j + 1], (left[j], left_w[j])),
+                        (rows[j + 1:], weights[j + 1:], (right[j], right_w[j])))
+    raise AssertionError("the highest score lies below its own band")
 
 
 def reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
                            max_features, seed):
-    """The forest's trees grown one at a time by the plain recursive CART
-    builder: each tree on its own scalar ``Xorshift64Star`` stream, seeded
-    by ``derive_seed(seed, t)``, which draws the bootstrap's n ``randint``s
-    and then, depth first and left before right, each split node's feature
-    subset with ``sample_without_replacement``. A root's target sum is the
-    last cumulative sum of its bootstrap targets in draw order.
+    """The forest's trees grown one at a time, breadth first, on bootstrap
+    counts: each tree on its own scalar ``Xorshift64Star`` stream, seeded by
+    ``derive_seed(seed, t)``, draws the bootstrap's n ``randint``s, and
+    ``bincount`` gives its distinct rows, ascending, with their draw counts
+    as weights (every row weighs 1 without a bootstrap). Nodes leave a FIFO
+    queue, so they are taken by depth, then left to right; each node that
+    searches draws its feature subset with ``sample_without_replacement``
+    as it leaves. A node of weight W is a leaf if W < 2 * ``min_leaf``, it
+    is at ``max_depth``, its targets are all equal or its search finds no
+    split; its value is its sum of w·y over W. A root's sums are the last
+    cumulative sums of its rows' (w·y, w) in row order; a child's are
+    those its parent's search holds at the cut (``_reference_best_split``).
     ``max_features`` is the resolved count (``fit_forest``'s default is
     ceil(p / 3))."""
+    from collections import deque
+
     from flunowcast.rng import Xorshift64Star, derive_seed
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
+    n, p = X.shape
     trees = []
     for t in range(n_trees):
         rng = Xorshift64Star(derive_seed(seed, t))
         if bootstrap:
-            idx = np.array([rng.randint(n) for _ in range(n)], dtype=int)
+            counts = np.bincount([rng.randint(n) for _ in range(n)], minlength=n)
         else:
-            idx = np.arange(n)
-        trees.append(_reference_tree(X, y, idx, np.cumsum(y[idx])[-1], 0, max_depth,
-                                     min_leaf, max_features, rng))
+            counts = np.ones(n, dtype=int)
+        idx = np.flatnonzero(counts)
+        w = counts[idx].astype(float)
+        root = {}
+        queue = deque([(root, idx, w, (np.cumsum(w * y[idx])[-1], np.cumsum(w)[-1]), 0)])
+        while queue:
+            node, idx, w, (total, weight), depth = queue.popleft()
+            split = None
+            if not (weight < 2 * min_leaf
+                    or (max_depth is not None and depth >= max_depth)
+                    or np.all(y[idx] == y[idx[0]])):
+                features = sorted(rng.sample_without_replacement(p, min(max_features, p)))
+                split = _reference_best_split(X, y, idx, w, features, min_leaf)
+            if split is None:
+                node["value"] = float(total / weight)
+                continue
+            f, threshold, left, right = split
+            node.update(feature=int(f), threshold=threshold, left={}, right={})
+            for child, (rows, weights, sums) in zip((node["left"], node["right"]),
+                                                    (left, right)):
+                queue.append((child, rows, weights, sums, depth + 1))
+        trees.append(root)
     return trees
 
 

@@ -172,8 +172,11 @@ class TestSelect:
 # to -0.743, MAE from 224.3 to 239.4 and MAPE from 25.73 to 26.90. Only
 # the forest block moved again when a node's split tie band became relative
 # to its sum of squared targets, so that such columns tie to the lowest
-# feature: R2 went to -0.857, MAE to 243.5 and MAPE to 27.52.
-GOLDEN_BACKTEST = "2789a5dde6483b2a4d29c5f671fb6cf096ea7da60ddb9a17cc133d22a13a7d2e"
+# feature: R2 went to -0.857, MAE to 243.5 and MAPE to 27.52. Only the
+# forest block moved when trees grew one level at a time on their bootstrap
+# counts, each searching node in level order taking its tree's next feature
+# subset: R2 went to 0.530, MAE to 138.1 and MAPE to 14.26.
+GOLDEN_BACKTEST = "1ef45cdea342f4488a8ebd8f8aee4efb548128127b69ba0a6e331af601a8b19a"
 GOLDEN_ABLATION = "1af189067bcf4a4161975a44168dec2c2f99d380f816b1ec074b0e6388ae40fe"
 
 

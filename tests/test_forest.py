@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +147,8 @@ def test_json_round_trip_bitwise():
     assert np.array_equal(clone.predict(probe), model.predict(probe))
 
 
-# The lockstep builder against the recursive one, tree for tree: model JSON
-# must match byte for byte. Columns cover continuous, integer-valued (value
+# The lockstep builder against the level-order oracle, tree for tree: model
+# JSON must match byte for byte. Columns cover continuous, integer-valued (value
 # ties), duplicated (feature ties) and constant (no split) data; targets
 # alternate between continuous and integer-valued (equal-target leaves).
 # n = 300 takes the sort keys past uint8.
@@ -223,13 +226,12 @@ def test_fits_of_many_trees_match_oracle(monkeypatch, fork_log, bootstrap):
 
 
 # The production shape: the default 100 trees on n = 161 rows of p = 56
-# columns, as a backtest split fits them. The digest was taken with the
-# builder that drew each node's subset as it reached it and summed each
-# node on its own, so it pins the draw tables and the leaves settled as
-# they are made against that builder's trees. Its count targets sum
-# exactly in any order, so it held when the node totals changed order.
+# columns, as a backtest split fits them. The digest was taken when the
+# trees first grew one level at a time on their bootstrap counts, so it pins
+# the level-order subsets and the draw tables. Its count targets, times
+# their integer weights, sum exactly in any order.
 
-PRODUCTION_SHA256 = "7c0531c17cbef7918649de308caca7bb8b169598f4b0507a768d4c59a62b8809"
+PRODUCTION_SHA256 = "cb136ef80a08020fd4c2f3fb81c014d9d7f9c5c5a85406ec1c41b040c608dea0"
 
 
 def production_dataset(n=161, p=56):
@@ -275,6 +277,47 @@ def test_trees_that_outrun_their_draw_table_match_oracle(monkeypatch):
     assert len(draws) > 1
     trees = reference_forest_trees(X, y, 2, None, 1, False, model.max_features, 3)
     assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+
+
+def test_trees_that_outrun_the_table_at_different_depths_match_oracle():
+    # every node of two or more distinct rows splits here (continuous
+    # columns, one-row leaves), so a tree's searching nodes are its split
+    # nodes; the table is drawn ahead for every tree searching at a level,
+    # including the trees that have not outrun it yet
+    rs = np.random.RandomState(11)
+    X, y = rs.normal(size=(300, 3)), rs.normal(size=300)
+    model = fit_forest(X, y, n_trees=8, min_leaf=1, bootstrap=False, seed=5)
+    trees = reference_forest_trees(X, y, 8, None, 1, False, model.max_features, 5)
+    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+
+    def outrun_depth(tree):
+        """The depth at which the tree's split nodes first outnumber a table."""
+        level, depth, splits = [tree], 0, 0
+        while splits + sum("feature" in node for node in level) <= forest._TABLE_ROWS:
+            splits += sum("feature" in node for node in level)
+            level = [child for node in level if "feature" in node
+                     for child in (node["left"], node["right"])]
+            depth += 1
+        return depth
+
+    depths = [outrun_depth(tree) for tree in model.trees]
+    assert len(set(depths)) > 1, depths
+
+
+def test_default_fit_loads_no_module():
+    # a fit in a fresh interpreter, after the CLI's imports: np.unique
+    # without return_inverse, for one, imports numpy.ma on its first call
+    src = str(Path(forest.__file__).resolve().parents[2])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import flunowcast.cli; "
+            "import numpy as np; from flunowcast.models import fit_forest; "
+            "from flunowcast.rng import Xorshift64Star; rng = Xorshift64Star(26); "
+            "X = np.array(rng.normals(161 * 56)).reshape(161, 56); "
+            "y = np.round(2000.0 + 500.0 * X[:, 0] + 100.0 * np.array(rng.normals(161))); "
+            "before = set(sys.modules); fit_forest(X, y, seed=7); "
+            "print(sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_columns_that_cut_a_node_alike_tie_to_the_lowest():
