@@ -48,16 +48,22 @@ W-integral as running values:
   Then log t >= 1 - 1/t gives, for the exponents e_w < 0 < e_b of the bound,
       e_w log(lacking) <= e_w log W - e_w (W / lacking - 1),
       e_b log(between) >= e_b log B + e_b (1 - B / between),
-  so the bound's log-odds are at most A_f - e_w W / lacking + e_b B /
-  between at a position without a boundary, and at least A_t + e_w' W /
-  lacking - e_b' B / between at one with a boundary. A_f and A_t (at k =
-  blocks + 1 and blocks - 1) take two logs per partition, at each flip, and
-  add log_p_ratio once a position needs it. Both forms hold for any
-  positive W and B, and they read between itself, not B + g, which rounds
-  at the scale of total. A draw settles when its log-odds bound is at or
-  below logit(draw - 2 margin) - slack, or at or above logit(draw + 2
-  margin) + slack; numpy computes those thresholds once per sweep, as -inf
-  or NaN where draw -+ 2 margin leaves (0, 1), which settles nothing.
+  so with A = log_p_ratio + e_w log W - e_b log B + log B(a, c) - f_cur
+  + e_w - e_b (f_cur the current integral), the bound's log-odds are at
+  most A - e_w W / lacking + e_b B / between at a position without a
+  boundary (k = blocks + 1). At one with a boundary (k = blocks - 1) the
+  current and lacking integrals trade places, so the same form with
+  -log_p_ratio in A bounds the negated log-odds. The two sides' constants
+  take two logs and two log_p_ratio values (cached by block count) per
+  partition, at each flip. Both forms hold for any positive W and B, and
+  they read between itself, not B + g, which rounds at the scale of
+  total. A draw keeps its side when that side's form is at or below
+  logit(q) - slack, with q = draw - 2 margin without a boundary and
+  1 - draw - 2 margin with one, since logit(1 - p) = -logit(p); numpy
+  computes those thresholds once per sweep, as -inf or NaN where q leaves
+  (0, 1), which settles nothing. A side settles nothing either where k
+  lies outside 1..n, c <= 0, the current integral is infinite, or W or B
+  is not positive.
   Summed in the integral's own order, the bound drops only min(0, log I_x),
   a term never above 0, so after rounding it is still at or above the
   integral. The test's terms stay below about 100 n wherever it could pass,
@@ -343,9 +349,10 @@ def log_w_integral(d: float, w_within: float, b_between: float,
 # How far a settled draw must clear the probability of its log-odds. exp and
 # the division are not jointly monotone, each within an ulp: adjacent log-odds
 # can give probabilities up to 2.2e-16 in the wrong order. The first-order
-# test's logit thresholds move the draw by 2 * _MARGIN, so a draw they settle
-# still clears the probability by a whole margin after the logit's own
-# rounding (draw -+ 2 margin and q / (1 - q), each within an ulp).
+# test's threshold is the logit of q = draw - 2 * _MARGIN, or 1 - draw -
+# 2 * _MARGIN where a boundary is held, so a draw it settles still clears the
+# probability by a whole margin after the logit's own rounding (q and
+# q / (1 - q), each within an ulp).
 _MARGIN = 1e-12
 
 # How far the first-order test's log-odds must clear the logit of a draw
@@ -403,15 +410,12 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
     counts = np.zeros(n - 1)
     current = log_w_integral(0.0, w_within, total - w_within, w0, n)  # f((blocks - 1)/2, W)
 
-    p_ratios: list[float | None] = [None] * n  # by block count b, filled on first use
-
+    @cache
     def log_p_ratio(b: int) -> float:
-        if p_ratios[b] is None:
-            p_ratios[b] = (log_inc_beta(b + 1.0, float(n - b), config.p0)
-                           - log_inc_beta(float(b), float(n - b + 1), config.p0))
-        return p_ratios[b]
+        return (log_inc_beta(b + 1.0, float(n - b), config.p0)
+                - log_inc_beta(float(b), float(n - b + 1), config.p0))
 
-    def bound_terms(k: int) -> tuple[float, float, float, float]:
+    def bound_terms(k: int) -> tuple[float, float, float, float] | None:
         # log_w_integral's exponents and log B(a, c) for a partition of k
         # blocks, and the least B at which the bound applies (none where
         # c <= 0): with W + B w0 <= W + B = total, B >= 2e-10 total /
@@ -420,36 +424,37 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         d = (k - 1) / 2.0
         c = m - d - 1.0
         if c <= 0.0:
-            return 0.0, 0.0, 0.0, math.inf
+            return None
         return (d - m + 1.0, d + 1.0, _betaln(d + 1.0, c),
                 2e-10 * total / (w0 * (abs(c - 1.0) + 1.0)))
 
-    terms = [None, *(bound_terms(k) for k in range(1, n + 1))]  # by block count k
+    # by block count k; None where the bound does not apply (k = 0 or n + 1,
+    # which no partition has, or c <= 0)
+    terms = [None, *(bound_terms(k) for k in range(1, n + 1)), None]
+    nothing = (math.inf, math.inf, 0.0, 0.0)  # a side that settles no draw
 
     def first_order(w_within: float, blocks: int, current: float) -> list[tuple]:
         # the log-free test's constants for the partition (module
         # docstring), for a position without a boundary (k = blocks + 1)
-        # and one with (k = blocks - 1): the least B at which the bound
-        # applies, and base, w and b of its log-odds bound log_p_ratio +
-        # base + w / lacking + b / between. A base of +inf (-inf) settles
-        # nothing.
+        # and one with (k = blocks - 1, the bound negated): the least B at
+        # which the bound applies, and a, w and b of the form a + w /
+        # lacking + b / between at or below whose threshold a draw keeps
+        # its side (A, -e_w W and e_b B there)
         between = total - w_within
-        logs = w_within > 0.0 and between > 0.0
-        log_w, log_b = (log(w_within), log(between)) if logs else (0.0, 0.0)
+        if not (w_within > 0.0 and between > 0.0 and current != math.inf):
+            return [nothing, nothing]
+        log_w, log_b = log(w_within), log(between)
         sides = []
-        for k, sign in ((blocks + 1, 1.0), (blocks - 1, -1.0)):
-            if not 1 <= k <= n or current == math.inf:
-                sides.append((math.inf, 0.0, 0.0, 0.0))
+        for k, b, sign in ((blocks + 1, blocks, 1.0), (blocks - 1, blocks - 1, -1.0)):
+            if terms[k] is None:
+                sides.append(nothing)
                 continue
             e_w, e_b, log_beta, least = terms[k]
-            base = (sign * (e_w * log_w - e_b * log_b + log_beta - current + e_w - e_b)
-                    if logs else sign * math.inf)
-            sides.append((least, base, -sign * e_w * w_within, sign * e_b * between))
+            base = e_w * log_w - e_b * log_b + log_beta - current + e_w - e_b
+            sides.append((least, sign * log_p_ratio(b) + base, -e_w * w_within, e_b * between))
         return sides
 
-    (least_f, base_f, w_f, b_f), (least_t, base_t, w_t, b_t) = first_order(
-        w_within, blocks, current)
-    a_f = a_t = None  # log_p_ratio + base, once a position needs it
+    sides = first_order(w_within, blocks, current)  # by u[i]
 
     for sweep in range(config.iterations):
         # the merged block [left, right] around each position as the sweep
@@ -463,17 +468,16 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
         n_r = sizes[right - positions]
         diff = (through - prefix[left]) / n_l - (prefix[right + 1] - through) / n_r
         gains = (n_l * n_r / (n_l + n_r) * diff * diff).tolist()
-        # the log-odds at which the first-order bound settles each draw: at
-        # or below logit(draw - 2 margin) - slack where no boundary is held,
-        # at or above logit(draw + 2 margin) + slack = -(logit(1 - draw -
-        # 2 margin) - slack) where one is. Where draw -+ 2 margin leaves
-        # (0, 1), the logit is -inf or NaN, and no log-odds settles the draw
+        # the threshold at or below which each draw keeps its side: logit(q)
+        # - slack, with q = draw - 2 margin where no boundary is held and
+        # 1 - draw - 2 margin, for the negated bound, where one is. Where q
+        # leaves (0, 1), the logit is -inf or NaN, and no bound settles the
+        # draw
         drawn = rng.randoms(n - 1)
         draws = drawn.tolist()
         q = np.where(held, (1.0 - 2.0 * _MARGIN) - drawn, drawn - 2.0 * _MARGIN)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logit = np.log(q / (1.0 - q)) - slack
-        settle = np.where(held, -logit, logit).tolist()
+            settle = (np.log(q / (1.0 - q)) - slack).tolist()
         lo = 0  # left edge of the merged block
         patched = -1  # positions up to here lie in a block that a flip changed
         for i, hi, draw, gain, settle_at in zip(
@@ -485,37 +489,24 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 gain = n_l * n_r / (n_l + n_r) * diff * diff
             # w_within is already clamped; only the other side's W can fall
             # to zero up to the rounding of the sums (noiseless blocks). A
-            # stay that the log-free test settles (module docstring) computes
-            # no integral; a flip or an undecided draw does
-            if u[i]:
-                b = k = blocks - 1
-                lacking = w_within + gain
-                if lacking > zero_w:
-                    between = total - lacking
-                    if between >= least_t:
-                        if a_t is None:
-                            a_t = log_p_ratio(b) + base_t
-                        if a_t + w_t / lacking + b_t / between >= settle_at:
-                            lo = i + 1
-                            continue
-                else:
-                    lacking, between = 0.0, total
-                w_0, w_1 = lacking, w_within
+            # draw that the log-free test settles (module docstring) keeps
+            # its side and computes no integral; a flip or an undecided
+            # draw does
+            side = u[i]
+            lacking = w_within + gain if side else w_within - gain
+            if lacking > zero_w:
+                between = total - lacking
+                least, a, w_num, b_num = sides[side]
+                if between >= least and a + w_num / lacking + b_num / between <= settle_at:
+                    if side:
+                        lo = i + 1
+                    continue
             else:
-                b, k = blocks, blocks + 1
-                lacking = w_within - gain
-                if lacking > zero_w:
-                    between = total - lacking
-                    if between >= least_f:
-                        if a_f is None:
-                            a_f = log_p_ratio(b) + base_f
-                        if a_f + w_f / lacking + b_f / between <= settle_at:
-                            continue
-                else:
-                    lacking, between = 0.0, total
-                w_0, w_1 = w_within, lacking
-            other = log_w_integral((k - 1) / 2.0, lacking, between, w0, n)
-            num, den = (current, other) if u[i] else (other, current)
+                lacking, between = 0.0, total
+            b = blocks - side  # the blocks with u[i] = 0
+            # d = (k - 1) / 2 for the lacking partition's k = b + 1 - side blocks
+            other = log_w_integral((b - side) / 2.0, lacking, between, w0, n)
+            num, den = (current, other) if side else (other, current)
             if num == math.inf:
                 # both infinite: W1 = W0 = 0, an extra boundary inside an
                 # already-constant block; the numerator diverges strictly
@@ -524,18 +515,13 @@ def bcp_posterior(series, config: BcpConfig = BcpConfig()) -> PosteriorResult:
                 prob = 0.0 if den == math.inf else 1.0
             else:
                 prob = _probability(log_p_ratio(b) + num - den)
-            flip = (draw < prob) != u[i]
-            if draw < prob:
-                u[i] = True
-                w_within, blocks, current, lo = w_1, b + 1, num, i + 1
-            else:
-                u[i] = False
-                w_within, blocks, current = w_0, b, den
-            if flip:
-                (least_f, base_f, w_f, b_f), (least_t, base_t, w_t, b_t) = first_order(
-                    w_within, blocks, current)
-                a_f = a_t = None
+            u[i] = draw < prob
+            if u[i] != side:
+                w_within, blocks, current = lacking, b + u[i], other
+                sides = first_order(w_within, blocks, current)
                 patched = hi
+            if u[i]:
+                lo = i + 1
         if sweep >= config.burn_in:
             counts += held
     return PosteriorResult(probabilities=counts / (config.iterations - config.burn_in))

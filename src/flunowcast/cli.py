@@ -25,6 +25,7 @@ from .errors import AlignmentError, DegenerateInput, EmptyIntersection, FluNowca
 from .evaluation import (
     ModelSpec,
     backtest,
+    check_signal_lag,
     check_type,
     drop_labels,
     dump_json as _dump_json,
@@ -176,8 +177,8 @@ def _load_run_config(args, models: list[str]) -> dict:
     command's own ``--model`` would take). It must have ``flu``,
     ``train_start`` and ``windows``, each window a ``start`` and an ``end``.
     Every key of ``resources`` and ``thresholds`` must be a UGC resource
-    tag, every key of ``lag`` ``min`` or ``max``, and every key of
-    ``model_options`` a model kind."""
+    tag, every key of ``lag`` ``min`` or ``max``, every key of
+    ``model_options`` a model kind, and ``signal_lag`` at least 0."""
     config = _merged_options(args, RUN_KEYS)
     tags = [kind.value for kind in UGC_RESOURCES]
     for key, accepted in (("resources", tags), ("thresholds", tags),
@@ -198,6 +199,7 @@ def _load_run_config(args, models: list[str]) -> dict:
     config.setdefault("signal_lag", DEFAULT_SIGNAL_LAG)
     if config["model"] not in models:
         raise ValueError(f"'model' must be one of {models}, got {config['model']!r}")
+    check_signal_lag(config["signal_lag"])
     return config
 
 

@@ -262,6 +262,14 @@ def _score_actuals(plan: SplitPlan, flu: WeeklySeries) -> None:
         compute_metrics(actual, actual)
 
 
+def check_signal_lag(signal_lag: int) -> None:
+    """Raise ``ValueError`` for a negative signal lag, which would give each
+    row the query volumes of weeks after its target week."""
+    if signal_lag < 0:
+        raise ValueError(f"signal_lag must be >= 0, got {signal_lag}: a negative lag "
+                         "reads query volumes from after the target week")
+
+
 def drop_labels() -> list[str]:
     """The six ablation rows: everything, then each droppable block."""
     return ["none", *(kind.value for kind in ResourceKind
@@ -287,10 +295,12 @@ def backtest(panel: SignalPanel, selected: SelectedQueries, spec: ModelSpec,
     under every label. A kind that reads no features (ARIMA, the past-only
     protocol) ignores the label and forecasts ``lag_spec.min_lag`` weeks
     ahead, so it sees exactly the same information horizon as the
-    lag-feature models.
+    lag-feature models. A negative ``signal_lag`` raises ``ValueError``
+    before any fit (``check_signal_lag``).
     """
     if drop not in drop_labels():
         raise ValueError(f"drop must be one of {drop_labels()}")
+    check_signal_lag(signal_lag)
     count, make_row = _row_source(panel, selected, spec, plan, lag_spec, signal_lag,
                                   seed, drop)
     _score_actuals(plan, panel.flu())

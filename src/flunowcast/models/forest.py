@@ -32,8 +32,10 @@ then left to right) takes the i-th feature subset of its stream after the
 bootstrap, ``sample_without_replacement(p, k)`` sorted, whatever the tree's
 shape. The subsets are drawn ahead in a table: whenever a level needs more
 rows than the table holds for some tree, the next ``_TABLE_ROWS`` rows are
-drawn for every tree searching at that level, in one call
-(``rng.samples_without_replacement``).
+drawn for every tree, in one call (``rng.samples_without_replacement``). A
+tree with no searching node at a level has none at any later one, so the
+rows drawn for it then are never read, and every tree reads the same
+subsets as if only the searching trees drew.
 
 Scores and ties. Along a column, the cut after sorted row j has the left
 sums L of w·y and w_L of w up to that row, and the right sums R and w_R:
@@ -167,13 +169,12 @@ def _positions(starts: np.ndarray, sizes: np.ndarray, pad: int):
 
 def _all_equal(y_rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Whether each node's targets are all equal, from the largest and the
-    smallest of its slots, taken in slot order (every node has a row)."""
-    by_start = np.argsort(starts)
-    bounds = np.column_stack([starts, starts + sizes])[by_start].reshape(-1)
-    equal = np.empty(starts.size, bool)
-    equal[by_start] = (np.maximum.reduceat(y_rows, bounds)[0::2]
-                       == np.minimum.reduceat(y_rows, bounds)[0::2])
-    return equal
+    smallest of its slots (every node has a row, and the padding slot ends
+    ``y_rows``). ``reduceat`` reduces each (start, end) pair of indices on
+    its own, so the nodes need not be in slot order."""
+    bounds = np.column_stack([starts, starts + sizes]).reshape(-1)
+    return (np.maximum.reduceat(y_rows, bounds)[0::2]
+            == np.minimum.reduceat(y_rows, bounds)[0::2])
 
 
 def _workspace(size: int, key_dtype) -> dict[str, np.ndarray]:
@@ -351,18 +352,12 @@ def _grow(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int | None,
             search = search[~leaf[search]]
         # a tree's searching nodes, in level order, take its next subsets
         trees = tree_of[search]
-        searching = np.bincount(trees, minlength=n_trees)
         nth = used[trees] + np.arange(search.size) - np.searchsorted(trees, trees)
-        used += searching
+        used += np.bincount(trees, minlength=n_trees)
         while table.shape[1] < used.max():
-            live = np.flatnonzero(searching)
-            drawn = states[live]
-            rows_ahead = samples_without_replacement(drawn, p, k, _TABLE_ROWS)
+            rows_ahead = samples_without_replacement(states, p, k, _TABLE_ROWS)
             rows_ahead.sort(axis=-1)
-            states[live] = drawn
-            more = np.zeros((n_trees,) + rows_ahead.shape[1:], rows_ahead.dtype)
-            more[live] = rows_ahead
-            table = np.concatenate([table, more], axis=1)
+            table = np.concatenate([table, rows_ahead], axis=1)
         split, f, n_left, threshold, left, right = _search(
             X, keys, shift, rows, y_rows, ys, starts[search], sizes[search],
             table[trees, nth].astype(np.intp), min_leaf, work)

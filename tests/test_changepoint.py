@@ -383,16 +383,24 @@ class TestPosterior:
     def test_flu_curve_integral_count_is_pinned(self, monkeypatch):
         # every flip and every draw that the first-order test leaves
         # undecided computes the lacking W-integral: 3859 calls on the
-        # seed-42 flu curve at seed 1, the empty partition's included
-        calls = []
+        # seed-42 flu curve at seed 1, the empty partition's included. Their
+        # incomplete-beta routes and the p-ratios (two calls per block count
+        # the sampler asks for, once each) make 4006 log_inc_beta calls
+        calls, betas = [], []
 
         def counted(*args):
             calls.append(args)
             return log_w_integral(*args)
 
+        def counted_beta(*args):
+            betas.append(args)
+            return log_inc_beta(*args)
+
         monkeypatch.setattr(changepoint, "log_w_integral", counted)
+        monkeypatch.setattr(changepoint, "log_inc_beta", counted_beta)
         bcp_posterior(gen_flu(SynthConfig(years=5, seed=42)).values, BcpConfig(seed=1))
         assert len(calls) == 3859
+        assert len(betas) == 4006
 
     def test_bound_settles_most_positions_of_the_flu_curve(self, monkeypatch):
         calls = []

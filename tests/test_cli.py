@@ -866,6 +866,26 @@ class TestConfigTypes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["backtest", "ablate"])
+    def test_negative_signal_lag_exits_2_before_anything_is_read(
+            self, synth_dir, tmp_path, capsys, monkeypatch, command):
+        # -3 used to exit 0, scoring rows whose query volumes came from
+        # three weeks after each target week
+        config = tmp_path / "config.json"
+        base = json.loads(write_run_config(config, synth_dir).read_text())
+        config.write_text(json.dumps({**base, "signal_lag": -3}), encoding="utf-8")
+
+        def unread(*_):
+            raise AssertionError("the run read a series before checking its config")
+
+        monkeypatch.setattr(cli, "read_series_csv", unread)
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: signal_lag must be >= 0, got -3: a negative lag reads query "
+            "volumes from after the target week"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "ablate"])
     def test_empty_window_list_exits_2_and_writes_nothing(self, synth_dir, tmp_path,
                                                           capsys, command):
         # an empty list used to end in an IndexError traceback and exit 1

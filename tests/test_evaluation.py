@@ -305,6 +305,29 @@ class TestBacktest:
             backtest(panel, selected, ModelSpec(kind), two, seed=0)
         assert fits == []
 
+    @pytest.mark.parametrize("kind", list(MODELS))
+    @pytest.mark.parametrize("signal_lag", [-1, -3])
+    def test_negative_signal_lag_fails_before_any_fit(self, monkeypatch, kind, signal_lag):
+        # a negative lag feeds each row query volumes from after its target
+        # week; such backtests used to be scored
+        panel, selected = informative_panel()
+        fits = []
+        monkeypatch.setattr(evaluation, MODELS[kind].fit, lambda *a, **k: fits.append(a))
+        for drop in ("none", "past"):
+            with pytest.raises(ValueError, match=f"^signal_lag must be >= 0, got {signal_lag}: "
+                                                 "a negative lag reads query volumes from "
+                                                 "after the target week$"):
+                backtest(panel, selected, ModelSpec(kind), short_plan(panel),
+                         signal_lag=signal_lag, seed=0, drop=drop)
+        assert fits == []
+
+    def test_zero_signal_lag_backtests(self):
+        # the same week's query volumes are known when the week is nowcast
+        panel, selected = informative_panel()
+        result = backtest(panel, selected, ModelSpec("huber"), short_plan(panel),
+                          signal_lag=0, seed=0)[0]
+        assert result.metrics.n == 8
+
     def test_arima_week_past_panel_fails_before_any_fit_or_fork(self, monkeypatch, fork_log):
         # every week's target and history cutoff are checked before any fit:
         # on 2 CPUs the failing week would be a forked child's, after the

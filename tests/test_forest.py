@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -189,6 +190,25 @@ def oracle_cases():
 ORACLE_CASES = list(oracle_cases())
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def assert_matches_oracle(model, trees, *context):
+    """Assert that ``model``'s JSON is that of the model with the oracle's
+    ``trees`` in its place. Each tree's JSON is compared by digest and the
+    first that differs is named, so a mismatch reports at once instead of
+    after a text diff of two whole forests; then the two model JSONs, also
+    by digest."""
+    ours = [_digest(json.dumps(tree, sort_keys=True)) for tree in model.trees]
+    oracle = [_digest(json.dumps(tree, sort_keys=True)) for tree in trees]
+    assert len(ours) == len(oracle), ("tree counts differ", len(ours), len(oracle), *context)
+    for index, (got, want) in enumerate(zip(ours, oracle)):
+        assert got == want, (f"tree {index} differs from the oracle's", *context)
+    assert (_digest(model_to_json(model))
+            == _digest(model_to_json(dataclasses.replace(model, trees=trees)))), context
+
+
 def test_oracle_grid_covers_every_option_value():
     for position, values in enumerate(zip(*ORACLE_CONFIGS)):
         assert set(values) == {case[position + 2] for case in ORACLE_CASES}
@@ -205,8 +225,8 @@ def test_lockstep_trees_match_recursive_oracle(n, p):
                            max_features=max_features, seed=seed)
         trees = reference_forest_trees(X, y, n_trees, max_depth, min_leaf, bootstrap,
                                        model.max_features, seed)
-        assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees)), \
-            (n, p, min_leaf, max_depth, bootstrap, features, n_trees, seed)
+        assert_matches_oracle(model, trees,
+                              (n, p, min_leaf, max_depth, bootstrap, features, n_trees, seed))
 
 
 # The oracle grid stops at 7 trees. A fit of many grows them all in one
@@ -220,8 +240,7 @@ def test_fits_of_many_trees_match_oracle(monkeypatch, fork_log, bootstrap):
         model = fit_forest(X, y, n_trees=n_trees, bootstrap=bootstrap, seed=5)
         trees = reference_forest_trees(X, y, n_trees, None, 2, bootstrap,
                                        model.max_features, 5)
-        assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees)), \
-            n_trees
+        assert_matches_oracle(model, trees, n_trees)
     assert fork_log.read_bytes() == b""
 
 
@@ -258,7 +277,7 @@ def test_trees_at_the_production_shape_match_oracle():
     for y in (counts, counts / 7.0):
         model = fit_forest(X, y, n_trees=3, seed=7)
         trees = reference_forest_trees(X, y, 3, None, 2, True, model.max_features, 7)
-        assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+        assert_matches_oracle(model, trees)
 
 
 def test_trees_that_outrun_their_draw_table_match_oracle(monkeypatch):
@@ -276,19 +295,19 @@ def test_trees_that_outrun_their_draw_table_match_oracle(monkeypatch):
     model = fit_forest(X, y, n_trees=2, min_leaf=1, bootstrap=False, seed=3)
     assert len(draws) > 1
     trees = reference_forest_trees(X, y, 2, None, 1, False, model.max_features, 3)
-    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+    assert_matches_oracle(model, trees)
 
 
 def test_trees_that_outrun_the_table_at_different_depths_match_oracle():
     # every node of two or more distinct rows splits here (continuous
     # columns, one-row leaves), so a tree's searching nodes are its split
-    # nodes; the table is drawn ahead for every tree searching at a level,
-    # including the trees that have not outrun it yet
+    # nodes; the table is drawn ahead for every tree, including the trees
+    # that have not outrun it yet and those that no longer search
     rs = np.random.RandomState(11)
     X, y = rs.normal(size=(300, 3)), rs.normal(size=300)
     model = fit_forest(X, y, n_trees=8, min_leaf=1, bootstrap=False, seed=5)
     trees = reference_forest_trees(X, y, 8, None, 1, False, model.max_features, 5)
-    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+    assert_matches_oracle(model, trees)
 
     def outrun_depth(tree):
         """The depth at which the tree's split nodes first outnumber a table."""
@@ -330,7 +349,7 @@ def test_columns_that_cut_a_node_alike_tie_to_the_lowest():
     model = fit_forest(X, y, n_trees=200, max_features=3, seed=1)
     assert all(tree["feature"] != 2 for tree in model.trees)
     trees = reference_forest_trees(X, y, 200, None, 2, True, 3, 1)
-    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+    assert_matches_oracle(model, trees)
 
 
 def test_overflowing_squares_leave_one_leaf_trees():
@@ -341,4 +360,4 @@ def test_overflowing_squares_leave_one_leaf_trees():
         model = fit_forest(X, y, n_trees=5, seed=4)
         trees = reference_forest_trees(X, y, 5, None, 2, True, model.max_features, 4)
     assert all("value" in tree for tree in model.trees)
-    assert model_to_json(model) == model_to_json(dataclasses.replace(model, trees=trees))
+    assert_matches_oracle(model, trees)
