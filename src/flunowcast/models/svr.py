@@ -1,18 +1,18 @@
 """Epsilon-insensitive support vector regression, linear kernel.
 
-Solves the standard dual
+Solves the standard dual in one multiplier per point, theta = a - a*:
 
-    min  1/2 (a - a*)^T K (a - a*) + eps * sum(a + a*) - y^T (a - a*)
-    s.t. sum(a - a*) = 0,   0 <= a_i, a*_i <= C
+    min  1/2 theta^T K theta + eps * sum |theta| - y^T theta
+    s.t. sum(theta) = 0,   -C <= theta_i <= C
 
-by sequential minimal optimization on the maximal violating pair. The loop
-has two exits: the pair's gain reaches -TOL (certified), or MAX_ITER pair
-updates pass (``NonConvergence``). Every step it takes is positive, so it
-needs no other. With the linear kernel the weight vector collapses to
-w = sum_i (a_i - a*_i) x_i and predictions are f(x) = w.x + b.
-Complementarity a_i * a*_i = 0 is restored exactly after convergence
-(subtracting min(a_i, a*_i) from both never increases the objective), and
-the bias is recovered from the KKT interval.
+by sequential minimal optimization on the maximal violating pair (Flake &
+Lawrence, Machine Learning 46, 2002). The loop has two exits: the pair's
+gain reaches -TOL (certified), or MAX_ITER pair updates pass
+(``NonConvergence``). Every step it takes is positive, so it needs no other.
+A step stops where theta_i reaches 0, so the model's a_i = max(theta_i, 0)
+and a*_i = max(-theta_i, 0) are complementary by construction. With the
+linear kernel the weight vector collapses to w = sum_i theta_i x_i and
+predictions are f(x) = w.x + b; the bias is recovered from the KKT interval.
 """
 
 from __future__ import annotations
@@ -70,66 +70,38 @@ def fit_svr_linear(X, y, c_penalty: float = 1.0, epsilon: float = 0.1) -> SvrMod
     with parallel.one_blas_thread():  # the same Gram bytes under any BLAS pool
         K = X @ X.T
     diag = np.diag(K).copy()
-    alpha = np.zeros(n)
-    alpha_star = np.zeros(n)
-    s = np.zeros(n)  # K @ (alpha - alpha_star), maintained incrementally
+    theta = np.zeros(n)  # alpha - alpha*; a point never holds both
+    s = np.zeros(n)  # K @ theta, maintained incrementally
 
-    # Per-unit objective change of the four admissible moves. "up" moves
-    # raise sum(theta) by 1, "down" moves lower it by 1; a step pairs one
-    # of each so the equality constraint is preserved.
+    # Per-unit objective change of raising theta_i ("up") and of lowering
+    # theta_j ("down"); a step pairs one of each, so sum(theta) stays 0. A
+    # move takes the slope of the side of 0 that it moves into.
     for _ in range(MAX_ITER):
-        g_inc_a = s + epsilon - y          # d/d alpha_i (increase)
-        g_dec_as = s - epsilon - y         # -d/d alpha*_i (decrease alpha*)
-        up = np.where(alpha < c_penalty, g_inc_a, np.inf)
-        up = np.minimum(up, np.where(alpha_star > 0.0, g_dec_as, np.inf))
-        down = np.where(alpha > 0.0, -g_inc_a, np.inf)
-        down = np.minimum(down, np.where(alpha_star < c_penalty, -g_dec_as, np.inf))
+        g_inc_a = s + epsilon - y          # d/d theta_i on the side theta_i > 0
+        g_dec_as = s - epsilon - y         # d/d theta_i on the side theta_i < 0
+        up = np.where(theta < c_penalty, np.where(theta < 0.0, g_dec_as, g_inc_a), np.inf)
+        down = np.where(theta > -c_penalty, np.where(theta > 0.0, -g_inc_a, -g_dec_as), np.inf)
 
         i = int(np.argmin(up))
         j = int(np.argmin(down))
         gain = up[i] + down[j]
-        if gain >= -TOL:
+        if gain >= -TOL:  # i == j always lands here: up[i] + down[i] >= 0
             break
-        if i == j:
-            # Only possible as (decrease alpha*, decrease alpha): both positive,
-            # objective slope -2*eps. The other three pairings of one point
-            # sum to 0 or more. Shrink the common mass and move on.
-            shrink = min(alpha[i], alpha_star[i])
-            alpha[i] -= shrink
-            alpha_star[i] -= shrink
-            continue
 
-        # theta_i moves +t, theta_j moves -t; choose which variable carries it.
-        # Each cap is positive: C - alpha with alpha < C, or a multiplier
-        # that is > 0 because it offered the finite up[i] or down[j].
-        use_a_i = alpha[i] < c_penalty and g_inc_a[i] <= (
-            g_dec_as[i] if alpha_star[i] > 0.0 else np.inf)
-        use_as_j = alpha_star[j] < c_penalty and -g_dec_as[j] <= (
-            -g_inc_a[j] if alpha[j] > 0.0 else np.inf)
-
-        cap_i = (c_penalty - alpha[i]) if use_a_i else alpha_star[i]
-        cap_j = (c_penalty - alpha_star[j]) if use_as_j else alpha[j]
+        # Each move stops at 0 or at the far bound, so theta never crosses 0
+        # in one step and each cap is positive.
+        cap_i = -theta[i] if theta[i] < 0.0 else c_penalty - theta[i]
+        cap_j = theta[j] if theta[j] > 0.0 else c_penalty + theta[j]
         eta = diag[i] + diag[j] - 2.0 * K[i, j]
         t = min(cap_i, cap_j) if eta <= 1e-300 else min(-gain / eta, cap_i, cap_j)
-
-        if use_a_i:
-            alpha[i] += t
-        else:
-            alpha_star[i] -= t
-        if use_as_j:
-            alpha_star[j] += t
-        else:
-            alpha[j] -= t
+        theta[i] += t
+        theta[j] -= t
         s += t * (K[:, i] - K[:, j])
     else:
         raise NonConvergence(f"SMO did not converge within {MAX_ITER} pair updates")
 
-    # Restore exact per-point complementarity (never worsens the objective).
-    both = np.minimum(alpha, alpha_star)
-    alpha -= both
-    alpha_star -= both
-
-    theta = alpha - alpha_star
+    alpha = np.where(theta > 0.0, theta, 0.0)
+    alpha_star = np.where(theta < 0.0, -theta, 0.0)
     w = X.T @ theta
     bias = _recover_bias(X @ w, y, alpha, alpha_star, c_penalty, epsilon)
     return SvrModel(weights=w, bias=bias, c_penalty=c_penalty, epsilon=epsilon,
@@ -143,7 +115,8 @@ def _recover_bias(wx: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     Column 0 of the (n x 2) arrays is each point's alpha side, column 1 its
     alpha* side. A side at 0 bounds b from below on the alpha side and from
     above on the alpha* side; a side at C does the reverse. Every point has
-    a side at 0 after complementarity, so at least one bound is finite.
+    a side at 0, since a fit holds at most one multiplier per point, so at
+    least one bound is finite.
     """
     bound_slack = 1e-9 * max(1.0, c)
     margin = y - wx

@@ -225,7 +225,14 @@ def unit_scale(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
 
 
-def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
+def pearson(x, y) -> float:
+    """Pearson product-moment correlation of two equal-length series.
+
+    Accepts WeeklySeries or plain 1-D arrays. Raises DegenerateInput when
+    either side is constant.
+    """
+    x = x.values if isinstance(x, WeeklySeries) else np.asarray(x, dtype=float)
+    y = y.values if isinstance(y, WeeklySeries) else np.asarray(y, dtype=float)
     if x.size != y.size:
         raise AlignmentError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
@@ -240,17 +247,6 @@ def _pearson_arrays(x: np.ndarray, y: np.ndarray) -> float:
     sx = float(np.sqrt(np.sum(dx * dx)))
     sy = float(np.sqrt(np.sum(dy * dy)))
     return float(np.sum(dx * dy) / (sx * sy))
-
-
-def pearson(x, y) -> float:
-    """Pearson product-moment correlation of two equal-length series.
-
-    Accepts WeeklySeries or plain 1-D arrays. Raises DegenerateInput when
-    either side is constant.
-    """
-    xa = x.values if isinstance(x, WeeklySeries) else np.asarray(x, dtype=float)
-    ya = y.values if isinstance(y, WeeklySeries) else np.asarray(y, dtype=float)
-    return _pearson_arrays(xa, ya)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,10 @@ def fitted(kind):
         return fit_huber(X, y)
     if kind == "svr":
         return fit_svr_linear(X, y, c_penalty=2.0, epsilon=0.1)
+    if kind == "svr_at_c":
+        return fit_svr_linear(X, y, c_penalty=0.05, epsilon=0.1)
+    if kind == "svr_wide_tube":
+        return fit_svr_linear(X, y, c_penalty=2.0, epsilon=2.0)
     if kind == "forest":
         return fit_forest(X, y, n_trees=3, seed=4)
     if kind == "forest_ties":
@@ -83,6 +87,12 @@ GOLDEN = {
         "4e89dd1b744f43b215a42940094ceab35e85932ca649c3f2d916c6a7ede06eb0",
     "svr":
         "bf8afa5eb252a0ec0c905e0840d7031dc62f8f1584498927194a50c861cd239c",
+    # 34 of 40 multipliers end at C, and 3 are free
+    "svr_at_c":
+        "1c022c3b55ada40a5ad3c35b61bbc2a7a2d85604bd87ed665a67361e4267c6e0",
+    # a tube 2 wide leaves 4 multipliers off 0, none at C
+    "svr_wide_tube":
+        "c7631f7b0f55a54fd457973e5429e97e2f03d89c97c1b38cbe45e47995aa9c82",
     # trees grow one level at a time on their bootstrap counts, and a tree's
     # i-th searching node in level order takes its i-th feature subset:
     # "forest" keeps its roots, and its other subsets land on other nodes

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flunowcast.errors import DegenerateInput, EmptyIntersection, ShapeMismatch
@@ -118,10 +118,15 @@ class TestPearson:
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=12),
            st.lists(st.floats(-100, 100), min_size=3, max_size=12))
+    # three copies of a tiny value have a std of 6.0e-95, not 0
+    @example(xs=[0.0, 0.0, 1.0], ys=[4.5257687876969706e-79] * 3)
     def test_symmetry(self, xs, ys):
         n = min(len(xs), len(ys))
         x, y = np.array(xs[:n]), np.array(ys[:n])
-        if x.std() == 0 or y.std() == 0:
+        if x.min() == x.max() or y.min() == y.max():
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(DegenerateInput):
+                    pearson(a, b)
             return
         assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-12)
 

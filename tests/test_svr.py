@@ -100,12 +100,13 @@ class TestDuplicateRows:
         rs = np.random.RandomState(seed)
         X = np.repeat(rs.normal(size=(3, 2)), 4, axis=0)
         y = X @ rs.normal(size=2) + rs.normal(0, 1.0, 12)
-        model = fit_svr_linear(X, y, c_penalty=1.0, epsilon=0.1)
-        p_obj = primal_objective(model, X, y)
-        d_obj = dual_objective(model, X, y)
-        assert d_obj <= p_obj + 1e-9
-        assert p_obj - d_obj < 1e-3 * max(abs(p_obj), 1e-12)
-        assert float(np.max(model.alphas * model.alpha_stars)) <= 1e-6
+        for epsilon in (0.0, 0.1):
+            model = fit_svr_linear(X, y, c_penalty=1.0, epsilon=epsilon)
+            p_obj = primal_objective(model, X, y)
+            d_obj = dual_objective(model, X, y)
+            assert d_obj <= p_obj + 1e-9
+            assert p_obj - d_obj < 1e-3 * max(abs(p_obj), 1e-12)
+            assert float(np.max(model.alphas * model.alpha_stars)) <= 1e-6
 
 
 def bias_case(kind, seed, n=40, c=2.0):
@@ -147,10 +148,11 @@ class TestRecoverBias:
     def test_matches_loop_on_fits(self, c):
         for seed in range(5):
             X, y = random_problem(seed)
-            model = fit_svr_linear(X, y, c_penalty=c, epsilon=0.1)
-            want = svr_recover_bias_loop(X @ model.weights, y, model.alphas,
-                                         model.alpha_stars, c, 0.1)
-            assert np.float64(model.bias).tobytes() == np.float64(want).tobytes()
+            for epsilon in (0.0, 0.1):
+                model = fit_svr_linear(X, y, c_penalty=c, epsilon=epsilon)
+                want = svr_recover_bias_loop(X @ model.weights, y, model.alphas,
+                                             model.alpha_stars, c, epsilon)
+                assert np.float64(model.bias).tobytes() == np.float64(want).tobytes()
 
 
 class TestEdges:
@@ -173,7 +175,7 @@ class TestEdges:
     def test_epsilon_zero_still_complementary(self):
         X, y = random_problem(13, n=10)
         model = fit_svr_linear(X, y, c_penalty=1.0, epsilon=0.0)
-        assert float(np.max(model.alphas * model.alpha_stars)) <= 1e-6
+        assert np.all((model.alphas == 0.0) | (model.alpha_stars == 0.0))
 
 
 def test_json_round_trip_bitwise():
